@@ -141,6 +141,15 @@ def _make_rhs(p: Params):
     return make_mhnn_rhs(p)
 
 
+def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
+    """(count, dim) seeded initial states; Hebbian members all start from the weights p.w0."""
+    ball = sample_initial_states(ens, p.m + 1)
+    if isinstance(p, HebbianParams):
+        w0 = np.broadcast_to(p.w0.reshape(1, -1), (ens.count, p.m * p.m))
+        return np.concatenate([ball, w0], axis=1)
+    return ball
+
+
 def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec) -> Trajectory:
     """Batched trajectory for a seeded ensemble of initial states.
 
@@ -149,15 +158,8 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec) -> T
     """
     p.validate()
     ens.validate()
-    hebbian = isinstance(p, HebbianParams)
-    ball = sample_initial_states(ens, p.m + 1)
-    if hebbian:
-        w0 = np.broadcast_to(p.w0.reshape(1, -1), (ens.count, p.m * p.m))
-        y0 = np.concatenate([ball, w0], axis=1)
-    else:
-        y0 = ball
-    return integrate(_make_rhs(p), y0, cfg, params_digest=p.digest(),
-                     m=p.m, has_weights=hebbian)
+    return integrate(_make_rhs(p), _initial_states(p, ens), cfg, params_digest=p.digest(),
+                     m=p.m, has_weights=isinstance(p, HebbianParams))
 
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
@@ -180,13 +182,18 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     the gap envelope from one sample past ball entry, and (Hebbian only) the
     weight ultimate bound. Envelope violations are reported, not raised.
     """
-    dc = cst.derive_constants(p)
     thr = cst.threshold(p, epsilon)
+    return _check_ensemble(p, integrate_ensemble(p, cfg, ens), ens, epsilon, thr.p_star)
+
+
+def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
+                    p_star: float) -> SyncReport:
+    """The checks of verify_guarantees on the recorded ensemble ``batch`` of p."""
+    dc = cst.derive_constants(p)
     rate_theory = cst.sync_rate(p, dc, p.P)
     residual = cst.gap_residual(p, dc, p.P)
     hebbian = isinstance(p, HebbianParams)
 
-    batch = integrate_ensemble(p, cfg, ens)
     times = batch.times
     norm_sq = batch.norm_sq_series()           # (n, count)
     gaps = pairwise_gap_series(batch)          # (n, count)
@@ -210,7 +217,8 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
         if inside.size:
             e = int(inside[0])
             entry_times.append(float(times[e]))
-            genv = cst.gap_envelope(p, dc, p.P, times[e:] - times[e], gaps[e, j]**2)
+            genv = cst.envelope_at_rate(rate_theory, residual, times[e:] - times[e],
+                                        gaps[e, j]**2)
             bad = np.nonzero(gaps[e + 1:, j]**2 > genv[1:] + _tolerance(genv[1:]))[0]
             for i in bad:
                 violations.append(EnvelopeViolation(j, float(times[e + 1 + i]),
@@ -235,7 +243,7 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     deg = estimate_sync_degree(members, ens.tail_fraction)
     fitted_rate = float(np.median(fitted)) if fitted else None
     verdict = "pass" if (deg < epsilon and not violations) else "fail"
-    return SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=p.P, p_star=thr.p_star,
+    return SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=p.P, p_star=p_star,
                       entry_times=entry_times, violations=violations,
                       fitted_rate=fitted_rate, rate_theory=rate_theory, verdict=verdict)
 
@@ -252,22 +260,62 @@ class SweepRow:
 
 def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
                    p_values: Sequence[float], epsilon: float) -> list:
-    """verify_guarantees per coupling value with a shared seed, rows ordered by P."""
+    """verify_guarantees per coupling value with a shared seed, rows ordered by P.
+
+    Every coupling value is validated before anything is integrated. A
+    fixed-step sweep integrates all of them in one lockstep run (see
+    ``_verify_lockstep``). If that run blows up, and for the adaptive method,
+    whose step sizes depend on the whole batch, each value runs on its own and
+    one that blows up gets an "error" row.
+    """
     if len(p_values) == 0:
         raise ParameterError("p_values", "sweep requires at least one coupling value")
-    rows = []
-    for P in sorted(p_values):
-        pP = dataclasses.replace(p, P=float(P))
+    swept = [dataclasses.replace(p, P=float(P)) for P in sorted(p_values)]
+    for q in swept:
+        q.validate()
+    if cfg.method == "rk4-fixed":
         try:
-            rep = verify_guarantees(pP, cfg, ens, epsilon)
+            return [_sweep_row(rep) for rep in _verify_lockstep(swept, cfg, ens, epsilon)]
         except BlowUpError:
-            dc = cst.derive_constants(pP)
-            rows.append(SweepRow(P=float(P), deg_estimate=None,
-                                 p_star=cst.threshold(pP, epsilon).p_star,
-                                 rate_theory=cst.sync_rate(pP, dc, float(P)),
+            pass
+    rows = []
+    for q in swept:
+        try:
+            rows.append(_sweep_row(verify_guarantees(q, cfg, ens, epsilon)))
+        except BlowUpError:
+            dc = cst.derive_constants(q)
+            rows.append(SweepRow(P=q.P, deg_estimate=None,
+                                 p_star=cst.threshold(q, epsilon).p_star,
+                                 rate_theory=cst.sync_rate(q, dc, q.P),
                                  rate_fitted=None, verdict="error"))
-            continue
-        rows.append(SweepRow(P=float(P), deg_estimate=rep.deg_estimate, p_star=rep.p_star,
-                             rate_theory=rep.rate_theory, rate_fitted=rep.fitted_rate,
-                             verdict=rep.verdict))
     return rows
+
+
+def _sweep_row(rep: SyncReport) -> SweepRow:
+    return SweepRow(P=rep.p_used, deg_estimate=rep.deg_estimate, p_star=rep.p_star,
+                    rate_theory=rep.rate_theory, rate_fitted=rep.fitted_rate,
+                    verdict=rep.verdict)
+
+
+def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
+                     epsilon: float) -> list:
+    """verify_guarantees for parameter sets that differ only in P, from one RK4 run.
+
+    The ensemble is stacked on a leading P axis, a (len(swept), count, dim)
+    state, and the RHS takes a (len(swept), 1, 1) column of P. Each block then
+    goes through the same BLAS calls, of the same shape, as its own
+    verify_guarantees run, so its report is bitwise the same. A flat
+    (len(swept) * count, dim) batch would not be: OpenBLAS blocks the rows of
+    a matrix product differently by batch size and position.
+    """
+    first = swept[0]
+    p_star = cst.threshold(first, epsilon).p_star      # the same at every P
+    column = np.array([q.P for q in swept])[:, None, None]
+    y0 = _initial_states(first, ens)
+    batch = integrate(_make_rhs(dataclasses.replace(first, P=column)),
+                      np.stack([y0] * len(swept)), cfg,
+                      m=first.m, has_weights=isinstance(first, HebbianParams))
+    return [_check_ensemble(q, dataclasses.replace(batch, states=batch.states[:, i],
+                                                   params_digest=q.digest()),
+                            ens, epsilon, p_star)
+            for i, q in enumerate(swept)]

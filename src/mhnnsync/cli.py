@@ -43,38 +43,77 @@ class RunConfig:
     epsilon: float
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ParameterError(key, "required field is missing")
-    return cfg[key]
+_MISSING = object()
+
+
+def _field(block: dict, key: str, convert=None, default=_MISSING, prefix: str = ""):
+    """block[key] passed through convert, or default when the key is absent.
+
+    A missing required field, or a value that convert rejects, raises
+    ParameterError naming the field path prefix + key.
+    """
+    path = prefix + key
+    if key not in block:
+        if default is _MISSING:
+            raise ParameterError(path, "required field is missing")
+        return default
+    value = block[key]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(path, f"malformed value {value!r} ({exc})") from None
+
+
+def _block(cfg: dict, key: str) -> dict:
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ParameterError(key, f"expected a JSON object, got {block!r}")
+    return block
+
+
+def _activation(spec, path: str) -> ActivationSpec:
+    if not isinstance(spec, dict):
+        raise ParameterError(path, f"expected a JSON object with 'kind' and 'beta', got {spec!r}")
+    return ActivationSpec(kind=spec.get("kind", "tanh-scaled"),
+                          beta=_field(spec, "beta", float, 1.0, path + "."))
+
+
+def _node_count(value) -> int:
+    # checked before the parameter object broadcasts scalar fields to length m
+    m = int(value)
+    if m < 2:
+        raise ValueError("node count must satisfy m >= 2")
+    return m
 
 
 def _build_params(cfg: dict, model: str):
-    m = int(_require(cfg, "m"))
+    m = _field(cfg, "m", _node_count)
     acts = cfg.get("activations")
     if acts is None:
         activations = ()
+    elif isinstance(acts, list):
+        activations = tuple(_activation(a, f"activations[{i}]") for i, a in enumerate(acts))
     else:
-        activations = tuple(ActivationSpec(kind=a.get("kind", "tanh-scaled"),
-                                           beta=float(a.get("beta", 1.0))) for a in acts)
+        raise ParameterError("activations", f"expected a list of activation specs, got {acts!r}")
     common = dict(
-        m=m, a=_require(cfg, "a"), b=float(_require(cfg, "b")),
-        eta=_require(cfg, "eta"), J=_require(cfg, "J"), gamma=_require(cfg, "gamma"),
-        P=float(cfg.get("P", 0.0)), r=float(cfg.get("r", 1.0)), V=float(cfg.get("V", 0.0)),
-        activations=activations,
+        m=m, a=_field(cfg, "a"), b=_field(cfg, "b", float),
+        eta=_field(cfg, "eta"), J=_field(cfg, "J"), gamma=_field(cfg, "gamma"),
+        P=_field(cfg, "P", float, 0.0), r=_field(cfg, "r", float, 1.0),
+        V=_field(cfg, "V", float, 0.0), activations=activations,
     )
     if model == "mhnn":
         coupling = cfg.get("coupling", "weak")
-        if coupling not in _COUPLING_ALIASES:
+        if not isinstance(coupling, str) or coupling not in _COUPLING_ALIASES:
             raise ParameterError("coupling", f"expected 'weak' or 'linear', got {coupling!r}")
-        k = _require(cfg, "k")
-        if np.ndim(k) != 0:
+        if isinstance(cfg.get("k"), (list, dict)):
             raise ParameterError("k", "mhnn model takes a scalar memristive strength")
-        return MhnnParams(k=float(k), w=_require(cfg, "w"),
+        return MhnnParams(k=_field(cfg, "k", float), w=_field(cfg, "w"),
                           coupling_kind=_COUPLING_ALIASES[coupling], **common)
     if model == "hebbian":
-        return HebbianParams(k=_require(cfg, "k"), c=_require(cfg, "c"),
-                             lam=_require(cfg, "lambda"),
+        return HebbianParams(k=_field(cfg, "k"), c=_field(cfg, "c"),
+                             lam=_field(cfg, "lambda"),
                              w0=cfg.get("w0", np.ones((m, m))), **common)
     raise ParameterError("model", f"expected 'mhnn' or 'hebbian', got {model!r}")
 
@@ -82,38 +121,43 @@ def _build_params(cfg: dict, model: str):
 def load_config(path: str, *, model_override: Optional[str] = None,
                 seed_override: Optional[int] = None,
                 epsilon_override: Optional[float] = None) -> RunConfig:
-    """Load and fully validate a run configuration, applying defaults."""
+    """Load and fully validate a run configuration, applying defaults.
+
+    A missing, mistyped or out-of-range field raises ParameterError with its path.
+    """
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ParameterError("<root>", "config must be a JSON object")
-    model = model_override or _require(cfg, "model")
+    model = model_override or _field(cfg, "model")
     params = _build_params(cfg, model)
     params.validate()
 
-    epsilon = float(epsilon_override if epsilon_override is not None
-                    else cfg.get("epsilon", 0.1))
+    epsilon = (float(epsilon_override) if epsilon_override is not None
+               else _field(cfg, "epsilon", float, 0.1))
     if not (epsilon > 0):
         raise ParameterError("epsilon", "prescribed gap epsilon must be positive")
 
-    ens_cfg = cfg.get("ensemble", {})
+    ens_cfg = _block(cfg, "ensemble")
     ensemble = analysis.EnsembleSpec(
-        count=int(ens_cfg.get("count", 10)),
-        radius=float(ens_cfg.get("radius", 5.0)),
-        seed=int(seed_override if seed_override is not None else ens_cfg.get("seed", 0)),
-        tail_fraction=float(ens_cfg.get("tail_fraction", 0.2)),
+        count=_field(ens_cfg, "count", int, 10, "ensemble."),
+        radius=_field(ens_cfg, "radius", float, 5.0, "ensemble."),
+        seed=(int(seed_override) if seed_override is not None
+              else _field(ens_cfg, "seed", int, 0, "ensemble.")),
+        tail_fraction=_field(ens_cfg, "tail_fraction", float, 0.2, "ensemble."),
     )
     ensemble.validate()
 
     dc = cst.derive_constants(params)
-    int_cfg = cfg.get("integrator", {})
+    int_cfg = _block(cfg, "integrator")
     integrator = IntegratorConfig(
-        method=int_cfg.get("method", "rk4-fixed"),
-        dt=float(int_cfg.get("dt", default_dt(params, dc))),
-        t_end=float(int_cfg.get("t_end", analysis.default_horizon(params, ensemble))),
-        record_stride=int(int_cfg.get("record_stride", 1)),
-        abs_tol=float(int_cfg.get("abs_tol", 1e-9)),
-        rel_tol=float(int_cfg.get("rel_tol", 1e-9)),
+        method=_field(int_cfg, "method", None, "rk4-fixed", "integrator."),
+        dt=_field(int_cfg, "dt", float, default_dt(params, dc), "integrator."),
+        t_end=_field(int_cfg, "t_end", float, analysis.default_horizon(params, ensemble),
+                     "integrator."),
+        record_stride=_field(int_cfg, "record_stride", int, 1, "integrator."),
+        abs_tol=_field(int_cfg, "abs_tol", float, 1e-9, "integrator."),
+        rel_tol=_field(int_cfg, "rel_tol", float, 1e-9, "integrator."),
     )
     integrator.validate()
     return RunConfig(model=model, parameters=params, integrator=integrator,
@@ -162,10 +206,8 @@ def _cmd_threshold(run: RunConfig, args) -> int:
 
 def _cmd_simulate(run: RunConfig, args) -> int:
     p = run.parameters
-    y0 = analysis.sample_initial_states(run.ensemble, p.m + 1)[0]
+    y0 = analysis._initial_states(p, run.ensemble)[0]
     hebbian = run.model == "hebbian"
-    if hebbian:
-        y0 = np.concatenate([y0, p.w0.ravel()])
     traj = integrate(analysis._make_rhs(p), y0, run.integrator,
                      params_digest=p.digest(), m=p.m, has_weights=hebbian)
     header = ["t"] + [f"u{i + 1}" for i in range(p.m)] + ["rho"]

@@ -94,10 +94,6 @@ def _hebbian_weight_margin(p: HebbianParams) -> float:
     return lam_max**2 * beta**4 / c_min**2
 
 
-def _hebbian_sync_gap_denominator(p: HebbianParams, P: float) -> float:
-    return derive_extremes(p).a_min - 0.5 * p.k_max * p.eta_min + p.m * P
-
-
 def derive_constants(p: Params) -> DerivedConstants:
     """Scaling constant, forcing constant, dissipation rate, and ultimate bound."""
     ex = derive_extremes(p)
@@ -176,9 +172,9 @@ def sync_rate(p: Params, dc: DerivedConstants, P: float) -> float:
 
 def gap_residual(p: Params, dc: DerivedConstants, P: float) -> float:
     """Asymptotic gap bound R at coupling P; R < epsilon whenever P > p_star(epsilon)."""
-    ex = derive_extremes(p)
     if isinstance(p, HebbianParams):
-        return _hebbian_N(p, dc) / _hebbian_sync_gap_denominator(p, P)
+        return _hebbian_N(p, dc) / sync_rate(p, dc, P)
+    ex = derive_extremes(p)
     N = _mhnn_N(p, dc)
     if p.coupling_kind == "linear":
         return N / (ex.a_min - p.k + p.m * P)
@@ -217,7 +213,11 @@ def threshold(p: Params, epsilon: float) -> Threshold:
 def gap_envelope(p: Params, dc: DerivedConstants, P: float,
                  t_since_entry, gap_at_entry_sq: float):
     """Upper bound on the squared pairwise gap, t_since_entry after ball entry."""
-    mu = sync_rate(p, dc, P)
-    R = gap_residual(p, dc, P)
+    return envelope_at_rate(sync_rate(p, dc, P), gap_residual(p, dc, P),
+                            t_since_entry, gap_at_entry_sq)
+
+
+def envelope_at_rate(mu: float, R: float, t_since_entry, gap_at_entry_sq: float):
+    """The gap envelope for a sync rate mu and residual R already evaluated at P."""
     t = np.asarray(t_since_entry, dtype=float)
     return np.exp(-mu * t) * gap_at_entry_sq + R**2

@@ -1,8 +1,10 @@
 """Fixed-step RK4 and embedded adaptive RK45 time stepping with recorded trajectories.
 
-Both steppers accept batched states: an initial condition of shape
-(batch, dim) integrates every member in lockstep with identical arithmetic,
-so batched and single-trajectory runs agree bitwise per member.
+Both steppers accept batched states of shape (*batch, dim) and integrate
+every member in lockstep. RK4 takes the same steps for every batch and its
+stage arithmetic is elementwise, so a member's result depends only on how the
+right-hand side treats it; DP5 sizes its steps from the error over the whole
+batch.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded time series: times[i] pairs with states[i] (flat state vectors).
 
-    ``states`` has shape (n_recorded, dim) or (n_recorded, batch, dim) for
+    ``states`` has shape (n_recorded, dim), or (n_recorded, *batch, dim) for
     batched runs. For network states the flat layout is (u_1..u_m, rho) with
     the row-major weight matrix appended for the Hebbian model.
     """
@@ -72,7 +74,8 @@ class Trajectory:
 
     @property
     def batch_size(self) -> int:
-        return self.states.shape[1] if self.states.ndim == 3 else 1
+        """Trajectories recorded: the product of the axes between time and state."""
+        return int(np.prod(self.states.shape[1:-1]))
 
     def member(self, j: int) -> "Trajectory":
         """Single-trajectory view of member j of a batched run."""
@@ -84,11 +87,6 @@ class Trajectory:
         """||g(t)||^2 over the recorded samples (weights excluded)."""
         n = self.m + 1 if self.m else self.states.shape[-1]
         return np.sum(self.states[..., :n]**2, axis=-1)
-
-    def state_at(self, i: int) -> NetworkState:
-        if self.states.ndim == 3:
-            raise ValueError("use member(j) to extract a single trajectory first")
-        return NetworkState.from_vector(self.states[i], self.m, self.has_weights)
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:

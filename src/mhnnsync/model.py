@@ -108,19 +108,26 @@ def window_eval(kind: str, rho, eta: float):
     return out if out.ndim else float(out)
 
 
+def _float_array(x, path: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(path, f"expected numbers, got {x!r} ({exc})") from None
+
+
 def _as_vector(x, m: int, path: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.ndim(x) == 0:
-        arr = np.full(m, float(x))
+    arr = _float_array(x, path)
+    if arr.ndim == 0:
+        arr = np.full(m, float(arr))
     if arr.shape != (m,):
         raise ParameterError(path, f"expected length-{m} vector, got shape {arr.shape}")
     return arr
 
 
 def _as_matrix(x, m: int, path: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.ndim(x) == 0:
-        arr = np.full((m, m), float(x))
+    arr = _float_array(x, path)
+    if arr.ndim == 0:
+        arr = np.full((m, m), float(arr))
     if arr.shape != (m, m):
         raise ParameterError(path, f"expected {m}x{m} matrix, got shape {arr.shape}")
     return arr
@@ -325,7 +332,9 @@ class NetworkState:
 def make_mhnn_rhs(p: MhnnParams):
     """Vector-field closure for the mHNN; operates on flat state y = (u, rho).
 
-    Accepts batched states of shape (..., m+1).
+    Accepts batched states of shape (..., m+1). ``p.P`` may be a scalar or an
+    array that broadcasts against the state's leading axes, such as one
+    coupling strength per block of a (len(P), count, m+1) state.
     """
     m = p.m
     a, eta, w, J, gamma = p.a, p.eta, p.w, p.J, p.gamma
@@ -333,13 +342,14 @@ def make_mhnn_rhs(p: MhnnParams):
     codes, betas = _activation_table(p.activations)
     wT = w.T.copy()
     linear = p.coupling_kind == "linear"
+    coupled = bool(np.any(P != 0.0))
 
     def rhs(y: np.ndarray) -> np.ndarray:
         u = y[..., :m]
         rho = y[..., m:m + 1]
         fvec = _activation_values(codes, betas, u)
         du = -a * u + fvec @ wT + k * (1.0 - eta * rho**2) * u + J
-        if P != 0.0:
+        if coupled:
             if linear:
                 du -= P * (m * u - u.sum(axis=-1, keepdims=True))
             else:
@@ -351,12 +361,16 @@ def make_mhnn_rhs(p: MhnnParams):
 
 
 def make_hebbian_rhs(p: HebbianParams):
-    """Vector-field closure for the Hebbian model; flat state y = (u, rho, w row-major)."""
+    """Vector-field closure for the Hebbian model; flat state y = (u, rho, w row-major).
+
+    ``p.P`` may be a scalar or an array, as for ``make_mhnn_rhs``.
+    """
     m = p.m
     a, k, eta, J, gamma = p.a, p.k, p.eta, p.J, p.gamma
     b, P = p.b, p.P
     c, lam = p.c, p.lam
     codes, betas = _activation_table(p.activations)
+    coupled = bool(np.any(P != 0.0))
 
     def rhs(y: np.ndarray) -> np.ndarray:
         u = y[..., :m]
@@ -365,7 +379,7 @@ def make_hebbian_rhs(p: HebbianParams):
         fvec = _activation_values(codes, betas, u)
         du = (-a * u + np.einsum("...ij,...j->...i", W, fvec)
               + k * rho * (eta - rho) * u + J)
-        if P != 0.0:
+        if coupled:
             du -= P * (m * u - u.sum(axis=-1, keepdims=True))
         drho = u @ gamma - b * rho[..., 0]
         dW = -c * W + lam * (fvec[..., :, None] * fvec[..., None, :])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mhnnsync import (
+    BlowUpError,
     EnsembleSpec,
     IntegratorConfig,
     MhnnParams,
+    ParameterError,
     Trajectory,
     UndefinedFitError,
     estimate_sync_degree,
@@ -16,6 +18,7 @@ from mhnnsync import (
     threshold,
     verify_guarantees,
 )
+from mhnnsync import analysis
 from mhnnsync.analysis import integrate_ensemble, sample_initial_states
 
 from draws import draw_hebbian, draw_mhnn
@@ -128,6 +131,23 @@ class TestVerify:
         rep = verify_guarantees(p, cfg, ens, 0.5)
         assert not [v for v in rep.violations if v.check == "weight"]
 
+    def test_constants_derived_once_per_call(self, monkeypatch):
+        # the envelope's rate and residual do not depend on the member, so the
+        # closed-form work of a verify call must not grow with the ensemble
+        rng = np.random.default_rng(13)
+        p = dataclasses.replace(draw_hebbian(rng, 2), P=1.0)
+        cfg = IntegratorConfig(dt=2e-3, t_end=2.0, record_stride=4)
+        calls = []
+        derive_real = analysis.cst.derive_extremes
+        monkeypatch.setattr(analysis.cst, "derive_extremes",
+                            lambda q: calls.append(1) or derive_real(q))
+        counts = []
+        for count in (2, 6):
+            calls.clear()
+            verify_guarantees(p, cfg, EnsembleSpec(count=count, radius=2.0, seed=8), 0.5)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
 
 class TestSweep:
     def test_rows_and_determinism(self):
@@ -142,3 +162,87 @@ class TestSweep:
         assert rows[0] == rows[1]
         assert rows[-1].deg_estimate < eps
         assert rows[-1].verdict == "pass"
+
+    @staticmethod
+    def record_integrations(monkeypatch) -> list:
+        """Every trajectory that analysis.integrate returns from here on."""
+        runs = []
+        integrate_real = analysis.integrate
+
+        def recorded(*args, **kwargs):
+            runs.append(integrate_real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(analysis, "integrate", recorded)
+        return runs
+
+    @staticmethod
+    def assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps):
+        assert [row.P for row in rows] == sorted(p_values)
+        for row in rows:
+            rep = verify_guarantees(dataclasses.replace(p, P=row.P), cfg, ens, eps).to_dict()
+            assert (row.deg_estimate, row.p_star, row.rate_theory, row.rate_fitted,
+                    row.verdict) == (rep["deg_estimate"], rep["p_star"], rep["rate_theory"],
+                                     rep["fitted_rate"], rep["verdict"])
+
+    @pytest.mark.parametrize("model, m", [("weak-sigmoidal", 8), ("linear", 2),
+                                          ("linear", 8), ("hebbian", 3)])
+    def test_lockstep_rows_equal_single_verifies(self, monkeypatch, model, m):
+        # at m = 8 a flat (len(P) * count, dim) batch would change the BLAS row
+        # blocking of the RHS matrix products, and with it the last bits
+        rng = np.random.default_rng(21 + m)
+        p = draw_hebbian(rng, m) if model == "hebbian" else draw_mhnn(rng, m, coupling=model)
+        eps = 0.3
+        p_star = threshold(p, eps).p_star
+        p_values = [2 * p_star, 0.0, 0.5 * p_star, 2 * p_star]
+        cfg = IntegratorConfig(dt=2e-3, t_end=2.0, record_stride=2)
+        ens = EnsembleSpec(count=10, radius=2.0, seed=9)
+        runs = self.record_integrations(monkeypatch)
+        rows = sweep_coupling(p, cfg, ens, p_values, eps)
+        assert len(runs) == 1
+        states = runs[0].states.reshape(len(runs[0]), len(p_values), ens.count, p.dim)
+        for i, P in enumerate(sorted(p_values)):
+            single = integrate_ensemble(dataclasses.replace(p, P=P), cfg, ens)
+            assert np.array_equal(states[:, i], single.states)
+        self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)
+
+    def test_blow_up_gets_an_error_row(self):
+        rng = np.random.default_rng(15)
+        p = draw_mhnn(rng, 3, coupling="linear")
+        eps = 0.3
+        cfg = IntegratorConfig(dt=2e-3, t_end=2.0, record_stride=2)
+        ens = EnsembleSpec(count=3, radius=2.0, seed=4)
+        unstable = 2000.0              # m * P * dt = 12, beyond RK4's stability interval
+        with pytest.raises(BlowUpError):
+            verify_guarantees(dataclasses.replace(p, P=unstable), cfg, ens, eps)
+        rows = sweep_coupling(p, cfg, ens, [unstable, 1.0, 0.0], eps)
+        assert rows[-1].P == unstable
+        assert rows[-1].verdict == "error"
+        assert rows[-1].deg_estimate is None and rows[-1].rate_fitted is None
+        assert rows[-1].p_star == threshold(p, eps).p_star
+        self.assert_rows_match_verifies(rows[:-1], p, cfg, ens, [1.0, 0.0], eps)
+
+    def test_negative_p_rejected_before_integrating(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        p = draw_mhnn(rng, 2, coupling="linear")
+        runs = self.record_integrations(monkeypatch)
+        cfg = IntegratorConfig(dt=2e-3, t_end=1.0)
+        for method in ("rk4-fixed", "rk45-adaptive"):
+            with pytest.raises(ParameterError) as err:
+                sweep_coupling(p, dataclasses.replace(cfg, method=method),
+                               EnsembleSpec(count=2, seed=1), [1.0, 3.0, -0.5], 0.3)
+            assert err.value.field == "P"
+        assert runs == []
+
+    def test_adaptive_sweep_runs_per_p(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        p = draw_mhnn(rng, 3, coupling="linear")
+        eps = 0.3
+        p_values = [1.0, 0.0, 1.0]
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=1e-2, t_end=2.0,
+                               abs_tol=1e-6, rel_tol=1e-6)
+        ens = EnsembleSpec(count=3, radius=2.0, seed=6)
+        runs = self.record_integrations(monkeypatch)
+        rows = sweep_coupling(p, cfg, ens, p_values, eps)
+        assert [run.states.shape[1:] for run in runs] == [(ens.count, p.dim)] * len(p_values)
+        self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)

@@ -111,6 +111,18 @@ class TestValidationExits:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["constants", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"m": "two"}, "m"),
+        ({"ensemble": {"count": "x"}}, "ensemble.count"),
+        ({"activations": ["tanh"]}, "activations[0]"),
+    ])
+    def test_malformed_field_exit_3(self, tmp_path, capsys, overrides, field):
+        cfg_path = write(tmp_path, mhnn_config(**overrides))
+        assert run(["verify", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert f"config validation error: {field}: " in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
 
