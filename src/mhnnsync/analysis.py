@@ -164,10 +164,9 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec) -> T
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
     """max(5*T_B(radius^2), 20/rate(P)): transient decayed by at least e^-20."""
-    dc = cst.derive_constants(p)
-    t_absorb = cst.absorb_time(dc, ens.radius**2) if ens.radius > 0 else 0.0
-    rate = cst.sync_rate(p, dc, p.P)
-    return max(5.0 * t_absorb, 20.0 / rate, 1.0)
+    d = cst._derive(p)
+    t_absorb = cst.absorb_time(d.dc, ens.radius**2) if ens.radius > 0 else 0.0
+    return max(5.0 * t_absorb, 20.0 / d.rate(p.P), 1.0)
 
 
 def _tolerance(bound) -> np.ndarray:
@@ -182,16 +181,17 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     the gap envelope from one sample past ball entry, and (Hebbian only) the
     weight ultimate bound. Envelope violations are reported, not raised.
     """
-    thr = cst.threshold(p, epsilon)
-    return _check_ensemble(p, integrate_ensemble(p, cfg, ens), ens, epsilon, thr.p_star)
+    d = cst._derive(p)
+    p_star = d.p_star(epsilon)
+    return _check_ensemble(p, integrate_ensemble(p, cfg, ens), ens, epsilon, p_star, d)
 
 
 def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
-                    p_star: float) -> SyncReport:
-    """The checks of verify_guarantees on the recorded ensemble ``batch`` of p."""
-    dc = cst.derive_constants(p)
-    rate_theory = cst.sync_rate(p, dc, p.P)
-    residual = cst.gap_residual(p, dc, p.P)
+                    p_star: float, d: cst._Derivation) -> SyncReport:
+    """The checks of verify_guarantees on the recorded ensemble ``batch`` of p, derived as ``d``."""
+    dc = d.dc
+    rate_theory = d.rate(p.P)
+    residual = d.residual(p.P)
     hebbian = isinstance(p, HebbianParams)
 
     times = batch.times
@@ -202,7 +202,7 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
     violations: list = []
     fitted: list = []
     if hebbian:
-        weight_bound = p.w0**2 + cst._hebbian_weight_margin(p)
+        weight_bound = p.w0**2 + d.weight_margin
 
     for j in range(ens.count):
         ns = norm_sq[:, j]
@@ -239,8 +239,9 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
                 violations.append(EnvelopeViolation(j, float(times[i]), float(w_sq[i, wi, wj]),
                                                     float(weight_bound[wi, wj]), "weight"))
 
-    members = [batch.member(j) for j in range(ens.count)]
-    deg = estimate_sync_degree(members, ens.tail_fraction)
+    # estimate_sync_degree over the members, from the gaps at hand
+    tail = times >= (1.0 - ens.tail_fraction) * times[-1]
+    deg = float(gaps[tail].max())
     fitted_rate = float(np.median(fitted)) if fitted else None
     verdict = "pass" if (deg < epsilon and not violations) else "fail"
     return SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=p.P, p_star=p_star,
@@ -273,21 +274,22 @@ def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     swept = [dataclasses.replace(p, P=float(P)) for P in sorted(p_values)]
     for q in swept:
         q.validate()
+    d = cst._derive(swept[0])
+    p_star = d.p_star(epsilon)
     if cfg.method == "rk4-fixed":
         try:
-            return [_sweep_row(rep) for rep in _verify_lockstep(swept, cfg, ens, epsilon)]
+            return [_sweep_row(rep)
+                    for rep in _verify_lockstep(swept, cfg, ens, epsilon, p_star, d)]
         except BlowUpError:
             pass
     rows = []
     for q in swept:
         try:
-            rows.append(_sweep_row(verify_guarantees(q, cfg, ens, epsilon)))
+            rows.append(_sweep_row(_check_ensemble(q, integrate_ensemble(q, cfg, ens), ens,
+                                                   epsilon, p_star, d)))
         except BlowUpError:
-            dc = cst.derive_constants(q)
-            rows.append(SweepRow(P=q.P, deg_estimate=None,
-                                 p_star=cst.threshold(q, epsilon).p_star,
-                                 rate_theory=cst.sync_rate(q, dc, q.P),
-                                 rate_fitted=None, verdict="error"))
+            rows.append(SweepRow(P=q.P, deg_estimate=None, p_star=p_star,
+                                 rate_theory=d.rate(q.P), rate_fitted=None, verdict="error"))
     return rows
 
 
@@ -298,7 +300,7 @@ def _sweep_row(rep: SyncReport) -> SweepRow:
 
 
 def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
-                     epsilon: float) -> list:
+                     epsilon: float, p_star: float, d: cst._Derivation) -> list:
     """verify_guarantees for parameter sets that differ only in P, from one RK4 run.
 
     The ensemble is stacked on a leading P axis, a (len(swept), count, dim)
@@ -309,7 +311,6 @@ def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     a matrix product differently by batch size and position.
     """
     first = swept[0]
-    p_star = cst.threshold(first, epsilon).p_star      # the same at every P
     column = np.array([q.P for q in swept])[:, None, None]
     y0 = _initial_states(first, ens)
     batch = integrate(_make_rhs(dataclasses.replace(first, P=column)),
@@ -317,5 +318,5 @@ def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
                       m=first.m, has_weights=isinstance(first, HebbianParams))
     return [_check_ensemble(q, dataclasses.replace(batch, states=batch.states[:, i],
                                                    params_digest=q.digest()),
-                            ens, epsilon, p_star)
+                            ens, epsilon, p_star, d)
             for i, q in enumerate(swept)]

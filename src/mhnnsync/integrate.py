@@ -207,7 +207,6 @@ def default_dt(p, dc=None) -> float:
     coupling rate m*P only needs accuracy-level resolution since it is
     strongly contracting, so it is resolved at 5e-2/rate.
     """
-    k_max = p.k_max if hasattr(p, "k_max") else p.k
     eta_max = float(np.max(p.eta))
-    base = max(float(np.max(p.a)), p.b, k_max * eta_max * (dc.bound if dc else 1.0))
+    base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * (dc.bound if dc else 1.0))
     return min(1e-3 / base, 5e-2 / (base + p.m * p.P))

@@ -16,7 +16,7 @@ All functions here are pure; parameter objects are treated as immutable after
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,9 @@ ACTIVATION_KINDS = ("tanh-scaled", "logistic-centered", "sine-clamped")
 WINDOW_KINDS = ("quadratic", "strukov-williams")
 COUPLING_KINDS = ("weak-sigmoidal", "linear")
 
-_ACT_CODE = {kind: i for i, kind in enumerate(ACTIVATION_KINDS)}
+# Every activation kind is beta*tanh(scale*s) or, for sine-clamped, beta*sin(s).
+# logistic-centered 2/(1+e^-s) - 1 equals tanh(s/2), its overflow-safe form.
+_TANH_SCALE = {"tanh-scaled": 1.0, "logistic-centered": 0.5}
 
 
 class ParameterError(ValueError):
@@ -60,37 +62,50 @@ class ActivationSpec:
 def activation_eval(kind: str, beta: float, s):
     """Evaluate one activation family at s (scalar or array)."""
     s = np.asarray(s, dtype=float)
-    if kind == "tanh-scaled":
-        return beta * np.tanh(s)
-    if kind == "logistic-centered":
-        # 2/(1+e^-s) - 1 == tanh(s/2), which is the overflow-safe form
-        return beta * np.tanh(0.5 * s)
-    if kind == "sine-clamped":
-        return beta * np.sin(s)
-    raise ParameterError("activation.kind", f"unknown kind {kind!r}")
+    return _activation_kernel((ActivationSpec(kind, beta),))(s[..., None])[..., 0]
 
 
-def _activation_table(activations) -> tuple[np.ndarray, np.ndarray]:
-    codes = np.array([_ACT_CODE[a.kind] for a in activations], dtype=np.int64)
-    betas = np.array([a.beta for a in activations], dtype=float)
-    return codes, betas
+def _activation_kernel(activations):
+    """f(u) = (beta_j g_j(u_j))_j over the last axis of u, one spec per position.
+
+    tanh(scale*u) is evaluated once for all nodes and sin only at sine-clamped
+    ones. The scale 1.0 keeps tanh-scaled bitwise tanh(u), since 1.0*u == u.
+    """
+    for act in activations:
+        if act.kind not in ACTIVATION_KINDS:
+            raise ParameterError("activation.kind", f"unknown kind {act.kind!r}")
+    scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations])
+    sine = np.flatnonzero([act.kind == "sine-clamped" for act in activations])
+    betas = np.array([act.beta for act in activations], dtype=float)
+
+    def f(u: np.ndarray) -> np.ndarray:
+        out = np.tanh(scale * u)
+        if sine.size:
+            out[..., sine] = np.sin(u[..., sine])
+        return betas * out
+
+    return f
 
 
-def _activation_values(codes: np.ndarray, betas: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-node activation f_j(u_j); u has shape (..., m)."""
-    out = np.where(codes == 0, np.tanh(u),
-                   np.where(codes == 1, np.tanh(0.5 * u), np.sin(u)))
-    return betas * out
+def _sigmoid(s, r, V):
+    """The sigmoid of sigmoid_gamma without its check on r."""
+    z = r * (s - V)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_gamma(s, r: float, V: float):
     """Interneuron sigmoid 1/(1 + exp(-r(s - V))), overflow-safe, values in (0, 1)."""
     if not np.all(np.asarray(r) > 0):
         raise ParameterError("r", "sigmoid slope r must be positive")
-    z = r * (np.asarray(s, dtype=float) - V)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _sigmoid(np.asarray(s, dtype=float), r, V)
     return out if out.ndim else float(out)
+
+
+_WINDOWS = {
+    "quadratic": lambda rho, eta: 1.0 - eta * rho**2,
+    "strukov-williams": lambda rho, eta: rho * (eta - rho),
+}
 
 
 def window_eval(kind: str, rho, eta: float):
@@ -98,43 +113,83 @@ def window_eval(kind: str, rho, eta: float):
     if not (eta > 0):
         raise ParameterError("eta", "window curvature eta must be positive")
     rho = np.asarray(rho, dtype=float)
-    if kind == "quadratic":
-        out = 1.0 - eta * rho**2
-    elif kind == "strukov-williams":
-        out = rho * (eta - rho)
-    else:
+    if kind not in _WINDOWS:
         raise ParameterError("window.kind",
                              f"unknown kind {kind!r}, expected one of {WINDOW_KINDS}")
+    out = _WINDOWS[kind](rho, eta)
     return out if out.ndim else float(out)
 
 
-def _float_array(x, path: str) -> np.ndarray:
+def _as_array(x, shape: tuple, path: str) -> np.ndarray:
+    """x as a float array of the given vector or matrix shape; a scalar fills it."""
     try:
-        return np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParameterError(path, f"expected numbers, got {x!r} ({exc})") from None
-
-
-def _as_vector(x, m: int, path: str) -> np.ndarray:
-    arr = _float_array(x, path)
     if arr.ndim == 0:
-        arr = np.full(m, float(arr))
-    if arr.shape != (m,):
-        raise ParameterError(path, f"expected length-{m} vector, got shape {arr.shape}")
+        arr = np.full(shape, float(arr))
+    if arr.shape != shape:
+        expected = f"length-{shape[0]} vector" if len(shape) == 1 else "{}x{} matrix".format(*shape)
+        raise ParameterError(path, f"expected {expected}, got shape {arr.shape}")
     return arr
 
 
-def _as_matrix(x, m: int, path: str) -> np.ndarray:
-    arr = _float_array(x, path)
-    if arr.ndim == 0:
-        arr = np.full((m, m), float(arr))
-    if arr.shape != (m, m):
-        raise ParameterError(path, f"expected {m}x{m} matrix, got shape {arr.shape}")
-    return arr
+class _NetworkParams:
+    """What MhnnParams and HebbianParams share; no fields, so each keeps its field order.
+
+    A subclass names its vectors and its (field, config path) matrices, which
+    __post_init__ coerces (``P`` is left as given), and adds ``_validate_model``.
+    """
+
+    _UNHASHED = ("activations",)
+
+    def __post_init__(self):
+        self.m = int(self.m)
+        for name in self._VECTORS:
+            setattr(self, name, _as_array(getattr(self, name), (self.m,), name))
+        for name, path in self._MATRICES:
+            setattr(self, name, _as_array(getattr(self, name), (self.m, self.m), path))
+        if not self.activations:
+            self.activations = tuple(ActivationSpec("tanh-scaled", 1.0) for _ in range(self.m))
+        self.activations = tuple(self.activations)
+
+    @property
+    def beta_max(self) -> float:
+        return max(a.beta for a in self.activations)
+
+    @property
+    def k_max(self) -> float:
+        return float(np.max(self.k))
+
+    def validate(self) -> None:
+        if self.m < 2:
+            raise ParameterError("m", "node count must satisfy m >= 2")
+        if len(self.activations) != self.m:
+            raise ParameterError("activations",
+                                 f"expected {self.m} activation specs, got {len(self.activations)}")
+        for i, act in enumerate(self.activations):
+            act.validate(f"activations[{i}]")
+        if not (self.b > 0):
+            raise ParameterError("b", "memristor decay b must be positive")
+        if not np.all(self.eta > 0):
+            raise ParameterError("eta", "all window curvatures eta_i must be positive")
+        if not (self.r > 0):
+            raise ParameterError("r", "sigmoid slope r must be positive")
+        if not (self.P >= 0):
+            raise ParameterError("P", "coupling strength P must be nonnegative")
+        self._validate_model()
+
+    def digest(self) -> str:
+        """Fields in declaration order, then the activation specs."""
+        h = hashlib.sha256()
+        parts = [getattr(self, f.name) for f in fields(self) if f.name not in self._UNHASHED]
+        for part in parts + [[(s.kind, s.beta) for s in self.activations]]:
+            h.update(repr(part.tolist() if isinstance(part, np.ndarray) else part).encode())
+        return h.hexdigest()[:16]
 
 
 @dataclass
-class MhnnParams:
+class MhnnParams(_NetworkParams):
     """Full parameter set of the memristive Hopfield network."""
 
     m: int
@@ -151,61 +206,26 @@ class MhnnParams:
     activations: tuple = ()      # one ActivationSpec per node
     coupling_kind: str = "weak-sigmoidal"
 
-    def __post_init__(self):
-        self.m = int(self.m)
-        self.a = _as_vector(self.a, self.m, "a")
-        self.eta = _as_vector(self.eta, self.m, "eta")
-        self.J = _as_vector(self.J, self.m, "J")
-        self.gamma = _as_vector(self.gamma, self.m, "gamma")
-        self.w = _as_matrix(self.w, self.m, "w")
-        if not self.activations:
-            self.activations = tuple(ActivationSpec("tanh-scaled", 1.0) for _ in range(self.m))
-        self.activations = tuple(self.activations)
+    _VECTORS = ("a", "eta", "J", "gamma")
+    _MATRICES = (("w", "w"),)
 
     @property
     def dim(self) -> int:
         return self.m + 1
 
-    @property
-    def beta_max(self) -> float:
-        return max(a.beta for a in self.activations)
-
-    def validate(self) -> None:
-        if self.m < 2:
-            raise ParameterError("m", "node count must satisfy m >= 2")
-        if len(self.activations) != self.m:
-            raise ParameterError("activations",
-                                 f"expected {self.m} activation specs, got {len(self.activations)}")
-        for i, act in enumerate(self.activations):
-            act.validate(f"activations[{i}]")
+    def _validate_model(self) -> None:
         if not (self.k > 0):
             raise ParameterError("k", "memristive coupling strength k must be positive")
         if not np.all(self.a > self.k):
             raise ParameterError(
                 "a", f"assumption 'a_i > k' violated: min a_i = {self.a.min()} <= k = {self.k}")
-        if not (self.b > 0):
-            raise ParameterError("b", "memristor decay b must be positive")
-        if not np.all(self.eta > 0):
-            raise ParameterError("eta", "all window curvatures eta_i must be positive")
-        if not (self.r > 0):
-            raise ParameterError("r", "sigmoid slope r must be positive")
-        if not (self.P >= 0):
-            raise ParameterError("P", "coupling strength P must be nonnegative")
         if self.coupling_kind not in COUPLING_KINDS:
             raise ParameterError("coupling_kind",
                                  f"unknown coupling {self.coupling_kind!r}, expected one of {COUPLING_KINDS}")
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for part in (self.m, self.a, self.b, self.k, self.eta, self.w, self.J,
-                     self.gamma, self.P, self.r, self.V, self.coupling_kind,
-                     [(s.kind, s.beta) for s in self.activations]):
-            h.update(repr(np.asarray(part).tolist() if isinstance(part, np.ndarray) else part).encode())
-        return h.hexdigest()[:16]
-
 
 @dataclass
-class HebbianParams:
+class HebbianParams(_NetworkParams):
     """Parameter set of the Hebbian-learning extension (Strukov-Williams window)."""
 
     m: int
@@ -224,50 +244,21 @@ class HebbianParams:
     activations: tuple = ()
     coupling_kind: str = "linear"
 
-    def __post_init__(self):
-        self.m = int(self.m)
-        self.a = _as_vector(self.a, self.m, "a")
-        self.k = _as_vector(self.k, self.m, "k")
-        self.eta = _as_vector(self.eta, self.m, "eta")
-        self.J = _as_vector(self.J, self.m, "J")
-        self.gamma = _as_vector(self.gamma, self.m, "gamma")
-        self.c = _as_matrix(self.c, self.m, "c")
-        self.lam = _as_matrix(self.lam, self.m, "lambda")
-        self.w0 = _as_matrix(self.w0, self.m, "w0")
-        if not self.activations:
-            self.activations = tuple(ActivationSpec("tanh-scaled", 1.0) for _ in range(self.m))
-        self.activations = tuple(self.activations)
+    _VECTORS = ("a", "k", "eta", "J", "gamma")
+    _MATRICES = (("c", "c"), ("lam", "lambda"), ("w0", "w0"))
+    _UNHASHED = ("activations", "coupling_kind")
 
     @property
     def dim(self) -> int:
         return self.m + 1 + self.m * self.m
 
     @property
-    def k_max(self) -> float:
-        return float(self.k.max())
-
-    @property
     def eta_min(self) -> float:
         return float(self.eta.min())
 
-    @property
-    def beta_max(self) -> float:
-        return max(a.beta for a in self.activations)
-
-    def validate(self) -> None:
-        if self.m < 2:
-            raise ParameterError("m", "node count must satisfy m >= 2")
-        if len(self.activations) != self.m:
-            raise ParameterError("activations",
-                                 f"expected {self.m} activation specs, got {len(self.activations)}")
-        for i, act in enumerate(self.activations):
-            act.validate(f"activations[{i}]")
+    def _validate_model(self) -> None:
         if not np.all(self.k > 0):
             raise ParameterError("k", "all memristive strengths k_i must be positive")
-        if not (self.b > 0):
-            raise ParameterError("b", "memristor decay b must be positive")
-        if not np.all(self.eta > 0):
-            raise ParameterError("eta", "all window curvatures eta_i must be positive")
         # strictly stronger than a > k*eta^2/2 alone so that both the
         # dissipation denominator (eta^2) and the sync rate (eta) stay positive
         bar = 0.5 * self.k_max * max(self.eta_min, self.eta_min**2)
@@ -280,20 +271,8 @@ class HebbianParams:
             raise ParameterError("c", "all weight decays c_ij must be positive")
         if not np.all((self.w0 == 0) | (self.w0 == 1)):
             raise ParameterError("w0", "initial weights must have entries in {0, 1}")
-        if not (self.r > 0):
-            raise ParameterError("r", "sigmoid slope r must be positive")
-        if not (self.P >= 0):
-            raise ParameterError("P", "coupling strength P must be nonnegative")
         if self.coupling_kind != "linear":
             raise ParameterError("coupling_kind", "hebbian model uses linear coupling only")
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for part in (self.m, self.a, self.b, self.k, self.eta, self.J, self.gamma,
-                     self.c, self.lam, self.w0, self.P, self.r, self.V,
-                     [(s.kind, s.beta) for s in self.activations]):
-            h.update(repr(np.asarray(part).tolist() if isinstance(part, np.ndarray) else part).encode())
-        return h.hexdigest()[:16]
 
 
 @dataclass
@@ -339,7 +318,8 @@ def make_mhnn_rhs(p: MhnnParams):
     m = p.m
     a, eta, w, J, gamma = p.a, p.eta, p.w, p.J, p.gamma
     k, b, P, r, V = p.k, p.b, p.P, p.r, p.V
-    codes, betas = _activation_table(p.activations)
+    activation = _activation_kernel(p.activations)
+    window = _WINDOWS["quadratic"]
     wT = w.T.copy()
     linear = p.coupling_kind == "linear"
     coupled = bool(np.any(P != 0.0))
@@ -347,13 +327,12 @@ def make_mhnn_rhs(p: MhnnParams):
     def rhs(y: np.ndarray) -> np.ndarray:
         u = y[..., :m]
         rho = y[..., m:m + 1]
-        fvec = _activation_values(codes, betas, u)
-        du = -a * u + fvec @ wT + k * (1.0 - eta * rho**2) * u + J
+        du = -a * u + activation(u) @ wT + k * window(rho, eta) * u + J
         if coupled:
             if linear:
                 du -= P * (m * u - u.sum(axis=-1, keepdims=True))
             else:
-                du -= P * u * sigmoid_gamma(u, r, V).sum(axis=-1, keepdims=True)
+                du -= P * u * _sigmoid(u, r, V).sum(axis=-1, keepdims=True)
         drho = u @ gamma - b * rho[..., 0]
         return np.concatenate([du, drho[..., None]], axis=-1)
 
@@ -369,14 +348,16 @@ def make_hebbian_rhs(p: HebbianParams):
     a, k, eta, J, gamma = p.a, p.k, p.eta, p.J, p.gamma
     b, P = p.b, p.P
     c, lam = p.c, p.lam
-    codes, betas = _activation_table(p.activations)
+    activation = _activation_kernel(p.activations)
     coupled = bool(np.any(P != 0.0))
 
     def rhs(y: np.ndarray) -> np.ndarray:
         u = y[..., :m]
         rho = y[..., m:m + 1]
         W = y[..., m + 1:].reshape(*y.shape[:-1], m, m)
-        fvec = _activation_values(codes, betas, u)
+        fvec = activation(u)
+        # the Strukov-Williams window stays inline: k * (rho * (eta - rho)) * u
+        # rounds differently and would move the adaptive stepper's accepted steps
         du = (-a * u + np.einsum("...ij,...j->...i", W, fvec)
               + k * rho * (eta - rho) * u + J)
         if coupled:

@@ -24,6 +24,15 @@ from mhnnsync.analysis import integrate_ensemble, sample_initial_states
 from draws import draw_hebbian, draw_mhnn
 
 
+def count_derivations(monkeypatch) -> list:
+    """One entry per derive_extremes call from here on."""
+    calls = []
+    derive_real = analysis.cst.derive_extremes
+    monkeypatch.setattr(analysis.cst, "derive_extremes",
+                        lambda q: calls.append(1) or derive_real(q))
+    return calls
+
+
 def make_traj(times, u, m):
     states = np.column_stack([u, np.zeros(len(times))])
     return Trajectory(times=np.asarray(times, float), states=states, m=m)
@@ -137,16 +146,23 @@ class TestVerify:
         rng = np.random.default_rng(13)
         p = dataclasses.replace(draw_hebbian(rng, 2), P=1.0)
         cfg = IntegratorConfig(dt=2e-3, t_end=2.0, record_stride=4)
-        calls = []
-        derive_real = analysis.cst.derive_extremes
-        monkeypatch.setattr(analysis.cst, "derive_extremes",
-                            lambda q: calls.append(1) or derive_real(q))
+        calls = count_derivations(monkeypatch)
         counts = []
         for count in (2, 6):
             calls.clear()
             verify_guarantees(p, cfg, EnsembleSpec(count=count, radius=2.0, seed=8), 0.5)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("model", ["weak-sigmoidal", "linear", "hebbian"])
+    def test_threshold_maps_share_one_derivation(self, monkeypatch, model):
+        rng = np.random.default_rng(18)
+        p = draw_hebbian(rng, 3) if model == "hebbian" else draw_mhnn(rng, 3, coupling=model)
+        calls = count_derivations(monkeypatch)
+        thr = threshold(p, 0.3)
+        thr.rate_at(thr.p_star)
+        thr.residual_at(thr.p_star)
+        assert len(calls) == 1
 
 
 class TestSweep:
@@ -205,6 +221,20 @@ class TestSweep:
             single = integrate_ensemble(dataclasses.replace(p, P=P), cfg, ens)
             assert np.array_equal(states[:, i], single.states)
         self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)
+
+    def test_one_derivation_for_every_p(self, monkeypatch):
+        # the constants do not depend on P, so a sweep derives them once
+        rng = np.random.default_rng(19)
+        p = draw_mhnn(rng, 2, coupling="linear")
+        cfg = IntegratorConfig(dt=2e-3, t_end=1.0, record_stride=2)
+        ens = EnsembleSpec(count=2, radius=2.0, seed=2)
+        calls = count_derivations(monkeypatch)
+        counts = []
+        for p_values in ([1.0], [0.0, 1.0, 2.0]):
+            calls.clear()
+            sweep_coupling(p, cfg, ens, p_values, 0.3)
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
     def test_blow_up_gets_an_error_row(self):
         rng = np.random.default_rng(15)

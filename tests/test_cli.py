@@ -123,6 +123,16 @@ class TestValidationExits:
         assert f"config validation error: {field}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["constants", "threshold", "verify", "sweep"])
+    def test_weak_threshold_overflow_exit_3(self, tmp_path, capsys, command):
+        # r(sqrt(Q) + |V|) lies far beyond the exp range of the weak-coupling term
+        cfg_path = write(tmp_path, mhnn_config(k=0.5, r=1000.0))
+        extra = ["--p-values", "1,2"] if command == "sweep" else []
+        assert run([command, "--config", cfg_path] + extra) == 3
+        err = capsys.readouterr().err
+        assert "config validation error: r: " in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
 

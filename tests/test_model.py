@@ -15,7 +15,7 @@ from mhnnsync import (
     sigmoid_gamma,
     window_eval,
 )
-from mhnnsync.model import activation_eval
+from mhnnsync.model import activation_eval, make_mhnn_rhs
 
 from draws import draw_mhnn
 
@@ -108,6 +108,14 @@ class TestActivations:
         raw = 0.9 * (2.0 / (1.0 + np.exp(-s)) - 1.0)
         assert activation_eval("logistic-centered", 0.9, s) == pytest.approx(raw, abs=1e-14)
 
+    @pytest.mark.parametrize("kind, shape", [("tanh-scaled", np.tanh),
+                                             ("logistic-centered", lambda s: np.tanh(0.5 * s)),
+                                             ("sine-clamped", np.sin)])
+    def test_closed_form(self, kind, shape):
+        s = np.linspace(-20, 20, 401)
+        assert np.array_equal(activation_eval(kind, 0.8, s), 0.8 * shape(s))
+        assert activation_eval(kind, 0.8, 1.3) == 0.8 * shape(1.3)
+
     def test_odd_at_origin(self):
         for kind in ("tanh-scaled", "logistic-centered", "sine-clamped"):
             assert activation_eval(kind, 2.0, 0.0) == 0.0
@@ -164,6 +172,32 @@ class TestMhnnRhs:
         out = mhnn_rhs(p_perm, NetworkState(u=u[perm], rho=rho))
         assert out.u == pytest.approx(d.u[perm], rel=1e-12)
         assert out.rho == pytest.approx(d.rho, rel=1e-12)
+
+    @pytest.mark.parametrize("coupling", ["weak-sigmoidal", "linear"])
+    def test_mixed_kinds_match_node_by_node(self, coupling):
+        # every activation kind, each node with its own beta, on a (count, dim)
+        # batch: the batched field is bitwise the one built node by node from
+        # the public activation, window and sigmoid functions
+        kinds = ("sine-clamped", "tanh-scaled", "logistic-centered", "sine-clamped",
+                 "logistic-centered", "tanh-scaled")
+        rng = np.random.default_rng(31)
+        m = len(kinds)
+        acts = tuple(ActivationSpec(kind, float(beta))
+                     for kind, beta in zip(kinds, rng.uniform(0.5, 1.5, m)))
+        p = dataclasses.replace(draw_mhnn(rng, m, coupling=coupling), activations=acts, P=0.7)
+        y = rng.normal(scale=3.0, size=(7, p.dim))
+        u, rho = y[:, :m], y[:, m]
+        fvec = np.column_stack([activation_eval(act.kind, act.beta, u[:, j])
+                                for j, act in enumerate(acts)])
+        window = np.column_stack([window_eval("quadratic", rho, eta) for eta in p.eta])
+        du = -p.a * u + fvec @ np.ascontiguousarray(p.w.T) + p.k * window * u + p.J
+        if coupling == "linear":
+            du -= p.P * (m * u - u.sum(axis=-1, keepdims=True))
+        else:
+            gam = np.column_stack([sigmoid_gamma(u[:, j], p.r, p.V) for j in range(m)])
+            du -= p.P * u * gam.sum(axis=-1, keepdims=True)
+        expected = np.column_stack([du, u @ p.gamma - p.b * rho])
+        assert np.array_equal(make_mhnn_rhs(p)(y), expected)
 
 
 class TestHebbianRhs:
