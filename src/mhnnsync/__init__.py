@@ -24,7 +24,13 @@ from .constants import (
     sync_rate,
     threshold,
 )
-from .integrate import BlowUpError, IntegratorConfig, Trajectory, integrate
+from .integrate import (
+    BlowUpError,
+    IntegratorConfig,
+    StepSizeUnderflowError,
+    Trajectory,
+    integrate,
+)
 from .analysis import (
     EnsembleSpec,
     SyncReport,
@@ -45,7 +51,7 @@ __all__ = [
     "DerivedConstants", "Extremes", "Threshold", "absorb_time", "derive_constants",
     "derive_extremes", "dissipative_envelope", "gap_envelope", "gap_residual",
     "sync_rate", "threshold",
-    "BlowUpError", "IntegratorConfig", "Trajectory", "integrate",
+    "BlowUpError", "IntegratorConfig", "StepSizeUnderflowError", "Trajectory", "integrate",
     "EnsembleSpec", "SyncReport", "UndefinedFitError", "estimate_sync_degree",
     "fit_decay_rate", "integrate_ensemble", "pairwise_gap_series", "sweep_coupling",
     "verify_guarantees",

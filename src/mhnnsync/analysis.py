@@ -164,9 +164,13 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec) -> T
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
     """max(5*T_B(radius^2), 20/rate(P)): transient decayed by at least e^-20."""
-    d = cst._derive(p)
+    return _horizon(cst._derive(p), p.P, ens)
+
+
+def _horizon(d: cst._Derivation, P: float, ens: EnsembleSpec) -> float:
+    """default_horizon at coupling P of the parameter set derived as ``d``."""
     t_absorb = cst.absorb_time(d.dc, ens.radius**2) if ens.radius > 0 else 0.0
-    return max(5.0 * t_absorb, 20.0 / d.rate(p.P), 1.0)
+    return max(5.0 * t_absorb, 20.0 / d.rate(P), 1.0)
 
 
 def _tolerance(bound) -> np.ndarray:
@@ -197,44 +201,57 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
     times = batch.times
     norm_sq = batch.norm_sq_series()           # (n, count)
     gaps = pairwise_gap_series(batch)          # (n, count)
+    gap_sq = gaps**2
+    rows = np.arange(len(times))[:, None]
+    members = np.arange(ens.count)
+
+    # Each check is evaluated for every member at once; only flagged members
+    # are revisited below for their violation records.
+    # (i) dissipative envelope from each member's initial squared norm
+    env = cst.dissipative_envelope(dc, times[:, None], norm_sq[0])
+    dissipative_bad = norm_sq > env + _tolerance(env)
+    # (ii) gap envelope from each member's first recorded sample inside the ball;
+    # rows up to entry are clipped to t = 0 and masked out
+    inside = norm_sq < dc.bound
+    entered = inside.any(axis=0)
+    entry = inside.argmax(axis=0)
+    since = np.maximum(times[:, None] - times[entry], 0.0)
+    genv = cst.envelope_at_rate(rate_theory, residual, since, gap_sq[entry, members])
+    gap_bad = (gap_sq > genv + _tolerance(genv)) & (rows > entry) & entered
+    flagged = dissipative_bad.any(axis=0) | gap_bad.any(axis=0)
+    # (iii) Hebbian weight ultimate bound, elementwise: w^2 is largest at the
+    # extremes over time, so no (n, count, m*m) square is built
+    if hebbian:
+        weight_bound = p.w0**2 + d.weight_margin
+        weight_limit = weight_bound + _tolerance(weight_bound)
+        w = batch.states[..., p.m + 1:]
+        peak_sq = np.maximum(w.max(axis=0)**2, w.min(axis=0)**2)
+        flagged |= (peak_sq - weight_limit.ravel() > 0).any(axis=1)
 
     entry_times: list = []
     violations: list = []
     fitted: list = []
-    if hebbian:
-        weight_bound = p.w0**2 + d.weight_margin
-
     for j in range(ens.count):
-        ns = norm_sq[:, j]
-        # (i) dissipative envelope from the initial squared norm
-        env = cst.dissipative_envelope(dc, times, ns[0])
-        bad = np.nonzero(ns > env + _tolerance(env))[0]
-        for i in bad:
-            violations.append(EnvelopeViolation(j, float(times[i]), float(ns[i]),
-                                                float(env[i]), "dissipative"))
-        # (ii) gap envelope from the first recorded sample inside the ball
-        inside = np.nonzero(ns < dc.bound)[0]
-        if inside.size:
-            e = int(inside[0])
+        if entered[j]:
+            e = int(entry[j])
             entry_times.append(float(times[e]))
-            genv = cst.envelope_at_rate(rate_theory, residual, times[e:] - times[e],
-                                        gaps[e, j]**2)
-            bad = np.nonzero(gaps[e + 1:, j]**2 > genv[1:] + _tolerance(genv[1:]))[0]
-            for i in bad:
-                violations.append(EnvelopeViolation(j, float(times[e + 1 + i]),
-                                                    float(gaps[e + 1 + i, j]**2),
-                                                    float(genv[1 + i]), "gap"))
             try:
                 fitted.append(fit_decay_rate(times[e:], gaps[e:, j], floor=residual))
             except UndefinedFitError:
                 pass
         else:
             entry_times.append(None)
-        # (iii) Hebbian weight ultimate bound, elementwise
+        if not flagged[j]:
+            continue
+        for i in np.nonzero(dissipative_bad[:, j])[0]:
+            violations.append(EnvelopeViolation(j, float(times[i]), float(norm_sq[i, j]),
+                                                float(env[i, j]), "dissipative"))
+        for i in np.nonzero(gap_bad[:, j])[0]:
+            violations.append(EnvelopeViolation(j, float(times[i]), float(gap_sq[i, j]),
+                                                float(genv[i, j]), "gap"))
         if hebbian:
             w_sq = batch.states[:, j, p.m + 1:].reshape(-1, p.m, p.m)**2
-            excess = w_sq - (weight_bound + _tolerance(weight_bound))
-            bad_t, bi, bj = np.nonzero(excess > 0)
+            bad_t, bi, bj = np.nonzero(w_sq - weight_limit > 0)
             for i, wi, wj in zip(bad_t, bi, bj):
                 violations.append(EnvelopeViolation(j, float(times[i]), float(w_sq[i, wi, wj]),
                                                     float(weight_bound[wi, wj]), "weight"))

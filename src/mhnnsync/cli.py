@@ -148,13 +148,18 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     )
     ensemble.validate()
 
-    dc = cst.derive_constants(params)
     int_cfg = _block(cfg, "integrator")
+    dt = _field(int_cfg, "dt", float, None, "integrator.")
+    # One derivation serves both defaults and is skipped when the config gives
+    # both, except under weak coupling, where it also rejects an r whose
+    # sigmoid term overflows.
+    if dt is None or "t_end" not in int_cfg or params.coupling_kind == "weak-sigmoidal":
+        d = cst._derive(params)
+    t_end = _field(int_cfg, "t_end", float, None, "integrator.")
     integrator = IntegratorConfig(
         method=_field(int_cfg, "method", None, "rk4-fixed", "integrator."),
-        dt=_field(int_cfg, "dt", float, default_dt(params, dc), "integrator."),
-        t_end=_field(int_cfg, "t_end", float, analysis.default_horizon(params, ensemble),
-                     "integrator."),
+        dt=default_dt(params, d.dc) if dt is None else dt,
+        t_end=analysis._horizon(d, params.P, ensemble) if t_end is None else t_end,
         record_stride=_field(int_cfg, "record_stride", int, 1, "integrator."),
         abs_tol=_field(int_cfg, "abs_tol", float, 1e-9, "integrator."),
         rel_tol=_field(int_cfg, "rel_tol", float, 1e-9, "integrator."),

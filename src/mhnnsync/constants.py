@@ -167,7 +167,12 @@ class _Derivation:
     def p_star(self, epsilon: float) -> float:
         if not (epsilon > 0):
             raise ParameterError("epsilon", "prescribed gap epsilon must be positive")
-        return self.numerator / (self.m * epsilon)
+        p_star = self.numerator / (self.m * epsilon)
+        if not math.isfinite(p_star):
+            raise ParameterError(
+                "epsilon", f"p_star = N*B/(m*epsilon) overflows at epsilon = {epsilon:g}; "
+                           "raise epsilon or reduce r")
+        return p_star
 
 
 def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:

@@ -5,6 +5,14 @@ every member in lockstep. RK4 takes the same steps for every batch and its
 stage arithmetic is elementwise, so a member's result depends only on how the
 right-hand side treats it; DP5 sizes its steps from the error over the whole
 batch.
+
+DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
+evaluated at the new solution and serves as the next step's first stage, also
+after a rejected step. A run calls the RHS once to start and then 6 times per
+attempted step, accepted or rejected. Its stage arithmetic writes into
+buffers allocated once per run, plus one per recorded state, so the RHS must
+return a new array on every call; an RHS whose first result shares memory with
+its argument is wrapped to copy.
 """
 
 from __future__ import annotations
@@ -27,6 +35,17 @@ class BlowUpError(RuntimeError):
         super().__init__(f"non-finite or |component| > {BLOWUP_LIMIT:g} state at t = {t:.6g}; "
                          "check parameter assumptions or reduce dt")
         self.t = t
+
+
+class StepSizeUnderflowError(BlowUpError):
+    """The adaptive step size fell below 1e-14 * t_end before a step met the tolerance."""
+
+    def __init__(self, t: float, h: float):
+        RuntimeError.__init__(self, f"adaptive step size h = {h:.3g} fell below 1e-14 * t_end "
+                                    f"at t = {t:.6g}; the problem is too stiff for the "
+                                    "tolerances, or the state is blowing up")
+        self.t = t
+        self.h = h
 
 
 @dataclass
@@ -102,36 +121,28 @@ def _rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 5(4) tableau; the 5th-order solution is propagated.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 5(4) tableau. Row i of _DP_A builds the input of stage i + 2
+# from the stages before it. The last row is the 5th-order weights, so stage 7
+# is evaluated at the new solution and is the next step's stage 1 (FSAL).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dp_step(rhs, y, h):
-    ks = [rhs(y)]
-    for i in range(1, 7):
-        yi = y
-        for aij, kj in zip(_DP_A[i], ks):
-            yi = yi + h * aij * kj
-        ks.append(rhs(yi))
-    y5 = y
-    y4 = y
-    for b5, b4, kj in zip(_DP_B5, _DP_B4, ks):
-        if b5:
-            y5 = y5 + h * b5 * kj
-        if b4:
-            y4 = y4 + h * b4 * kj
-    return y5, y5 - y4
+def _combine(out, y, h, coeffs, ks, term):
+    """out = y + (h*c_1)*k_1 + (h*c_2)*k_2 + ..., added left to right; zero c_j are skipped."""
+    base = y
+    for c, k in zip(coeffs, ks):
+        if c:
+            np.multiply(k, h * c, out=term)
+            np.add(base, term, out=out)
+            base = out
 
 
 def _integrate_rk4(rhs, y0, cfg):
@@ -152,29 +163,57 @@ def _integrate_rk4(rhs, y0, cfg):
 
 
 def _integrate_rk45(rhs, y0, cfg):
+    t_end, stride = cfg.t_end, cfg.record_stride
+    t_stop = t_end - 1e-14 * t_end
     t, y = 0.0, y0
-    h = min(cfg.dt, cfg.t_end)
+    h = min(cfg.dt, t_end)
     times = [0.0]
     states = [y0]
     accepted = 0
-    while t < cfg.t_end - 1e-14 * cfg.t_end:
-        h = min(h, cfg.t_end - t)
-        y_new, err = _dp_step(rhs, y, h)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale)**2)))
+    ks = [rhs(y0)] + [None] * 6
+    if np.may_share_memory(ks[0], y0):
+        # the stage buffers below are reused, so no stage may alias one
+        f = rhs
+        rhs = lambda y: f(y).copy()
+        ks[0] = ks[0].copy()
+    stage, y_new, term = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
+    abs_y, abs_new = np.abs(y0), np.empty_like(y0)
+    y_kept = True    # y is y0 or a recorded state, so its buffer is not reused
+    while t < t_stop:
+        h = min(h, t_end - t)
+        for i, row in enumerate(_DP_A, 1):
+            out = y_new if i == 6 else stage
+            _combine(out, y, h, row, ks, term)
+            ks[i] = rhs(out)
+        err = stage
+        _combine(err, y, h, _DP_B4, ks, term)
+        np.subtract(y_new, err, out=err)
+        np.abs(y_new, out=abs_new)
+        scale = term
+        np.maximum(abs_y, abs_new, out=scale)
+        np.multiply(scale, cfg.rel_tol, out=scale)
+        np.add(scale, cfg.abs_tol, out=scale)
+        np.divide(err, scale, out=err)
+        np.square(err, out=err)
+        err_norm = float(np.sqrt(np.mean(err)))
         if err_norm <= 1.0:
             t += h
-            y = y_new
-            _check_finite(y, t)
+            y_old, old_kept = y, y_kept
+            y, abs_y, abs_new = y_new, abs_new, abs_y
+            if not np.all(abs_y <= BLOWUP_LIMIT):
+                raise BlowUpError(t)
+            ks[0] = ks[6]
             accepted += 1
-            at_end = t >= cfg.t_end - 1e-14 * cfg.t_end
-            if accepted % cfg.record_stride == 0 or at_end:
-                times.append(cfg.t_end if at_end else t)
+            at_end = t >= t_stop
+            y_kept = accepted % stride == 0 or at_end
+            if y_kept:
+                times.append(t_end if at_end else t)
                 states.append(y)
+            y_new = np.empty_like(y0) if old_kept else y_old
         factor = 0.9 * (err_norm + 1e-16)**-0.2
         h *= min(5.0, max(0.2, factor))
-        if h < 1e-14 * cfg.t_end:
-            raise BlowUpError(t)
+        if h < 1e-14 * t_end:
+            raise StepSizeUnderflowError(t, h)
     return np.array(times), np.stack(states)
 
 

@@ -165,6 +165,132 @@ class TestVerify:
         assert len(calls) == 1
 
 
+def _check_ensemble_per_member(p, batch, ens, epsilon, p_star, d):
+    """The checks of verify_guarantees as one loop over the members, kept as the
+    reference for the member-vectorized analysis._check_ensemble."""
+    cst = analysis.cst
+    dc = d.dc
+    rate_theory = d.rate(p.P)
+    residual = d.residual(p.P)
+    hebbian = isinstance(p, analysis.HebbianParams)
+
+    times = batch.times
+    norm_sq = batch.norm_sq_series()           # (n, count)
+    gaps = pairwise_gap_series(batch)          # (n, count)
+
+    entry_times: list = []
+    violations: list = []
+    fitted: list = []
+    if hebbian:
+        weight_bound = p.w0**2 + d.weight_margin
+
+    for j in range(ens.count):
+        ns = norm_sq[:, j]
+        # (i) dissipative envelope from the initial squared norm
+        env = cst.dissipative_envelope(dc, times, ns[0])
+        bad = np.nonzero(ns > env + analysis._tolerance(env))[0]
+        for i in bad:
+            violations.append(analysis.EnvelopeViolation(j, float(times[i]), float(ns[i]),
+                                                         float(env[i]), "dissipative"))
+        # (ii) gap envelope from the first recorded sample inside the ball
+        inside = np.nonzero(ns < dc.bound)[0]
+        if inside.size:
+            e = int(inside[0])
+            entry_times.append(float(times[e]))
+            genv = cst.envelope_at_rate(rate_theory, residual, times[e:] - times[e],
+                                        gaps[e, j]**2)
+            bad = np.nonzero(gaps[e + 1:, j]**2 > genv[1:] + analysis._tolerance(genv[1:]))[0]
+            for i in bad:
+                violations.append(analysis.EnvelopeViolation(j, float(times[e + 1 + i]),
+                                                             float(gaps[e + 1 + i, j]**2),
+                                                             float(genv[1 + i]), "gap"))
+            try:
+                fitted.append(fit_decay_rate(times[e:], gaps[e:, j], floor=residual))
+            except UndefinedFitError:
+                pass
+        else:
+            entry_times.append(None)
+        # (iii) Hebbian weight ultimate bound, elementwise
+        if hebbian:
+            w_sq = batch.states[:, j, p.m + 1:].reshape(-1, p.m, p.m)**2
+            excess = w_sq - (weight_bound + analysis._tolerance(weight_bound))
+            bad_t, bi, bj = np.nonzero(excess > 0)
+            for i, wi, wj in zip(bad_t, bi, bj):
+                violations.append(analysis.EnvelopeViolation(j, float(times[i]),
+                                                             float(w_sq[i, wi, wj]),
+                                                             float(weight_bound[wi, wj]),
+                                                             "weight"))
+
+    tail = times >= (1.0 - ens.tail_fraction) * times[-1]
+    deg = float(gaps[tail].max())
+    fitted_rate = float(np.median(fitted)) if fitted else None
+    verdict = "pass" if (deg < epsilon and not violations) else "fail"
+    return analysis.SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=p.P, p_star=p_star,
+                               entry_times=entry_times, violations=violations,
+                               fitted_rate=fitted_rate, rate_theory=rate_theory,
+                               verdict=verdict)
+
+
+class TestVectorizedChecks:
+    """analysis._check_ensemble against the per-member loop above."""
+
+    def perturbed_batch(self, p, ens, d):
+        """A recorded ensemble in which members 1 and 4 break every check, member 2
+        only the weight bound (Hebbian) or the gap envelope (mHNN), and member 5
+        never enters the absorbing ball."""
+        cfg = IntegratorConfig(dt=2e-3, t_end=3.0, record_stride=5)
+        batch = integrate_ensemble(p, cfg, ens)
+        states = batch.states.copy()
+        n, m = len(batch.times), p.m
+        big = 1e3 * (1.0 + np.sqrt(d.dc.bound))
+        for j in (1, 4):
+            rows = [n // 2, n // 2 + 3, n - 1]
+            states[rows, j, 0] = big
+            states[rows, j, 1] = -big
+            if p.m + 1 < states.shape[-1]:
+                states[[n // 3, n - 2], j, m + 1 + 2] = big
+        if p.m + 1 < states.shape[-1]:
+            states[n // 4, 2, m + 1:] = -big
+        else:
+            states[n // 4, 2, 0] += 1.0
+        states[:, 5, 0] = np.sqrt(d.dc.bound) + 1.0
+        return dataclasses.replace(batch, states=states)
+
+    @pytest.mark.parametrize("model", ["hebbian", "weak-sigmoidal"])
+    def test_same_report_as_per_member_loop(self, model):
+        rng = np.random.default_rng(40)
+        p = draw_hebbian(rng, 3) if model == "hebbian" else draw_mhnn(rng, 3)
+        p = dataclasses.replace(p, P=1.0)
+        ens = EnsembleSpec(count=6, radius=3.0, seed=12)
+        d = analysis.cst._derive(p)
+        p_star = d.p_star(0.2)
+        batch = self.perturbed_batch(p, ens, d)
+        got = analysis._check_ensemble(p, batch, ens, 0.2, p_star, d)
+        want = _check_ensemble_per_member(p, batch, ens, 0.2, p_star, d)
+        assert got.violations == want.violations
+        assert got.to_dict() == want.to_dict()
+        checks = {j: {v.check for v in got.violations if v.trajectory == j} for j in (1, 4)}
+        expected = {"dissipative", "gap"} | ({"weight"} if model == "hebbian" else set())
+        assert checks == {1: expected, 4: expected}
+        assert {v.trajectory for v in got.violations} == {1, 2, 4, 5}
+        # outside the ball throughout: no entry time, so no gap check
+        assert got.entry_times[5] is None
+        assert {v.check for v in got.violations if v.trajectory == 5} == {"dissipative"}
+
+    @pytest.mark.parametrize("model", ["hebbian", "linear"])
+    def test_same_report_unperturbed(self, model):
+        rng = np.random.default_rng(41)
+        p = draw_hebbian(rng, 4) if model == "hebbian" else draw_mhnn(rng, 4, coupling=model)
+        p = dataclasses.replace(p, P=0.5)
+        ens = EnsembleSpec(count=5, radius=6.0, seed=2)
+        d = analysis.cst._derive(p)
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=4.0, record_stride=2)
+        batch = integrate_ensemble(p, cfg, ens)
+        got = analysis._check_ensemble(p, batch, ens, 0.3, d.p_star(0.3), d)
+        want = _check_ensemble_per_member(p, batch, ens, 0.3, d.p_star(0.3), d)
+        assert got.to_dict() == want.to_dict()
+
+
 class TestSweep:
     def test_rows_and_determinism(self):
         rng = np.random.default_rng(14)

@@ -5,6 +5,8 @@ import pytest
 
 from mhnnsync import cli
 
+from test_analysis import count_derivations
+
 
 def mhnn_config(**overrides):
     cfg = {
@@ -133,8 +135,60 @@ class TestValidationExits:
         assert "config validation error: r: " in err
         assert "Traceback" not in err
 
+    def test_p_star_overflow_exit_3(self, tmp_path, capsys):
+        # B = 1 + exp(r sqrt(Q)) is finite at r = 415, but p_star = N*B/(m*epsilon)
+        # overflows at epsilon = 1e-3
+        cfg = mhnn_config(k=0.5, J=[1.0, 0.0], gamma=[0.1, 0.1], r=415.0, P=0.0,
+                          w=[[0.0, 0.1], [0.1, 0.0]])
+        del cfg["integrator"]
+        cfg_path = write(tmp_path, cfg)
+        assert run(["threshold", "--config", cfg_path, "--epsilon", "1e-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: epsilon: p_star = " in captured.err
+        assert "Traceback" not in captured.err
+        assert run(["threshold", "--config", cfg_path, "--epsilon", "1e3"]) == 0
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
+
+
+class TestBlowUpExit:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_step_size_underflow_exit_4(self, tmp_path, capsys):
+        # coupling so strong that no DP5 step above 1e-14 * t_end is stable
+        cfg = mhnn_config(P=1e16, integrator={"method": "rk45-adaptive", "dt": 1e-3,
+                                              "t_end": 1.0})
+        assert run(["verify", "--config", write(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "adaptive step size h = " in err
+        assert "Traceback" not in err
+
+
+class TestLoadConfigDerivations:
+    @pytest.mark.parametrize("config", [mhnn_config(coupling="linear"), hebbian_config()])
+    def test_none_when_dt_and_t_end_given(self, tmp_path, monkeypatch, config):
+        calls = count_derivations(monkeypatch)
+        run_cfg = cli.load_config(write(tmp_path, config))
+        assert len(calls) == 0
+        assert (run_cfg.integrator.dt, run_cfg.integrator.t_end) == (2e-3, 6.0)
+
+    @pytest.mark.parametrize("config", [mhnn_config(), mhnn_config(coupling="linear"),
+                                        hebbian_config()])
+    def test_one_when_both_absent(self, tmp_path, monkeypatch, config):
+        config = {key: value for key, value in config.items() if key != "integrator"}
+        calls = count_derivations(monkeypatch)
+        run_cfg = cli.load_config(write(tmp_path, config))
+        assert len(calls) == 1
+        p, ens = run_cfg.parameters, run_cfg.ensemble
+        assert run_cfg.integrator.dt == cli.default_dt(p, cli.cst.derive_constants(p))
+        assert run_cfg.integrator.t_end == cli.analysis.default_horizon(p, ens)
+
+    def test_one_under_weak_coupling(self, tmp_path, monkeypatch):
+        # the derivation also checks that the weak-coupling term does not overflow
+        calls = count_derivations(monkeypatch)
+        cli.load_config(write(tmp_path, mhnn_config()))
+        assert len(calls) == 1
 
 
 class TestSimulateCommand:
