@@ -150,16 +150,20 @@ def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
     return ball
 
 
-def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec) -> Trajectory:
+def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
+                       record=None) -> Trajectory:
     """Batched trajectory for a seeded ensemble of initial states.
 
     For the Hebbian model the (u, rho) block is sampled in the ball and every
-    member starts from the same initial weight matrix p.w0.
+    member starts from the same initial weight matrix p.w0. ``record`` is
+    passed on to ``integrate``; a run with a record hook keeps what the hook
+    returns, so its trajectory is marked as holding no weights.
     """
     p.validate()
     ens.validate()
     return integrate(_make_rhs(p), _initial_states(p, ens), cfg, params_digest=p.digest(),
-                     m=p.m, has_weights=isinstance(p, HebbianParams))
+                     m=p.m, has_weights=isinstance(p, HebbianParams) and record is None,
+                     record=record)
 
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
@@ -177,6 +181,42 @@ def _tolerance(bound) -> np.ndarray:
     return 1e-6 * (1.0 + np.asarray(bound))
 
 
+class _WeightCheck:
+    """The Hebbian weight ultimate bound, checked elementwise as w^2 - limit > 0.
+
+    Called with the recorded weights in time order: a (count, m*m) block for
+    one record or a (n_rec, count, m*m) block for several. Keeps the record
+    index, member, flat weight index wi*m + wj and w^2 of every violation, so
+    the weights themselves need not be kept.
+    """
+
+    def __init__(self, p: HebbianParams, d: cst._Derivation):
+        self.bound = (p.w0**2 + d.weight_margin).ravel()   # row-major, as the state
+        self.limit = self.bound + _tolerance(self.bound)
+        self.records = 0
+        self.found = []
+
+    def __call__(self, w: np.ndarray) -> None:
+        # flat (n_rec, count, m*m): a (..., m, m) view makes numpy's loops
+        # several times slower on these small blocks
+        w = w.reshape(-1, *w.shape[-2:])
+        excess = np.square(w)
+        np.subtract(excess, self.limit, out=excess)
+        if excess.max() > 0:                      # np.nonzero costs more than max
+            rec, member, k = np.nonzero(excess > 0)
+            self.found.append((rec + self.records, member, k, np.square(w[rec, member, k])))
+        self.records += len(w)
+
+    def violations(self, times: np.ndarray) -> dict:
+        """{member: its weight violations, ordered by (t, wi, wj)}."""
+        out: dict = {}
+        for found in self.found:
+            for i, j, k, w_sq in zip(*found):
+                out.setdefault(int(j), []).append(EnvelopeViolation(
+                    int(j), float(times[i]), float(w_sq), float(self.bound[k]), "weight"))
+        return out
+
+
 def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
                       epsilon: float) -> SyncReport:
     """Integrate a seeded ensemble and check every provable bound on it.
@@ -184,19 +224,37 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     Checks per trajectory: the dissipative envelope at every recorded time,
     the gap envelope from one sample past ball entry, and (Hebbian only) the
     weight ultimate bound. Envelope violations are reported, not raised.
+
+    A Hebbian run keeps only the (u, rho) columns of each recorded state; the
+    weights are checked as each state is recorded and then dropped.
     """
     d = cst._derive(p)
     p_star = d.p_star(epsilon)
-    return _check_ensemble(p, integrate_ensemble(p, cfg, ens), ens, epsilon, p_star, d)
+    if not isinstance(p, HebbianParams):
+        return _check_ensemble(p, integrate_ensemble(p, cfg, ens), ens, epsilon, p_star, d)
+    weights = _WeightCheck(p, d)
+    n = p.m + 1
+
+    def keep_u_rho(y):
+        weights(y[..., n:])
+        return y[..., :n].copy()
+
+    batch = integrate_ensemble(p, cfg, ens, record=keep_u_rho)
+    return _check_ensemble(p, batch, ens, epsilon, p_star, d, weights)
 
 
 def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
-                    p_star: float, d: cst._Derivation) -> SyncReport:
-    """The checks of verify_guarantees on the recorded ensemble ``batch`` of p, derived as ``d``."""
+                    p_star: float, d: cst._Derivation,
+                    weights: Optional[_WeightCheck] = None) -> SyncReport:
+    """The checks of verify_guarantees on the recorded ensemble ``batch`` of p, derived as ``d``.
+
+    For Hebbian p, ``weights`` is the weight check already fed with every
+    recorded state of ``batch``; without it the weights are read from
+    ``batch``, which must then hold full states.
+    """
     dc = d.dc
     rate_theory = d.rate(p.P)
     residual = d.residual(p.P)
-    hebbian = isinstance(p, HebbianParams)
 
     times = batch.times
     norm_sq = batch.norm_sq_series()           # (n, count)
@@ -219,14 +277,17 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
     genv = cst.envelope_at_rate(rate_theory, residual, since, gap_sq[entry, members])
     gap_bad = (gap_sq > genv + _tolerance(genv)) & (rows > entry) & entered
     flagged = dissipative_bad.any(axis=0) | gap_bad.any(axis=0)
-    # (iii) Hebbian weight ultimate bound, elementwise: w^2 is largest at the
-    # extremes over time, so no (n, count, m*m) square is built
-    if hebbian:
-        weight_bound = p.w0**2 + d.weight_margin
-        weight_limit = weight_bound + _tolerance(weight_bound)
-        w = batch.states[..., p.m + 1:]
-        peak_sq = np.maximum(w.max(axis=0)**2, w.min(axis=0)**2)
-        flagged |= (peak_sq - weight_limit.ravel() > 0).any(axis=1)
+    # (iii) Hebbian weight ultimate bound
+    weight_bad: dict = {}
+    if isinstance(p, HebbianParams):
+        if weights is None:
+            # one record at a time, as verify feeds it: a whole-batch call
+            # would build an (n, count, m*m) square beside the record
+            weights = _WeightCheck(p, d)
+            for y in batch.states:
+                weights(y[..., p.m + 1:])
+        weight_bad = weights.violations(times)
+        flagged[list(weight_bad)] = True
 
     entry_times: list = []
     violations: list = []
@@ -249,12 +310,7 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
         for i in np.nonzero(gap_bad[:, j])[0]:
             violations.append(EnvelopeViolation(j, float(times[i]), float(gap_sq[i, j]),
                                                 float(genv[i, j]), "gap"))
-        if hebbian:
-            w_sq = batch.states[:, j, p.m + 1:].reshape(-1, p.m, p.m)**2
-            bad_t, bi, bj = np.nonzero(w_sq - weight_limit > 0)
-            for i, wi, wj in zip(bad_t, bi, bj):
-                violations.append(EnvelopeViolation(j, float(times[i]), float(w_sq[i, wi, wj]),
-                                                    float(weight_bound[wi, wj]), "weight"))
+        violations.extend(weight_bad.get(j, ()))
 
     # estimate_sync_degree over the members, from the gaps at hand
     tail = times >= (1.0 - ens.tail_fraction) * times[-1]

@@ -10,9 +10,27 @@ DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
 evaluated at the new solution and serves as the next step's first stage, also
 after a rejected step. A run calls the RHS once to start and then 6 times per
 attempted step, accepted or rejected. Its stage arithmetic writes into
-buffers allocated once per run, plus one per recorded state, so the RHS must
-return a new array on every call; an RHS whose first result shares memory with
-its argument is wrapped to copy.
+buffers allocated once per run, so the RHS must return a new array on every
+call; an RHS whose first result shares memory with its argument is wrapped to
+copy.
+
+Each recorded state (the initial one, every record_stride-th accepted step
+and the last) passes through a record hook, and the trajectory keeps what the
+hook returns. By default the hook keeps the state itself. A hook may instead
+keep a copy of some columns and consume the rest on the spot, as
+verify_guarantees does for the Hebbian weights. DP5 reuses the buffer of a
+state for a later step unless the kept record shares memory with it, so a
+copying hook lets a run go without one new state buffer per record; a hook
+must hold no other reference into the state it is given.
+
+DP5 runs with numpy's overflow and invalid-operation warnings off: the trial
+stages of a step that is then rejected may overflow, and every accepted state
+is still checked, so a diverging run ends in BlowUpError or
+StepSizeUnderflowError with nothing printed on the way. RK4 keeps numpy's
+default: it has no trial stages, so an overflow in a stage always reaches the
+state and ends the run in BlowUpError, and a numpy errstate context adds a
+little to every ufunc call, which shows on the small arrays of fixed-step
+sweeps.
 """
 
 from __future__ import annotations
@@ -24,6 +42,9 @@ import numpy as np
 from .model import NetworkState, ParameterError
 
 BLOWUP_LIMIT = 1e12
+
+# The most steps a fixed-step run may take; IntegratorConfig.validate rejects more.
+MAX_FIXED_STEPS = 10**8
 
 METHODS = ("rk4-fixed", "rk45-adaptive")
 
@@ -65,6 +86,11 @@ class IntegratorConfig:
             raise ParameterError("integrator.dt", "step size dt must be positive")
         if not (self.t_end > self.dt):
             raise ParameterError("integrator.t_end", "t_end must exceed dt")
+        if self.method == "rk4-fixed" and _fixed_steps(self) > MAX_FIXED_STEPS:
+            raise ParameterError("integrator.dt",
+                                 f"rk4-fixed would take {_fixed_steps(self):.3g} steps to "
+                                 f"t_end = {self.t_end:g} at dt = {self.dt:g}, more than "
+                                 f"{MAX_FIXED_STEPS:.0e}; raise dt")
         if not (self.record_stride >= 1):
             raise ParameterError("integrator.record_stride", "record_stride must be >= 1")
         for name in ("abs_tol", "rel_tol"):
@@ -79,7 +105,8 @@ class Trajectory:
 
     ``states`` has shape (n_recorded, dim), or (n_recorded, *batch, dim) for
     batched runs. For network states the flat layout is (u_1..u_m, rho) with
-    the row-major weight matrix appended for the Hebbian model.
+    the row-major weight matrix appended for the Hebbian model. A run with a
+    record hook holds what the hook kept, such as the (u, rho) columns only.
     """
 
     times: np.ndarray
@@ -145,11 +172,16 @@ def _combine(out, y, h, coeffs, ks, term):
             base = out
 
 
-def _integrate_rk4(rhs, y0, cfg):
+def _fixed_steps(cfg) -> float:
+    """Steps of a fixed-step run, as a float so that a tiny dt cannot overflow it."""
+    return max(1.0, float(np.ceil(cfg.t_end / cfg.dt - 1e-12)))
+
+
+def _integrate_rk4(rhs, y0, cfg, record):
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.record_stride
-    n = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    n = int(_fixed_steps(cfg))
     times = [0.0]
-    states = [y0]
+    states = [record(y0)]
     y = y0
     for i in range(1, n + 1):
         t_next = i * dt if i < n else t_end
@@ -158,17 +190,17 @@ def _integrate_rk4(rhs, y0, cfg):
         _check_finite(y, t_next)
         if i % stride == 0 or i == n:
             times.append(t_next)
-            states.append(y)
+            states.append(record(y))
     return np.array(times), np.stack(states)
 
 
-def _integrate_rk45(rhs, y0, cfg):
+def _integrate_rk45(rhs, y0, cfg, record):
     t_end, stride = cfg.t_end, cfg.record_stride
     t_stop = t_end - 1e-14 * t_end
     t, y = 0.0, y0
     h = min(cfg.dt, t_end)
     times = [0.0]
-    states = [y0]
+    states = [record(y0)]
     accepted = 0
     ks = [rhs(y0)] + [None] * 6
     if np.may_share_memory(ks[0], y0):
@@ -178,7 +210,7 @@ def _integrate_rk45(rhs, y0, cfg):
         ks[0] = ks[0].copy()
     stage, y_new, term = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
     abs_y, abs_new = np.abs(y0), np.empty_like(y0)
-    y_kept = True    # y is y0 or a recorded state, so its buffer is not reused
+    y_kept = True    # y0 is the caller's array, so its buffer is never reused
     while t < t_stop:
         h = min(h, t_end - t)
         for i, row in enumerate(_DP_A, 1):
@@ -205,10 +237,11 @@ def _integrate_rk45(rhs, y0, cfg):
             ks[0] = ks[6]
             accepted += 1
             at_end = t >= t_stop
-            y_kept = accepted % stride == 0 or at_end
-            if y_kept:
+            y_kept = False
+            if accepted % stride == 0 or at_end:
                 times.append(t_end if at_end else t)
-                states.append(y)
+                states.append(record(y))
+                y_kept = np.may_share_memory(states[-1], y)
             y_new = np.empty_like(y0) if old_kept else y_old
         factor = 0.9 * (err_norm + 1e-16)**-0.2
         h *= min(5.0, max(0.2, factor))
@@ -217,12 +250,18 @@ def _integrate_rk45(rhs, y0, cfg):
     return np.array(times), np.stack(states)
 
 
+def _keep_state(y):
+    return y
+
+
 def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
-              m: int = 0, has_weights: bool = False) -> Trajectory:
+              m: int = 0, has_weights: bool = False, record=None) -> Trajectory:
     """Integrate y' = rhs(y) from s0 (NetworkState or flat array) up to cfg.t_end.
 
     Records the initial state, every record_stride-th accepted step, and the
-    final state at exactly t_end. Raises BlowUpError on non-finite states.
+    final state at exactly t_end. ``record``, called on each of these states
+    in time order, returns what the trajectory keeps of it; by default the
+    state itself. Raises BlowUpError on non-finite states.
     """
     cfg.validate()
     if isinstance(s0, NetworkState):
@@ -231,10 +270,12 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
         y0 = s0.to_vector()
     else:
         y0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    record = _keep_state if record is None else record
     if cfg.method == "rk4-fixed":
-        times, states = _integrate_rk4(rhs, y0, cfg)
+        times, states = _integrate_rk4(rhs, y0, cfg, record)
     else:
-        times, states = _integrate_rk45(rhs, y0, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            times, states = _integrate_rk45(rhs, y0, cfg, record)
     return Trajectory(times=times, states=states, params_digest=params_digest,
                       m=m, has_weights=has_weights)
 

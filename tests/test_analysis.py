@@ -277,6 +277,32 @@ class TestVectorizedChecks:
         assert got.entry_times[5] is None
         assert {v.check for v in got.violations if v.trajectory == 5} == {"dissipative"}
 
+    def test_weight_check_fed_record_by_record(self):
+        # verify feeds the weight check one recorded state at a time; the
+        # whole-batch feed of _check_ensemble must find the same violations
+        rng = np.random.default_rng(40)
+        p = dataclasses.replace(draw_hebbian(rng, 3), P=1.0)
+        ens = EnsembleSpec(count=6, radius=3.0, seed=12)
+        d = analysis.cst._derive(p)
+        batch = self.perturbed_batch(p, ens, d)
+        whole = analysis._WeightCheck(p, d)
+        whole(batch.states[..., p.m + 1:])
+        stream = analysis._WeightCheck(p, d)
+        for y in batch.states:
+            stream(y[:, p.m + 1:])
+        assert stream.records == whole.records == len(batch)
+        got = stream.violations(batch.times)
+        assert sorted(got) == [1, 2, 4]
+        assert got == whole.violations(batch.times)
+        # and a compact record with the fed check gives the full record's report
+        compact = dataclasses.replace(batch, states=batch.states[..., :p.m + 1].copy(),
+                                      has_weights=False)
+        p_star = d.p_star(0.2)
+        rep = analysis._check_ensemble(p, compact, ens, 0.2, p_star, d, stream)
+        want = _check_ensemble_per_member(p, batch, ens, 0.2, p_star, d)
+        assert rep.violations == want.violations
+        assert rep.to_dict() == want.to_dict()
+
     @pytest.mark.parametrize("model", ["hebbian", "linear"])
     def test_same_report_unperturbed(self, model):
         rng = np.random.default_rng(41)
@@ -289,6 +315,47 @@ class TestVectorizedChecks:
         got = analysis._check_ensemble(p, batch, ens, 0.3, d.p_star(0.3), d)
         want = _check_ensemble_per_member(p, batch, ens, 0.3, d.p_star(0.3), d)
         assert got.to_dict() == want.to_dict()
+
+
+class TestCompactRecord:
+    """A Hebbian verify keeps only (u, rho) per recorded step and checks the weights as
+    they are recorded."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("cfg", [
+        IntegratorConfig(method="rk4-fixed", dt=5e-3, t_end=2.0),
+        IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=2.0, abs_tol=1e-7, rel_tol=1e-7),
+    ], ids=["rk4-fixed", "rk45-adaptive"])
+    def test_same_report_as_full_record(self, monkeypatch, cfg, stride):
+        rng = np.random.default_rng(43)
+        p = dataclasses.replace(draw_hebbian(rng, 3), P=1.0)
+        cfg = dataclasses.replace(cfg, record_stride=stride)
+        ens = EnsembleSpec(count=4, radius=3.0, seed=5)
+        full = integrate_ensemble(p, cfg, ens)
+        # the proven weight bound holds on this run; lower its margin so that
+        # about 1 % of the recorded weights break it and both paths report them
+        w0_sq = p.w0.ravel()**2
+        margin = float(np.quantile(full.states[..., p.m + 1:]**2 - w0_sq, 0.99))
+        derive_real = analysis.cst._derive
+        monkeypatch.setattr(analysis.cst, "_derive", lambda q: dataclasses.replace(
+            derive_real(q), weight_margin=margin))
+        runs = TestSweep.record_integrations(monkeypatch)
+        rep = verify_guarantees(p, cfg, ens, 0.3)
+        assert len(runs) == 1
+        assert runs[0].states.shape == full.states.shape[:-1] + (p.m + 1,)
+        assert np.array_equal(runs[0].states, full.states[..., :p.m + 1])
+        assert np.array_equal(runs[0].times, full.times)
+        d = analysis.cst._derive(p)
+        want = analysis._check_ensemble(p, full, ens, 0.3, d.p_star(0.3), d)
+        assert rep.to_dict() == want.to_dict()
+        assert any(v.check == "weight" for v in rep.violations)
+
+    def test_mhnn_verify_keeps_full_states(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        p = dataclasses.replace(draw_mhnn(rng, 3), P=1.0)
+        runs = TestSweep.record_integrations(monkeypatch)
+        verify_guarantees(p, IntegratorConfig(dt=5e-3, t_end=1.0), EnsembleSpec(count=2), 0.3)
+        assert runs[0].states.shape[1:] == (2, p.dim)
 
 
 class TestSweep:

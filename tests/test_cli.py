@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +167,35 @@ class TestBlowUpExit:
         err = capsys.readouterr().err
         assert "adaptive step size h = " in err
         assert "Traceback" not in err
+
+    def test_trial_stage_overflow_prints_no_warning(self, tmp_path, capsys):
+        # rejected trial stages overflow on the way to the step-size underflow
+        cfg = mhnn_config(P=1e16, integrator={"method": "rk45-adaptive", "dt": 1e-3,
+                                              "t_end": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--config", write(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("mhnnsync: adaptive step size h = ")
+        assert err.count("\n") == 1
+
+
+class TestStepLimit:
+    def test_extreme_coupling_default_dt_exits_3(self, tmp_path):
+        # the default dt at P = 1e160 is ~2.5e-162, so rk4-fixed would take
+        # over 1e162 steps; the step limit rejects the config before integrating
+        cfg = mhnn_config(P=1e160, coupling="linear")
+        del cfg["integrator"]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "mhnnsync.cli", "verify",
+                               "--config", write(tmp_path, cfg)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("mhnnsync: config validation error: integrator.dt: "
+                                      "rk4-fixed would take ")
+        assert "steps" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestLoadConfigDerivations:

@@ -16,7 +16,7 @@ from mhnnsync import (
     integrate,
 )
 from mhnnsync.analysis import _initial_states, integrate_ensemble
-from mhnnsync.integrate import _check_finite
+from mhnnsync.integrate import MAX_FIXED_STEPS, _check_finite
 from mhnnsync.model import make_hebbian_rhs, make_mhnn_rhs
 
 from draws import draw_hebbian, draw_mhnn
@@ -211,6 +211,40 @@ class TestDp5MatchesReference:
         assert np.array_equal(y0, [1.0, -0.5, 2.0])
 
 
+class TestRecordHook:
+    """integrate keeps what its record hook returns for each recorded state."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("cfg", [
+        IntegratorConfig(method="rk4-fixed", dt=1e-2, t_end=2.0),
+        IntegratorConfig(method="rk45-adaptive", dt=0.5, t_end=2.0),
+    ], ids=["rk4-fixed", "rk45-adaptive"])
+    def test_copying_hook_keeps_columns(self, cfg, stride):
+        rhs, y0 = dp5_batch("hebbian")
+        cfg = dataclasses.replace(cfg, record_stride=stride)
+        full = integrate(rhs, y0, cfg)
+        seen = []
+
+        def keep_u_rho(y):
+            seen.append(y.copy())
+            return y[..., :5].copy()
+
+        part = integrate(rhs, y0, cfg, record=keep_u_rho)
+        assert np.array_equal(part.times, full.times)
+        assert np.array_equal(part.states, full.states[..., :5])
+        # the hook sees every recorded state, whole, in time order
+        assert np.array_equal(np.stack(seen), full.states)
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_hook_keeping_a_view(self, method):
+        # a kept view of a state's buffer stops DP5 from reusing that buffer
+        rhs, y0 = dp5_batch("weak-sigmoidal")
+        cfg = IntegratorConfig(method=method, dt=1e-2, t_end=1.0, record_stride=2)
+        full = integrate(rhs, y0, cfg)
+        part = integrate(rhs, y0, cfg, record=lambda y: y[..., 1:])
+        assert np.array_equal(part.states, full.states[..., 1:])
+
+
 class TestStepSizeUnderflow:
     def test_stiff_decay_names_step_size(self):
         # the state only decays, so it stays finite; the step size underflows
@@ -268,6 +302,21 @@ class TestConfigValidation:
     def test_tolerances_in_unit_interval(self):
         with pytest.raises(ParameterError):
             IntegratorConfig(abs_tol=2.0).validate()
+
+    def test_fixed_step_count_is_bounded(self):
+        with pytest.raises(ParameterError) as err:
+            IntegratorConfig(dt=2.5e-162, t_end=3.0).validate()
+        assert err.value.field == "integrator.dt"
+        assert "1.2e+162 steps" in str(err.value)
+        # a dt so small that t_end/dt overflows is rejected the same way
+        with pytest.raises(ParameterError, match="inf steps"):
+            IntegratorConfig(dt=1e-320, t_end=10.0).validate()
+        with pytest.raises(ParameterError, match="1e\\+09 steps"):
+            IntegratorConfig(dt=1e-9, t_end=1.0).validate()
+        IntegratorConfig(dt=2e-8, t_end=1.0).validate()
+        assert MAX_FIXED_STEPS == 10**8
+        # the adaptive method sizes its own steps, so dt is only its first try
+        IntegratorConfig(method="rk45-adaptive", dt=1e-9, t_end=1.0).validate()
 
 
 class TestDissipativeEnvelopeHolds:
