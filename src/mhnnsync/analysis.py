@@ -99,7 +99,14 @@ def pairwise_gap_series(traj: Trajectory) -> np.ndarray:
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     u = traj.states[..., :traj.m] if traj.m else traj.states
-    return u.max(axis=-1) - u.min(axis=-1)
+    # a running max/min over the node columns: numpy reduces slowly over a
+    # short last axis, and the values are those of u.max(-1) - u.min(-1)
+    hi = u[..., 0].copy()
+    lo = hi.copy()
+    for i in range(1, u.shape[-1]):
+        np.maximum(hi, u[..., i], out=hi)
+        np.minimum(lo, u[..., i], out=lo)
+    return hi - lo
 
 
 def estimate_sync_degree(trajs: Sequence[Trajectory], tail_fraction: float = 0.2) -> float:
@@ -131,8 +138,13 @@ def fit_decay_rate(times: np.ndarray, gaps: np.ndarray, floor: float = 0.0) -> f
     if usable.sum() < 5:
         raise UndefinedFitError(f"only {int(usable.sum())} usable points before the gap "
                                 f"reached {cutoff:g}; need at least 5")
-    slope = np.polyfit(t[usable], np.log(g[usable]), 1)[0]
-    return float(-slope)
+    # the centred least-squares slope sum (t - t_mean)(y - y_mean) / sum (t - t_mean)^2
+    t, y = t[usable], np.log(g[usable])
+    t = t - t.mean()
+    spread = np.dot(t, t)
+    if not (spread > 0):
+        raise UndefinedFitError("the usable points share one time")
+    return float(-np.dot(t, y - y.mean()) / spread)
 
 
 def _make_rhs(p: Params):

@@ -11,11 +11,22 @@ Two coupled systems are implemented:
 
 All functions here are pure; parameter objects are treated as immutable after
 ``validate()``.
+
+States are member-major, (..., dim) with the components on the last axis.
+The Hebbian field transposes inside ``make_hebbian_rhs``: it copies the
+batch once into a node-major (dim, members) block, evaluates there and
+copies the result back. Its u, rho and m^2 weight columns would otherwise be
+strided column blocks with inner loops only m or m^2 long, which cost about
+twice the contiguous rows of one value per member. Its node sums then run
+elementwise over those rows instead of through BLAS, whose row blocking
+would make a member's last bits depend on the batch around it. The mHNN
+field has only m+1 components and stays member-major.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -65,23 +76,28 @@ def activation_eval(kind: str, beta: float, s):
     return _activation_kernel((ActivationSpec(kind, beta),))(s[..., None])[..., 0]
 
 
-def _activation_kernel(activations):
-    """f(u) = (beta_j g_j(u_j))_j over the last axis of u, one spec per position.
+def _activation_kernel(activations, node_axis: int = -1):
+    """f(u) = (beta_j g_j(u_j))_j over the node axis of u, one spec per position.
 
-    tanh(scale*u) is evaluated once for all nodes and sin only at sine-clamped
-    ones. The scale 1.0 keeps tanh-scaled bitwise tanh(u), since 1.0*u == u.
+    The node axis is the last one (-1) or, for a node-major (m, members)
+    block, the first (0). tanh(scale*u) is evaluated once for all nodes and
+    sin only at sine-clamped ones. The scale 1.0 keeps tanh-scaled bitwise
+    tanh(u), since 1.0*u == u. Every operation is elementwise, so both
+    layouts give the same values bitwise.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
             raise ParameterError("activation.kind", f"unknown kind {act.kind!r}")
-    scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations])
+    shape = (-1,) if node_axis == -1 else (-1, 1)
+    scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations]).reshape(shape)
     sine = np.flatnonzero([act.kind == "sine-clamped" for act in activations])
-    betas = np.array([act.beta for act in activations], dtype=float)
+    at = (Ellipsis, sine) if node_axis == -1 else (sine,)
+    betas = np.array([act.beta for act in activations], dtype=float).reshape(shape)
 
     def f(u: np.ndarray) -> np.ndarray:
         out = np.tanh(scale * u)
         if sine.size:
-            out[..., sine] = np.sin(u[..., sine])
+            out[at] = np.sin(u[at])
         return betas * out
 
     return f
@@ -342,29 +358,56 @@ def make_mhnn_rhs(p: MhnnParams):
 def make_hebbian_rhs(p: HebbianParams):
     """Vector-field closure for the Hebbian model; flat state y = (u, rho, w row-major).
 
+    Accepts batched states of shape (..., dim) and returns that shape.
     ``p.P`` may be a scalar or an array, as for ``make_mhnn_rhs``.
+
+    The field is evaluated on a node-major (dim, members) block (see the
+    module docstring). The coefficients are tiled to rows of one entry per
+    member once per batch shape: broadcasting an (m, 1) column costs more
+    than the arithmetic on rows this short.
     """
-    m = p.m
-    a, k, eta, J, gamma = p.a, p.k, p.eta, p.J, p.gamma
-    b, P = p.b, p.P
-    c, lam = p.c, p.lam
-    activation = _activation_kernel(p.activations)
+    m, dim = p.m, p.dim
+    gamma, b, P = p.gamma, p.b, p.P
+    activation = _activation_kernel(p.activations, node_axis=0)
     coupled = bool(np.any(P != 0.0))
+    # -a, k, eta and J per node, lam and -c per weight, as (rows, 1) columns
+    columns = [v.reshape(-1, 1) for v in (-p.a, p.k, p.eta, p.J, p.lam, -p.c)]
+    tiled: dict = {}
+
+    def coefficients(lead: tuple) -> list:
+        """The columns and the coupling strength as rows of one entry per member of a lead batch."""
+        rows = tiled.get(lead)
+        if rows is None:
+            n = math.prod(lead)
+            rows = [np.repeat(col, n, axis=1) for col in columns]
+            rows.append(np.broadcast_to(P, lead + (1,)).reshape(n) if np.ndim(P) else P)
+            tiled.clear()          # keep the last batch shape only
+            tiled[lead] = rows
+        return rows
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        u = y[..., :m]
-        rho = y[..., m:m + 1]
-        W = y[..., m + 1:].reshape(*y.shape[:-1], m, m)
-        fvec = activation(u)
+        nega, k, eta, J, lam, negc, P_row = coefficients(y.shape[:-1])
+        Y = np.ascontiguousarray(y.reshape(-1, dim).T)
+        n = Y.shape[1]
+        u, rho, W = Y[:m], Y[m], Y[m + 1:]
+        f = activation(u)
+        dY = np.empty_like(Y)
+        du = dY[:m]
+        # W f + (-a*u) is -a*u + W f exactly, so du rounds as -a*u + W f + window + J;
         # the Strukov-Williams window stays inline: k * (rho * (eta - rho)) * u
         # rounds differently and would move the adaptive stepper's accepted steps
-        du = (-a * u + np.einsum("...ij,...j->...i", W, fvec)
-              + k * rho * (eta - rho) * u + J)
+        np.einsum("ijn,jn->in", W.reshape(m, m, n), f, out=du)
+        du += nega * u
+        du += k * rho * (eta - rho) * u
+        du += J
         if coupled:
-            du -= P * (m * u - u.sum(axis=-1, keepdims=True))
-        drho = u @ gamma - b * rho[..., 0]
-        dW = -c * W + lam * (fvec[..., :, None] * fvec[..., None, :])
-        return np.concatenate([du, drho[..., None], dW.reshape(*y.shape[:-1], m * m)], axis=-1)
+            du -= P_row * (m * u - u.sum(axis=0))
+        np.subtract(np.einsum("in,i->n", u, gamma), b * rho, out=dY[m])
+        dW = dY[m + 1:]
+        np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, n))
+        dW *= lam
+        dW += negc * W
+        return np.ascontiguousarray(dY.T).reshape(y.shape)
 
     return rhs
 

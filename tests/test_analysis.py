@@ -51,6 +51,15 @@ class TestGapSeries:
         traj = make_traj([0.0], np.array([[0.5, -0.5]]), 2)
         assert pairwise_gap_series(traj) == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("m", [2, 3, 6, 9])
+    def test_batched_record_matches_max_minus_min(self, m):
+        # a (n_rec, count, m+1) record: the gap is bitwise max - min over the nodes
+        rng = np.random.default_rng(m)
+        states = rng.normal(size=(40, 7, m + 1))
+        traj = Trajectory(times=np.arange(40.0), states=states, m=m)
+        u = states[..., :m]
+        assert np.array_equal(pairwise_gap_series(traj), u.max(axis=-1) - u.min(axis=-1))
+
 
 class TestSyncDegree:
     def test_constant_gap(self):
@@ -92,6 +101,24 @@ class TestFitDecayRate:
     def test_too_few_points(self):
         with pytest.raises(UndefinedFitError):
             fit_decay_rate(np.array([0, 1, 2.0]), np.array([1.0, 0.5, 0.2]), 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_polyfit(self, seed):
+        # the closed-form slope against numpy's least-squares line fit
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 6.0, 300))
+        gap = 0.02 + 2.0 * np.exp(-rng.uniform(0.5, 4.0) * t + rng.normal(scale=0.05, size=300))
+        floor = 0.01
+        end = np.nonzero(gap < 2 * floor)[0]
+        end = end[0] if end.size else len(t)
+        g = gap[:end] - floor
+        keep = g > 0
+        slope = np.polyfit(t[:end][keep], np.log(g[keep]), 1)[0]
+        assert fit_decay_rate(t, gap, floor) == pytest.approx(-slope, rel=1e-12)
+
+    def test_points_at_one_time(self):
+        with pytest.raises(UndefinedFitError):
+            fit_decay_rate(np.zeros(6), np.linspace(1.0, 0.5, 6), 0.0)
 
 
 class TestSampling:

@@ -129,6 +129,35 @@ class TestValidationExits:
         assert f"config validation error: {field}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"m": 2.6}, "m"),
+        ({"m": True}, "m"),
+        ({"ensemble": {"count": 2.9}}, "ensemble.count"),
+        ({"ensemble": {"count": True}}, "ensemble.count"),
+        ({"ensemble": {"count": 2, "seed": True}}, "ensemble.seed"),
+        ({"ensemble": {"count": 2, "seed": 7.5}}, "ensemble.seed"),
+        ({"integrator": {"dt": 2e-3, "t_end": 6.0, "record_stride": 1.7}},
+         "integrator.record_stride"),
+        ({"integrator": {"dt": 2e-3, "t_end": 6.0, "record_stride": False}},
+         "integrator.record_stride"),
+    ])
+    def test_non_integer_field_exit_3(self, tmp_path, capsys, overrides, field):
+        # a fraction or a boolean in an integer field is rejected, not truncated
+        cfg_path = write(tmp_path, mhnn_config(**overrides))
+        assert run(["verify", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert f"config validation error: {field}: " in err
+        assert "Traceback" not in err
+
+    def test_integral_numbers_accepted_as_integers(self, tmp_path):
+        cfg = mhnn_config(m=2.0, ensemble={"count": 10.0, "radius": 2.0, "seed": 7.0},
+                          integrator={"dt": 2e-3, "t_end": 6.0, "record_stride": 4.0})
+        run_cfg = cli.load_config(write(tmp_path, cfg))
+        got = (run_cfg.parameters.m, run_cfg.ensemble.count, run_cfg.ensemble.seed,
+               run_cfg.integrator.record_stride)
+        assert got == (2, 10, 7, 4)
+        assert all(type(x) is int for x in got)
+
     @pytest.mark.parametrize("command", ["constants", "threshold", "verify", "sweep"])
     def test_weak_threshold_overflow_exit_3(self, tmp_path, capsys, command):
         # r(sqrt(Q) + |V|) lies far beyond the exp range of the weak-coupling term

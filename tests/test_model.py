@@ -7,17 +7,19 @@ from hypothesis import given, strategies as st
 from mhnnsync import (
     ActivationSpec,
     HebbianParams,
+    IntegratorConfig,
     MhnnParams,
     NetworkState,
     ParameterError,
     hebbian_rhs,
+    integrate,
     mhnn_rhs,
     sigmoid_gamma,
     window_eval,
 )
-from mhnnsync.model import activation_eval, make_mhnn_rhs
+from mhnnsync.model import activation_eval, make_hebbian_rhs, make_mhnn_rhs
 
-from draws import draw_mhnn
+from draws import draw_hebbian, draw_mhnn
 
 
 def mk_mhnn(**kw):
@@ -226,6 +228,95 @@ class TestHebbianRhs:
     def test_missing_weights(self):
         with pytest.raises(ParameterError):
             hebbian_rhs(mk_hebbian(), NetworkState(u=[0.0, 0.0], rho=0.0))
+
+
+def hebbian_node_by_node(p, y):
+    """The Hebbian field of a (count, dim) batch at scalar p.P, node by node
+    from the public activation, one weight at a time."""
+    m = p.m
+    u, rho = y[:, :m], y[:, m]
+    W = y[:, m + 1:].reshape(-1, m, m)
+    f = np.column_stack([activation_eval(act.kind, act.beta, u[:, j])
+                         for j, act in enumerate(p.activations)])
+    node_sum = sum(u[:, j] for j in range(m))
+    du = np.column_stack([
+        -p.a[i] * u[:, i] + sum(W[:, i, j] * f[:, j] for j in range(m))
+        + p.k[i] * rho * (p.eta[i] - rho) * u[:, i] + p.J[i]
+        - p.P * (m * u[:, i] - node_sum)
+        for i in range(m)])
+    drho = sum(p.gamma[i] * u[:, i] for i in range(m)) - p.b * rho
+    dW = np.stack([np.column_stack([-p.c[i, j] * W[:, i, j] + p.lam[i, j] * f[:, i] * f[:, j]
+                                    for j in range(m)]) for i in range(m)], axis=1)
+    return np.column_stack([du, drho, dW.reshape(len(y), m * m)])
+
+
+def assert_close(got, expected):
+    # relative to the largest component, since single components may cancel
+    np.testing.assert_allclose(got, expected, rtol=1e-14,
+                               atol=1e-14 * np.abs(expected).max())
+
+
+class TestHebbianBatch:
+    KINDS = ("sine-clamped", "tanh-scaled", "logistic-centered")
+
+    def mixed(self, m, seed):
+        rng = np.random.default_rng(seed)
+        acts = tuple(ActivationSpec(self.KINDS[j % 3], float(beta))
+                     for j, beta in enumerate(rng.uniform(0.5, 1.5, m)))
+        return rng, dataclasses.replace(draw_hebbian(rng, m), activations=acts, P=0.7)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_batch_matches_node_by_node(self, m):
+        rng, p = self.mixed(m, 50 + m)
+        y = rng.normal(scale=3.0, size=(7, p.dim))
+        assert_close(make_hebbian_rhs(p)(y), hebbian_node_by_node(p, y))
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_lockstep_batch_matches_node_by_node(self, m):
+        # a (3, 10, dim) batch with one coupling strength per block
+        rng, p = self.mixed(m, 60 + m)
+        P = np.array([0.0, 0.7, 25.0])
+        y = rng.normal(scale=3.0, size=(3, 10, p.dim))
+        got = make_hebbian_rhs(dataclasses.replace(p, P=P[:, None, None]))(y)
+        assert got.shape == y.shape
+        for block, P_i in enumerate(P):
+            assert_close(got[block], hebbian_node_by_node(dataclasses.replace(p, P=P_i), y[block]))
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_single_state_matches_node_by_node(self, m):
+        rng, p = self.mixed(m, 70 + m)
+        y = rng.normal(scale=3.0, size=p.dim)
+        got = make_hebbian_rhs(p)(y)
+        assert got.shape == (p.dim,)
+        assert_close(got, hebbian_node_by_node(p, y[None])[0])
+
+    @pytest.mark.parametrize("m", [3, 6, 8])
+    def test_rows_independent_of_batch(self, m):
+        # a 10-row batch placed at every offset of a 40-row batch: each row of
+        # the field, and of a 200-step RK4 run at three offsets, is bitwise its
+        # value in the 10-row batch alone. Four gamma vectors are tried, three of
+        # them large: whether a BLAS product's blocking shows in a row depends on
+        # the data, and a last-bit change of u.gamma is lost in drho when the
+        # product is small next to b*rho
+        rng, p = self.mixed(m, 80 + m)
+        y = rng.normal(size=(10, p.dim))
+        others = rng.normal(size=(40, p.dim))
+        stacked = []
+        for offset in range(31):
+            stacked.append(others.copy())
+            stacked[offset][offset:offset + 10] = y
+        cfg = IntegratorConfig(method="rk4-fixed", dt=1e-3, t_end=0.2)
+        for draw in range(4):
+            gamma = p.gamma if draw == 0 else rng.normal(scale=3.0, size=m)
+            rhs = make_hebbian_rhs(dataclasses.replace(p, gamma=gamma))
+            alone = rhs(y)
+            for offset, big in enumerate(stacked):
+                assert np.array_equal(rhs(big)[offset:offset + 10], alone), (draw, offset)
+            run = integrate(rhs, y, cfg)
+            assert run.states.shape == (201, 10, p.dim)
+            for offset in (0, 13, 30):
+                states = integrate(rhs, stacked[offset], cfg).states
+                assert np.array_equal(states[:, offset:offset + 10], run.states), (draw, offset)
 
 
 class TestValidation:
