@@ -25,6 +25,7 @@ from .constants import (
     threshold,
 )
 from .integrate import (
+    AttemptLimitError,
     BlowUpError,
     IntegratorConfig,
     StepSizeUnderflowError,
@@ -51,7 +52,8 @@ __all__ = [
     "DerivedConstants", "Extremes", "Threshold", "absorb_time", "derive_constants",
     "derive_extremes", "dissipative_envelope", "gap_envelope", "gap_residual",
     "sync_rate", "threshold",
-    "BlowUpError", "IntegratorConfig", "StepSizeUnderflowError", "Trajectory", "integrate",
+    "AttemptLimitError", "BlowUpError", "IntegratorConfig", "StepSizeUnderflowError",
+    "Trajectory", "integrate",
     "EnsembleSpec", "SyncReport", "UndefinedFitError", "estimate_sync_degree",
     "fit_decay_rate", "integrate_ensemble", "pairwise_gap_series", "sweep_coupling",
     "verify_guarantees",

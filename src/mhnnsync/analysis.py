@@ -170,10 +170,18 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
     member starts from the same initial weight matrix p.w0. ``record`` is
     passed on to ``integrate``; a run with a record hook keeps what the hook
     returns, so its trajectory is marked as holding no weights.
+
+    A Hebbian ensemble is stored node-major: the (count, dim) initial block is
+    Fortran-ordered, the steppers' stages follow its layout, and the Hebbian
+    field reads and writes them in place (see ``make_hebbian_rhs``). The
+    states keep their logical (count, dim) shape.
     """
     p.validate()
     ens.validate()
-    return integrate(_make_rhs(p), _initial_states(p, ens), cfg, params_digest=p.digest(),
+    y0 = _initial_states(p, ens)
+    if isinstance(p, HebbianParams):
+        y0 = np.asfortranarray(y0)
+    return integrate(_make_rhs(p), y0, cfg, params_digest=p.digest(),
                      m=p.m, has_weights=isinstance(p, HebbianParams) and record is None,
                      record=record)
 

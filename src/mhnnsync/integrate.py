@@ -23,6 +23,10 @@ state for a later step unless the kept record shares memory with it, so a
 copying hook lets a run go without one new state buffer per record; a hook
 must hold no other reference into the state it is given.
 
+A DP5 run that attempts MAX_ADAPTIVE_ATTEMPTS steps without reaching t_end
+ends in AttemptLimitError, a BlowUpError: a stiff system can otherwise need
+some 10^8 attempts, hours of work.
+
 DP5 runs with numpy's overflow and invalid-operation warnings off: the trial
 stages of a step that is then rejected may overflow, and every accepted state
 is still checked, so a diverging run ends in BlowUpError or
@@ -46,6 +50,9 @@ BLOWUP_LIMIT = 1e12
 # The most steps a fixed-step run may take; IntegratorConfig.validate rejects more.
 MAX_FIXED_STEPS = 10**8
 
+# The most steps, accepted or rejected, an rk45-adaptive run may attempt.
+MAX_ADAPTIVE_ATTEMPTS = 10**6
+
 METHODS = ("rk4-fixed", "rk45-adaptive")
 
 
@@ -67,6 +74,18 @@ class StepSizeUnderflowError(BlowUpError):
                                     "tolerances, or the state is blowing up")
         self.t = t
         self.h = h
+
+
+class AttemptLimitError(BlowUpError):
+    """An adaptive run attempted MAX_ADAPTIVE_ATTEMPTS steps without reaching t_end."""
+
+    def __init__(self, t: float, h: float, attempts: int):
+        RuntimeError.__init__(self, f"rk45-adaptive attempted {attempts} steps and reached only "
+                                    f"t = {t:.6g}, at step size h = {h:.3g}; the problem is "
+                                    "too stiff for the tolerances, or t_end is too long")
+        self.t = t
+        self.h = h
+        self.attempts = attempts
 
 
 @dataclass
@@ -178,10 +197,15 @@ def _fixed_steps(cfg) -> float:
 
 
 def _integrate_rk4(rhs, y0, cfg, record):
+    """The record is allocated once from the first kept state: the step count is known."""
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.record_stride
     n = int(_fixed_steps(cfg))
-    times = [0.0]
-    states = [record(y0)]
+    n_rec = 1 + n // stride + (n % stride != 0)
+    first = np.asarray(record(y0))
+    times = np.empty(n_rec)
+    states = np.empty((n_rec,) + first.shape, dtype=first.dtype)
+    times[0], states[0] = 0.0, first
+    r = 1
     y = y0
     for i in range(1, n + 1):
         t_next = i * dt if i < n else t_end
@@ -189,9 +213,9 @@ def _integrate_rk4(rhs, y0, cfg, record):
         y = _rk4_step(rhs, y, h)
         _check_finite(y, t_next)
         if i % stride == 0 or i == n:
-            times.append(t_next)
-            states.append(record(y))
-    return np.array(times), np.stack(states)
+            times[r], states[r] = t_next, record(y)
+            r += 1
+    return times, states
 
 
 def _integrate_rk45(rhs, y0, cfg, record):
@@ -211,7 +235,11 @@ def _integrate_rk45(rhs, y0, cfg, record):
     stage, y_new, term = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
     abs_y, abs_new = np.abs(y0), np.empty_like(y0)
     y_kept = True    # y0 is the caller's array, so its buffer is never reused
+    attempts, max_attempts = 0, MAX_ADAPTIVE_ATTEMPTS
     while t < t_stop:
+        if attempts == max_attempts:
+            raise AttemptLimitError(t, h, attempts)
+        attempts += 1
         h = min(h, t_end - t)
         for i, row in enumerate(_DP_A, 1):
             out = y_new if i == 6 else stage

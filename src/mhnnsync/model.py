@@ -12,15 +12,20 @@ Two coupled systems are implemented:
 All functions here are pure; parameter objects are treated as immutable after
 ``validate()``.
 
-States are member-major, (..., dim) with the components on the last axis.
-The Hebbian field transposes inside ``make_hebbian_rhs``: it copies the
-batch once into a node-major (dim, members) block, evaluates there and
-copies the result back. Its u, rho and m^2 weight columns would otherwise be
-strided column blocks with inner loops only m or m^2 long, which cost about
-twice the contiguous rows of one value per member. Its node sums then run
-elementwise over those rows instead of through BLAS, whose row blocking
-would make a member's last bits depend on the batch around it. The mHNN
-field has only m+1 components and stays member-major.
+States have shape (..., dim), the components on the last axis. The Hebbian
+field evaluates on a node-major (dim, members) block: its u, rho and m^2
+weight columns would otherwise be strided column blocks with inner loops only
+m or m^2 long, which cost about twice the contiguous rows of one value per
+member. ``analysis.integrate_ensemble`` therefore stores a Hebbian ensemble
+node-major, as a Fortran-ordered (count, dim) array: the block is then a view
+of the state, and the field returns its result in the same layout, so neither
+side is copied. Member-major (C-ordered) input, such as ``simulate``'s state,
+the lockstep sweep's (len(P), count, dim) batch or a direct caller's array,
+is copied once into the block and the result copied back; the values are
+bitwise the same in both layouts. The field's node sums run elementwise over
+the rows instead of through BLAS, whose row blocking would make a member's
+last bits depend on the batch around it. The mHNN field has only m+1
+components and stays member-major.
 """
 
 from __future__ import annotations
@@ -76,23 +81,27 @@ def activation_eval(kind: str, beta: float, s):
     return _activation_kernel((ActivationSpec(kind, beta),))(s[..., None])[..., 0]
 
 
-def _activation_kernel(activations, node_axis: int = -1):
-    """f(u) = (beta_j g_j(u_j))_j over the node axis of u, one spec per position.
+def _activation_kernel(activations, members: int = 0):
+    """f(u) = (beta_j g_j(u_j))_j over the nodes of u, one spec per node.
 
-    The node axis is the last one (-1) or, for a node-major (m, members)
-    block, the first (0). tanh(scale*u) is evaluated once for all nodes and
-    sin only at sine-clamped ones. The scale 1.0 keeps tanh-scaled bitwise
-    tanh(u), since 1.0*u == u. Every operation is elementwise, so both
-    layouts give the same values bitwise.
+    With ``members`` 0 the node axis of u is the last one. With members n > 0,
+    u is a node-major (m, n) block, and the per-node scale and beta are tiled
+    to rows of n entries: broadcasting an (m, 1) column against a block with
+    rows this short costs more than the arithmetic. tanh(scale*u) is
+    evaluated once for all nodes and sin only at sine-clamped ones. The scale
+    1.0 keeps tanh-scaled bitwise tanh(u), since 1.0*u == u. Every operation
+    is elementwise, so both layouts give the same values bitwise.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
             raise ParameterError("activation.kind", f"unknown kind {act.kind!r}")
-    shape = (-1,) if node_axis == -1 else (-1, 1)
-    scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations]).reshape(shape)
+    scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations])
     sine = np.flatnonzero([act.kind == "sine-clamped" for act in activations])
-    at = (Ellipsis, sine) if node_axis == -1 else (sine,)
-    betas = np.array([act.beta for act in activations], dtype=float).reshape(shape)
+    betas = np.array([act.beta for act in activations], dtype=float)
+    at = (Ellipsis, sine)
+    if members:
+        scale, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, betas))
+        at = (sine,)
 
     def f(u: np.ndarray) -> np.ndarray:
         out = np.tanh(scale * u)
@@ -362,32 +371,37 @@ def make_hebbian_rhs(p: HebbianParams):
     ``p.P`` may be a scalar or an array, as for ``make_mhnn_rhs``.
 
     The field is evaluated on a node-major (dim, members) block (see the
-    module docstring). The coefficients are tiled to rows of one entry per
-    member once per batch shape: broadcasting an (m, 1) column costs more
-    than the arithmetic on rows this short.
+    module docstring). When ``y.reshape(-1, dim).T`` is already contiguous,
+    as for a Fortran-ordered (count, dim) y, that view is the block and the
+    result is returned as a view of the same layout; any other y is copied in
+    and the result copied out member-major. The coefficients are tiled to
+    rows of one entry per member once per batch shape: broadcasting an (m, 1)
+    column costs more than the arithmetic on rows this short.
     """
     m, dim = p.m, p.dim
     gamma, b, P = p.gamma, p.b, p.P
-    activation = _activation_kernel(p.activations, node_axis=0)
     coupled = bool(np.any(P != 0.0))
     # -a, k, eta and J per node, lam and -c per weight, as (rows, 1) columns
     columns = [v.reshape(-1, 1) for v in (-p.a, p.k, p.eta, p.J, p.lam, -p.c)]
     tiled: dict = {}
 
     def coefficients(lead: tuple) -> list:
-        """The columns and the coupling strength as rows of one entry per member of a lead batch."""
+        """The columns, the coupling strength and the activation for a lead batch of members."""
         rows = tiled.get(lead)
         if rows is None:
             n = math.prod(lead)
             rows = [np.repeat(col, n, axis=1) for col in columns]
             rows.append(np.broadcast_to(P, lead + (1,)).reshape(n) if np.ndim(P) else P)
+            rows.append(_activation_kernel(p.activations, members=n))
             tiled.clear()          # keep the last batch shape only
             tiled[lead] = rows
         return rows
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        nega, k, eta, J, lam, negc, P_row = coefficients(y.shape[:-1])
-        Y = np.ascontiguousarray(y.reshape(-1, dim).T)
+        nega, k, eta, J, lam, negc, P_row, activation = coefficients(y.shape[:-1])
+        Y = y.reshape(-1, dim).T
+        node_major = Y.flags.c_contiguous
+        Y = np.ascontiguousarray(Y)        # a copy only for member-major y
         n = Y.shape[1]
         u, rho, W = Y[:m], Y[m], Y[m + 1:]
         f = activation(u)
@@ -407,7 +421,8 @@ def make_hebbian_rhs(p: HebbianParams):
         np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, n))
         dW *= lam
         dW += negc * W
-        return np.ascontiguousarray(dY.T).reshape(y.shape)
+        out = dY.T if node_major else np.ascontiguousarray(dY.T)
+        return out.reshape(y.shape)
 
     return rhs
 

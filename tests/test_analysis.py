@@ -385,6 +385,75 @@ class TestCompactRecord:
         assert runs[0].states.shape[1:] == (2, p.dim)
 
 
+class TestNodeMajorEnsemble:
+    """integrate_ensemble stores a Hebbian ensemble node-major. The trajectory keeps
+    its logical (n_rec, count, dim) shape and, under RK4, the member-major bits."""
+
+    EPS = 0.3
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(47)
+        p = dataclasses.replace(draw_hebbian(rng, 4), P=1.0)
+        return p, EnsembleSpec(count=6, radius=3.0, seed=8)
+
+    @staticmethod
+    def member_major(p, ens, cfg):
+        """The same ensemble integrated from the C-ordered initial block."""
+        return analysis.integrate(analysis.make_hebbian_rhs(p), analysis._initial_states(p, ens),
+                                  cfg, m=p.m, has_weights=True)
+
+    def test_rk4_bitwise_the_member_major_run(self, monkeypatch):
+        p, ens = self.case()
+        cfg = IntegratorConfig(method="rk4-fixed", dt=5e-3, t_end=1.0, record_stride=3)
+        want = self.member_major(p, ens, cfg)
+        layouts = set()
+        make_real = analysis.make_hebbian_rhs
+
+        def spied(q):
+            rhs = make_real(q)
+            return lambda y: layouts.add((y.shape, y.flags.f_contiguous)) or rhs(y)
+
+        monkeypatch.setattr(analysis, "make_hebbian_rhs", spied)
+        got = integrate_ensemble(p, cfg, ens)
+        assert layouts == {((ens.count, p.dim), True)}
+        assert got.states.shape == (len(want), ens.count, p.dim)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+
+    def test_rk45_close_to_the_member_major_run(self):
+        # DP5's error norm sums its buffer in memory order, so the step sizes
+        # may move in the last bits; the reports must not move beyond that
+        p, ens = self.case()
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=3.0,
+                               abs_tol=1e-8, rel_tol=1e-8)
+        want = self.member_major(p, ens, cfg)
+        got = integrate_ensemble(p, cfg, ens)
+        assert got.states.shape == want.states.shape
+        np.testing.assert_allclose(got.times, want.times, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-9)
+        d = analysis.cst._derive(p)
+        ref = analysis._check_ensemble(p, want, ens, self.EPS, d.p_star(self.EPS), d)
+        rep = verify_guarantees(p, cfg, ens, self.EPS)
+        assert (rep.verdict, len(rep.violations)) == (ref.verdict, len(ref.violations))
+        assert [t is None for t in rep.entry_times] == [t is None for t in ref.entry_times]
+        assert rep.deg_estimate == pytest.approx(ref.deg_estimate, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_record_hook_sees_member_states(self, method):
+        p, ens = self.case()
+        cfg = IntegratorConfig(method=method, dt=1e-2, t_end=0.5, record_stride=2)
+        seen = []
+
+        def keep_u(y):
+            seen.append(y.shape)
+            return y[..., :p.m].copy()
+
+        traj = integrate_ensemble(p, cfg, ens, record=keep_u)
+        assert set(seen) == {(ens.count, p.dim)}
+        assert traj.states.shape == (len(seen), ens.count, p.m)
+
+
 class TestSweep:
     def test_rows_and_determinism(self):
         rng = np.random.default_rng(14)

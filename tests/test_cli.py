@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -206,6 +207,16 @@ class TestBlowUpExit:
             assert run(["verify", "--config", write(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("mhnnsync: adaptive step size h = ")
+        assert err.count("\n") == 1
+
+    def test_attempt_limit_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a budget of 5 attempts ends this 6-time-unit Hebbian verify early
+        monkeypatch.setattr(importlib.import_module("mhnnsync.integrate"),
+                            "MAX_ADAPTIVE_ATTEMPTS", 5)
+        cfg = hebbian_config(integrator={"method": "rk45-adaptive", "dt": 1e-3, "t_end": 6.0})
+        assert run(["verify", "--config", write(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("mhnnsync: rk45-adaptive attempted 5 steps and reached only t = ")
         assert err.count("\n") == 1
 
 

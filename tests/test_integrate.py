@@ -1,10 +1,12 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from mhnnsync import (
+    AttemptLimitError,
     BlowUpError,
     EnsembleSpec,
     IntegratorConfig,
@@ -16,10 +18,13 @@ from mhnnsync import (
     integrate,
 )
 from mhnnsync.analysis import _initial_states, integrate_ensemble
-from mhnnsync.integrate import MAX_FIXED_STEPS, _check_finite
+from mhnnsync.integrate import MAX_ADAPTIVE_ATTEMPTS, MAX_FIXED_STEPS, _check_finite, _rk4_step
 from mhnnsync.model import make_hebbian_rhs, make_mhnn_rhs
 
 from draws import draw_hebbian, draw_mhnn
+
+# the module; the package's name ``integrate`` is the function
+integrate_module = importlib.import_module("mhnnsync.integrate")
 
 
 def linear_decay(y):
@@ -64,6 +69,23 @@ class TestRk4:
         b = integrate(rhs, y0, cfg)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("stride", [1, 3, 4, 10, 12])
+    def test_record_matches_step_by_step(self, stride):
+        # the record is allocated up front from the step count; it must hold the
+        # states of a plain loop, the last one at t_end whatever the stride
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0, record_stride=stride)
+        rhs = lambda y: -y + 0.3 * y[..., ::-1]
+        y = np.arange(12.0).reshape(4, 3)
+        times, states = [0.0], [y[..., :2]]
+        for i in range(1, 11):
+            y = _rk4_step(rhs, y, 0.1 if i < 10 else 1.0 - 9 * 0.1)
+            if i % stride == 0 or i == 10:
+                times.append(i * 0.1 if i < 10 else 1.0)
+                states.append(y[..., :2])
+        traj = integrate(rhs, np.arange(12.0).reshape(4, 3), cfg, record=lambda y: y[..., :2])
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, np.stack(states))
 
     def test_blow_up_reports_time(self):
         cfg = IntegratorConfig(dt=0.5, t_end=50.0)
@@ -267,6 +289,36 @@ class TestStepSizeUnderflow:
         assert "non-finite" in str(exc.value)
 
 
+class TestAttemptLimit:
+    def test_stiff_decay_stops_at_the_limit(self, monkeypatch):
+        # y' = -1e6 y needs about 3e5 stable DP5 steps to reach t = 1
+        assert MAX_ADAPTIVE_ATTEMPTS == 10**6
+        monkeypatch.setattr(integrate_module, "MAX_ADAPTIVE_ATTEMPTS", 200)
+        calls = []
+        with pytest.raises(AttemptLimitError) as exc:
+            integrate(lambda y: calls.append(1) or -1e6 * y, np.array([1.0, 2.0]),
+                      IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=1.0))
+        assert isinstance(exc.value, BlowUpError)
+        assert exc.value.attempts == 200
+        assert len(calls) == 6 * 200 + 1
+        assert 0 < exc.value.t < 1e-3 and 0 < exc.value.h < 1e-5
+        message = str(exc.value)
+        assert message.startswith("rk45-adaptive attempted 200 steps and reached only t = ")
+        assert f"h = {exc.value.h:.3g}" in message
+
+    def test_run_within_the_limit_completes(self, monkeypatch):
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=1.0, record_stride=1)
+        calls = []
+        traj = integrate(lambda y: calls.append(1) or -y, np.array([1.0]), cfg)
+        attempts = (len(calls) - 1) // 6
+        monkeypatch.setattr(integrate_module, "MAX_ADAPTIVE_ATTEMPTS", attempts)
+        again = integrate(linear_decay, np.array([1.0]), cfg)
+        assert np.array_equal(again.states, traj.states)
+        monkeypatch.setattr(integrate_module, "MAX_ADAPTIVE_ATTEMPTS", attempts - 1)
+        with pytest.raises(AttemptLimitError):
+            integrate(linear_decay, np.array([1.0]), cfg)
+
+
 class TestScipyOracle:
     """End states against scipy's DOP853, an integrator written apart from this package."""
 
@@ -288,6 +340,25 @@ class TestScipyOracle:
         end = integrate(rhs, y0, cfg).states[-1]
         # measured: <= 6.7e-11 for rk45 at tol 1e-10, <= 1.4e-12 for rk4 at dt 1e-3
         assert np.max(np.abs(end - sol.y[:, -1])) < 1e-9
+
+    @pytest.mark.parametrize("cfg", [
+        IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=2.0, abs_tol=1e-10, rel_tol=1e-10),
+        IntegratorConfig(method="rk4-fixed", dt=1e-3, t_end=2.0),
+    ], ids=["rk45-adaptive", "rk4-fixed"])
+    def test_hebbian_ensemble_matches_dop853(self, cfg):
+        # integrate_ensemble stores a Hebbian ensemble node-major, so this run
+        # takes the field's in-place path; each member is checked on its own
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(51)
+        p = dataclasses.replace(draw_hebbian(rng, 3), P=0.7)
+        ens = EnsembleSpec(count=4, radius=4.0, seed=10)
+        rhs = make_hebbian_rhs(p)
+        end = integrate_ensemble(p, cfg, ens).states[-1]
+        for y0, got in zip(_initial_states(p, ens), end):
+            sol = scipy_integrate.solve_ivp(lambda t, y: rhs(y), (0.0, cfg.t_end), y0,
+                                            method="DOP853", rtol=1e-11, atol=1e-11)
+            assert sol.success
+            assert np.max(np.abs(got - sol.y[:, -1])) < 1e-9
 
 
 class TestConfigValidation:

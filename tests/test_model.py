@@ -319,6 +319,44 @@ class TestHebbianBatch:
                 assert np.array_equal(states[:, offset:offset + 10], run.states), (draw, offset)
 
 
+def node_major(y):
+    """y, same shape and values, stored with the state components outermost."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1)
+
+
+class TestHebbianLayout:
+    """The Hebbian field gives the same bits on member-major and node-major input,
+    and its output keeps the input's layout."""
+
+    @pytest.mark.parametrize("n", [2, 7, 128])
+    @pytest.mark.parametrize("m", [3, 6, 8])
+    def test_same_values_in_both_layouts(self, m, n):
+        rng, p = TestHebbianBatch().mixed(m, 90 + m)
+        y = rng.normal(scale=3.0, size=(n, p.dim))
+        rhs = make_hebbian_rhs(p)
+        y_nm = np.asfortranarray(y)
+        assert y_nm.flags.f_contiguous and not y_nm.flags.c_contiguous
+        got_c, got_nm = rhs(y), rhs(y_nm)
+        assert np.array_equal(got_nm, got_c)
+        assert got_c.flags.c_contiguous
+        assert got_nm.flags.f_contiguous and not got_nm.flags.c_contiguous
+        assert np.array_equal(y_nm, y)          # the input is read, not written
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_lockstep_batch_in_every_layout(self, m):
+        # a (3, 10, dim) batch with one coupling strength per block, member-major,
+        # node-major and Fortran-ordered (which the field copies, as member-major)
+        rng, p = TestHebbianBatch().mixed(m, 100 + m)
+        y = rng.normal(scale=3.0, size=(3, 10, p.dim))
+        rhs = make_hebbian_rhs(dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None]))
+        want = rhs(y)
+        assert want.flags.c_contiguous
+        got = rhs(node_major(y))
+        assert np.array_equal(got, want)
+        assert np.shares_memory(node_major(got), got)   # still node-major, no copy made
+        assert np.array_equal(rhs(np.asfortranarray(y)), want)
+
+
 class TestValidation:
     def test_assumption_boundary(self):
         with pytest.raises(ParameterError, match="a_i > k"):
