@@ -39,8 +39,10 @@ class EnsembleSpec:
     def validate(self) -> None:
         if not (self.count >= 1):
             raise ParameterError("ensemble.count", "ensemble count must be >= 1")
-        if not (self.radius > 0):
-            raise ParameterError("ensemble.radius", "sampling radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise ParameterError("ensemble.radius", "sampling radius must be positive and finite")
+        if not (self.seed >= 0):
+            raise ParameterError("ensemble.seed", "seed must be a nonnegative integer")
         if not (0 < self.tail_fraction < 1):
             raise ParameterError("ensemble.tail_fraction", "tail_fraction must lie in (0, 1)")
 

@@ -4,7 +4,10 @@ Both steppers accept batched states of shape (*batch, dim) and integrate
 every member in lockstep. RK4 takes the same steps for every batch and its
 stage arithmetic is elementwise, so a member's result depends only on how the
 right-hand side treats it; DP5 sizes its steps from the error over the whole
-batch.
+batch. It squares the scaled error into a C-ordered buffer and sums that in
+logical order, so a run's steps do not depend on how y0 is stored: a
+node-major (Fortran-ordered) ensemble takes the steps of the same ensemble
+stored member-major.
 
 DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
 evaluated at the new solution and serves as the next step's first stage, also
@@ -39,6 +42,7 @@ sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +237,7 @@ def _integrate_rk45(rhs, y0, cfg, record):
         rhs = lambda y: f(y).copy()
         ks[0] = ks[0].copy()
     stage, y_new, term = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
+    sq = np.empty(y0.shape)    # C-ordered: the error sum runs in logical order
     abs_y, abs_new = np.abs(y0), np.empty_like(y0)
     y_kept = True    # y0 is the caller's array, so its buffer is never reused
     attempts, max_attempts = 0, MAX_ADAPTIVE_ATTEMPTS
@@ -254,8 +259,8 @@ def _integrate_rk45(rhs, y0, cfg, record):
         np.multiply(scale, cfg.rel_tol, out=scale)
         np.add(scale, cfg.abs_tol, out=scale)
         np.divide(err, scale, out=err)
-        np.square(err, out=err)
-        err_norm = float(np.sqrt(np.mean(err)))
+        np.square(err, out=sq)
+        err_norm = math.sqrt(np.add.reduce(sq, axis=None) / sq.size)
         if err_norm <= 1.0:
             t += h
             y_old, old_kept = y, y_kept

@@ -24,8 +24,12 @@ the lockstep sweep's (len(P), count, dim) batch or a direct caller's array,
 is copied once into the block and the result copied back; the values are
 bitwise the same in both layouts. The field's node sums run elementwise over
 the rows instead of through BLAS, whose row blocking would make a member's
-last bits depend on the batch around it. The mHNN field has only m+1
-components and stays member-major.
+last bits depend on the batch around it. Its cost is numpy calls on rows of
+one value per member, not arithmetic, so the decay, the Strukov-Williams
+window and the diagonal of the linear coupling share one u coefficient,
+k*rho*(eta - rho) + (-a - m*P), built in one scratch block; the activation
+overwrites its sine-clamped nodes with one masked ``np.sin``. The mHNN field
+has only m+1 components and stays member-major.
 """
 
 from __future__ import annotations
@@ -85,38 +89,42 @@ def _activation_kernel(activations, members: int = 0):
     """f(u) = (beta_j g_j(u_j))_j over the nodes of u, one spec per node.
 
     With ``members`` 0 the node axis of u is the last one. With members n > 0,
-    u is a node-major (m, n) block, and the per-node scale and beta are tiled
-    to rows of n entries: broadcasting an (m, 1) column against a block with
-    rows this short costs more than the arithmetic. tanh(scale*u) is
-    evaluated once for all nodes and sin only at sine-clamped ones. The scale
-    1.0 keeps tanh-scaled bitwise tanh(u), since 1.0*u == u. Every operation
-    is elementwise, so both layouts give the same values bitwise.
+    u is a node-major (m, n) block, and the per-node scale, beta and sine mask
+    are tiled to rows of n entries: broadcasting an (m, 1) column against a
+    block with rows this short costs more than the arithmetic. tanh(scale*u)
+    is evaluated in place for all nodes, then one masked ``np.sin`` overwrites
+    the sine-clamped nodes and beta multiplies in place: four numpy calls, no
+    fancy-index gather or scatter. The scale 1.0 keeps tanh-scaled bitwise
+    tanh(u), since 1.0*u == u. Every operation is elementwise, so both layouts
+    give the same values bitwise.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
             raise ParameterError("activation.kind", f"unknown kind {act.kind!r}")
     scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations])
-    sine = np.flatnonzero([act.kind == "sine-clamped" for act in activations])
+    sine = np.array([act.kind == "sine-clamped" for act in activations])
     betas = np.array([act.beta for act in activations], dtype=float)
-    at = (Ellipsis, sine)
     if members:
-        scale, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, betas))
-        at = (sine,)
+        scale, sine, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, sine, betas))
+    any_sine = bool(sine.any())
 
     def f(u: np.ndarray) -> np.ndarray:
-        out = np.tanh(scale * u)
-        if sine.size:
-            out[at] = np.sin(u[at])
-        return betas * out
+        out = np.multiply(scale, u)
+        np.tanh(out, out=out)
+        if any_sine:
+            np.sin(u, out=out, where=sine)
+        out *= betas
+        return out
 
     return f
 
 
 def _sigmoid(s, r, V):
-    """The sigmoid of sigmoid_gamma without its check on r."""
-    z = r * (s - V)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """The sigmoid of sigmoid_gamma without its check on r.
+
+    1/(1 + e^-z) = (1 + tanh(z/2))/2, which cannot overflow.
+    """
+    return 0.5 + 0.5 * np.tanh((0.5 * r) * (s - V))
 
 
 def sigmoid_gamma(s, r: float, V: float):
@@ -381,24 +389,26 @@ def make_hebbian_rhs(p: HebbianParams):
     m, dim = p.m, p.dim
     gamma, b, P = p.gamma, p.b, p.P
     coupled = bool(np.any(P != 0.0))
-    # -a, k, eta and J per node, lam and -c per weight, as (rows, 1) columns
-    columns = [v.reshape(-1, 1) for v in (-p.a, p.k, p.eta, p.J, p.lam, -p.c)]
+    # k, eta and J per node, lam and -c per weight, as (rows, 1) columns
+    columns = [v.reshape(-1, 1) for v in (p.k, p.eta, p.J, p.lam, -p.c)]
     tiled: dict = {}
 
     def coefficients(lead: tuple) -> list:
-        """The columns, the coupling strength and the activation for a lead batch of members."""
+        """Tiled rows, u coefficient, P, activation and scratch block for a lead batch of members."""
         rows = tiled.get(lead)
         if rows is None:
             n = math.prod(lead)
             rows = [np.repeat(col, n, axis=1) for col in columns]
-            rows.append(np.broadcast_to(P, lead + (1,)).reshape(n) if np.ndim(P) else P)
-            rows.append(_activation_kernel(p.activations, members=n))
+            P_row = np.broadcast_to(P, lead + (1,)).reshape(n) if np.ndim(P) else P
+            # the u coefficient of decay and coupling, -a - m*P, per member for a P column
+            rows.append(np.repeat(-p.a[:, None], n, axis=1) - m * P_row)
+            rows += [P_row, _activation_kernel(p.activations, members=n), np.empty((m, n))]
             tiled.clear()          # keep the last batch shape only
             tiled[lead] = rows
         return rows
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        nega, k, eta, J, lam, negc, P_row, activation = coefficients(y.shape[:-1])
+        k, eta, J, lam, negc, coef, P_row, activation, s = coefficients(y.shape[:-1])
         Y = y.reshape(-1, dim).T
         node_major = Y.flags.c_contiguous
         Y = np.ascontiguousarray(Y)        # a copy only for member-major y
@@ -407,16 +417,21 @@ def make_hebbian_rhs(p: HebbianParams):
         f = activation(u)
         dY = np.empty_like(Y)
         du = dY[:m]
-        # W f + (-a*u) is -a*u + W f exactly, so du rounds as -a*u + W f + window + J;
-        # the Strukov-Williams window stays inline: k * (rho * (eta - rho)) * u
-        # rounds differently and would move the adaptive stepper's accepted steps
+        # du = W f + [k*rho*(eta - rho) + (-a - m*P)]*u + J + P*sum(u), with the
+        # Strukov-Williams window and both linear terms fused into one u coefficient
+        np.subtract(eta, rho, out=s)
+        s *= rho
+        s *= k
+        s += coef
+        s *= u
         np.einsum("ijn,jn->in", W.reshape(m, m, n), f, out=du)
-        du += nega * u
-        du += k * rho * (eta - rho) * u
+        du += s
         du += J
         if coupled:
-            du -= P_row * (m * u - u.sum(axis=0))
-        np.subtract(np.einsum("in,i->n", u, gamma), b * rho, out=dY[m])
+            du += P_row * np.add.reduce(u, axis=0)
+        drho = dY[m]
+        np.einsum("in,i->n", u, gamma, out=drho)
+        drho -= b * rho
         dW = dY[m + 1:]
         np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, n))
         dW *= lam

@@ -422,8 +422,8 @@ class TestNodeMajorEnsemble:
         assert np.array_equal(got.states, want.states)
 
     def test_rk45_close_to_the_member_major_run(self):
-        # DP5's error norm sums its buffer in memory order, so the step sizes
-        # may move in the last bits; the reports must not move beyond that
+        # the node-major run against the member-major one within a tolerance;
+        # test_rk45_bitwise_the_member_major_run requires the same bits
         p, ens = self.case()
         cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=3.0,
                                abs_tol=1e-8, rel_tol=1e-8)
@@ -438,6 +438,21 @@ class TestNodeMajorEnsemble:
         assert (rep.verdict, len(rep.violations)) == (ref.verdict, len(ref.violations))
         assert [t is None for t in rep.entry_times] == [t is None for t in ref.entry_times]
         assert rep.deg_estimate == pytest.approx(ref.deg_estimate, rel=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_rk45_bitwise_the_member_major_run(self, tol):
+        # DP5's error norm sums a C-ordered copy of the scaled error, so the
+        # node-major run takes the member-major run's steps, and its report is equal
+        p, ens = self.case()
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=3.0,
+                               abs_tol=tol, rel_tol=tol)
+        want = self.member_major(p, ens, cfg)
+        got = integrate_ensemble(p, cfg, ens)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+        d = analysis.cst._derive(p)
+        ref = analysis._check_ensemble(p, want, ens, self.EPS, d.p_star(self.EPS), d)
+        assert verify_guarantees(p, cfg, ens, self.EPS).to_dict() == ref.to_dict()
 
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
     def test_record_hook_sees_member_states(self, method):

@@ -183,6 +183,25 @@ class TestValidationExits:
         assert "Traceback" not in captured.err
         assert run(["threshold", "--config", cfg_path, "--epsilon", "1e3"]) == 0
 
+    @pytest.mark.parametrize("command", ["verify", "simulate", "sweep"])
+    @pytest.mark.parametrize("ensemble, override, field", [
+        ('{"count": 2, "radius": 2.0, "seed": -1}', [], "ensemble.seed"),
+        ('{"count": 2, "radius": 2.0, "seed": 7}', ["--seed", "-5"], "ensemble.seed"),
+        ('{"count": 2, "radius": 1e400, "seed": 7}', [], "ensemble.radius"),
+    ], ids=["seed", "seed-override", "radius"])
+    def test_bad_ensemble_exit_3(self, tmp_path, capsys, command, ensemble, override, field):
+        # a negative seed used to end in numpy's ValueError (exit 1), and an
+        # infinite radius (1e400 reads as inf) in non-finite states (exit 4)
+        text = json.dumps(mhnn_config(ensemble="ENSEMBLE")).replace('"ENSEMBLE"', ensemble)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        extra = ["--p-values", "1,2"] if command == "sweep" else []
+        assert run([command, "--config", str(cfg_path)] + override + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config validation error: {field}: " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mhnnsync import (
     ActivationSpec,
@@ -355,6 +355,38 @@ class TestHebbianLayout:
         assert np.array_equal(got, want)
         assert np.shares_memory(node_major(got), got)   # still node-major, no copy made
         assert np.array_equal(rhs(np.asfortranarray(y)), want)
+
+
+class TestHebbianFieldProperty:
+    """The fused Hebbian field against the node-by-node reference, over node
+    counts, batch sizes, activation mixes and the three forms of P."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(m=st.integers(2, 8), n=st.sampled_from([1, 2, 7, 33]),
+           P_form=st.sampled_from(["zero", "scalar", "column"]),
+           draw=st.integers(0, 2**16), data=st.data())
+    def test_matches_node_by_node_in_both_layouts(self, m, n, P_form, draw, data):
+        acts = tuple(ActivationSpec(kind, beta) for kind, beta in data.draw(st.lists(
+            st.tuples(st.sampled_from(TestHebbianBatch.KINDS), st.floats(0.25, 2.0)),
+            min_size=m, max_size=m)))
+        rng = np.random.default_rng(draw)
+        p = dataclasses.replace(draw_hebbian(rng, m), activations=acts)
+        if P_form == "column":
+            P = np.array([0.0, 0.7, 25.0])
+            y = rng.normal(scale=3.0, size=(3, n, p.dim))
+            rhs = make_hebbian_rhs(dataclasses.replace(p, P=P[:, None, None]))
+            got = rhs(y)
+            for block, P_i in enumerate(P):
+                assert_close(got[block],
+                             hebbian_node_by_node(dataclasses.replace(p, P=P_i), y[block]))
+            assert np.array_equal(rhs(node_major(y)), got)
+        else:
+            p = dataclasses.replace(p, P=0.0 if P_form == "zero" else float(rng.uniform(0.1, 50)))
+            y = rng.normal(scale=3.0, size=(n, p.dim))
+            rhs = make_hebbian_rhs(p)
+            got = rhs(y)
+            assert_close(got, hebbian_node_by_node(p, y))
+            assert np.array_equal(rhs(np.asfortranarray(y)), got)
 
 
 class TestValidation:
