@@ -164,6 +164,12 @@ def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
     return ball
 
 
+def _node_major(y: np.ndarray) -> np.ndarray:
+    """y stored with the state components outermost, so the fields read and
+    write it in place (see ``model``); its shape and values are unchanged."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1)
+
+
 def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
                        record=None) -> Trajectory:
     """Batched trajectory for a seeded ensemble of initial states.
@@ -171,20 +177,15 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
     For the Hebbian model the (u, rho) block is sampled in the ball and every
     member starts from the same initial weight matrix p.w0. ``record`` is
     passed on to ``integrate``; a run with a record hook keeps what the hook
-    returns, so its trajectory is marked as holding no weights.
-
-    A Hebbian ensemble is stored node-major: the (count, dim) initial block is
-    Fortran-ordered, the steppers' stages follow its layout, and the Hebbian
-    field reads and writes them in place (see ``make_hebbian_rhs``). The
-    states keep their logical (count, dim) shape.
+    returns, so its trajectory is marked as holding no weights. The ensemble
+    is stored node-major, as a Fortran-ordered (count, dim) array; the states
+    keep their logical (count, dim) shape.
     """
     p.validate()
     ens.validate()
-    y0 = _initial_states(p, ens)
-    if isinstance(p, HebbianParams):
-        y0 = np.asfortranarray(y0)
-    return integrate(_make_rhs(p), y0, cfg, params_digest=p.digest(),
-                     m=p.m, has_weights=isinstance(p, HebbianParams) and record is None,
+    return integrate(_make_rhs(p), _node_major(_initial_states(p, ens)), cfg,
+                     params_digest=p.digest(), m=p.m,
+                     has_weights=isinstance(p, HebbianParams) and record is None,
                      record=record)
 
 
@@ -398,18 +399,17 @@ def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
                      epsilon: float, p_star: float, d: cst._Derivation) -> list:
     """verify_guarantees for parameter sets that differ only in P, from one RK4 run.
 
-    The ensemble is stacked on a leading P axis, a (len(swept), count, dim)
-    state, and the RHS takes a (len(swept), 1, 1) column of P. Each block then
-    goes through the same BLAS calls, of the same shape, as its own
-    verify_guarantees run, so its report is bitwise the same. A flat
-    (len(swept) * count, dim) batch would not be: OpenBLAS blocks the rows of
-    a matrix product differently by batch size and position.
+    The ensemble is stacked node-major on a leading P axis, a (len(swept),
+    count, dim) state, and the RHS takes a (len(swept), 1, 1) column of P.
+    The field computes each member from its own state alone, so with count
+    >= 2 each block is bitwise its own verify_guarantees run; a one-member
+    verify sums over nodes in a numpy kernel of its own.
     """
     first = swept[0]
     column = np.array([q.P for q in swept])[:, None, None]
     y0 = _initial_states(first, ens)
     batch = integrate(_make_rhs(dataclasses.replace(first, P=column)),
-                      np.stack([y0] * len(swept)), cfg,
+                      _node_major(np.stack([y0] * len(swept))), cfg,
                       m=first.m, has_weights=isinstance(first, HebbianParams))
     return [_check_ensemble(q, dataclasses.replace(batch, states=batch.states[:, i],
                                                    params_digest=q.digest()),

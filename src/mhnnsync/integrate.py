@@ -107,8 +107,8 @@ class IntegratorConfig:
                                  f"unknown method {self.method!r}, expected one of {METHODS}")
         if not (self.dt > 0):
             raise ParameterError("integrator.dt", "step size dt must be positive")
-        if not (self.t_end > self.dt):
-            raise ParameterError("integrator.t_end", "t_end must exceed dt")
+        if not (self.dt < self.t_end < math.inf):
+            raise ParameterError("integrator.t_end", "t_end must be finite and exceed dt")
         if self.method == "rk4-fixed" and _fixed_steps(self) > MAX_FIXED_STEPS:
             raise ParameterError("integrator.dt",
                                  f"rk4-fixed would take {_fixed_steps(self):.3g} steps to "
@@ -280,7 +280,7 @@ def _integrate_rk45(rhs, y0, cfg, record):
         h *= min(5.0, max(0.2, factor))
         if h < 1e-14 * t_end:
             raise StepSizeUnderflowError(t, h)
-    return np.array(times), np.stack(states)
+    return np.array(times), np.array(states)
 
 
 def _keep_state(y):

@@ -12,24 +12,17 @@ Two coupled systems are implemented:
 All functions here are pure; parameter objects are treated as immutable after
 ``validate()``.
 
-States have shape (..., dim), the components on the last axis. The Hebbian
-field evaluates on a node-major (dim, members) block: its u, rho and m^2
-weight columns would otherwise be strided column blocks with inner loops only
-m or m^2 long, which cost about twice the contiguous rows of one value per
-member. ``analysis.integrate_ensemble`` therefore stores a Hebbian ensemble
-node-major, as a Fortran-ordered (count, dim) array: the block is then a view
-of the state, and the field returns its result in the same layout, so neither
-side is copied. Member-major (C-ordered) input, such as ``simulate``'s state,
-the lockstep sweep's (len(P), count, dim) batch or a direct caller's array,
-is copied once into the block and the result copied back; the values are
-bitwise the same in both layouts. The field's node sums run elementwise over
-the rows instead of through BLAS, whose row blocking would make a member's
-last bits depend on the batch around it. Its cost is numpy calls on rows of
-one value per member, not arithmetic, so the decay, the Strukov-Williams
-window and the diagonal of the linear coupling share one u coefficient,
-k*rho*(eta - rho) + (-a - m*P), built in one scratch block; the activation
-overwrites its sine-clamped nodes with one masked ``np.sin``. The mHNN field
-has only m+1 components and stays member-major.
+States have shape (..., dim), the components on the last axis. Both fields
+evaluate in one frame, on a node-major (dim, members) block, where u, rho and
+the Hebbian weights are contiguous rows of one value per member rather than
+strided columns. ``analysis`` stores every ensemble node-major, so the block
+is a view of the state and the result comes back in the same layout; other
+input is copied in and out, with bitwise the same values. Sums over nodes run
+elementwise (``np.einsum``, ``np.add.reduce``), not through BLAS, whose row
+blocking would make a member's last bits depend on the batch around it.
+Per-call numpy overhead, not arithmetic, sets the cost, so coefficients are
+tiled to rows once per batch shape and the decay, the window and weak
+coupling share one u coefficient.
 """
 
 from __future__ import annotations
@@ -82,21 +75,20 @@ class ActivationSpec:
 def activation_eval(kind: str, beta: float, s):
     """Evaluate one activation family at s (scalar or array)."""
     s = np.asarray(s, dtype=float)
-    return _activation_kernel((ActivationSpec(kind, beta),))(s[..., None])[..., 0]
+    out = _activation_kernel((ActivationSpec(kind, beta),), s.size)(s.reshape(1, -1))
+    return out.reshape(s.shape) if s.ndim else float(out[0, 0])
 
 
-def _activation_kernel(activations, members: int = 0):
-    """f(u) = (beta_j g_j(u_j))_j over the nodes of u, one spec per node.
+def _activation_kernel(activations, members: int):
+    """f(u) = (beta_j g_j(u_j))_j on a node-major (m, members) block u, one spec per node.
 
-    With ``members`` 0 the node axis of u is the last one. With members n > 0,
-    u is a node-major (m, n) block, and the per-node scale, beta and sine mask
-    are tiled to rows of n entries: broadcasting an (m, 1) column against a
-    block with rows this short costs more than the arithmetic. tanh(scale*u)
-    is evaluated in place for all nodes, then one masked ``np.sin`` overwrites
-    the sine-clamped nodes and beta multiplies in place: four numpy calls, no
-    fancy-index gather or scatter. The scale 1.0 keeps tanh-scaled bitwise
-    tanh(u), since 1.0*u == u. Every operation is elementwise, so both layouts
-    give the same values bitwise.
+    The per-node scale, beta and sine mask are tiled to rows of ``members``
+    entries: broadcasting an (m, 1) column against a block with rows this
+    short costs more than the arithmetic. tanh(scale*u) is evaluated in place
+    for all nodes, then one masked ``np.sin`` overwrites the sine-clamped
+    nodes and beta multiplies in place: four numpy calls, no fancy-index
+    gather or scatter. The scale 1.0 keeps tanh-scaled bitwise tanh(u), since
+    1.0*u == u.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
@@ -104,8 +96,7 @@ def _activation_kernel(activations, members: int = 0):
     scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations])
     sine = np.array([act.kind == "sine-clamped" for act in activations])
     betas = np.array([act.beta for act in activations], dtype=float)
-    if members:
-        scale, sine, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, sine, betas))
+    scale, sine, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, sine, betas))
     any_sine = bool(sine.any())
 
     def f(u: np.ndarray) -> np.ndarray:
@@ -208,8 +199,8 @@ class _NetworkParams:
             raise ParameterError("eta", "all window curvatures eta_i must be positive")
         if not (self.r > 0):
             raise ParameterError("r", "sigmoid slope r must be positive")
-        if not (self.P >= 0):
-            raise ParameterError("P", "coupling strength P must be nonnegative")
+        if not (0 <= self.P < math.inf):
+            raise ParameterError("P", "coupling strength P must be nonnegative and finite")
         self._validate_model()
 
     def digest(self) -> str:
@@ -341,105 +332,109 @@ class NetworkState:
         return NetworkState(u=y[:m].copy(), rho=float(y[m]), weights=w)
 
 
-def make_mhnn_rhs(p: MhnnParams):
-    """Vector-field closure for the mHNN; operates on flat state y = (u, rho).
+def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
+    """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
-    Accepts batched states of shape (..., m+1). ``p.P`` may be a scalar or an
-    array that broadcasts against the state's leading axes, such as one
-    coupling strength per block of a (len(P), count, m+1) state.
-    """
-    m = p.m
-    a, eta, w, J, gamma = p.a, p.eta, p.w, p.J, p.gamma
-    k, b, P, r, V = p.k, p.b, p.P, p.r, p.V
-    activation = _activation_kernel(p.activations)
-    window = _WINDOWS["quadratic"]
-    wT = w.T.copy()
-    linear = p.coupling_kind == "linear"
-    coupled = bool(np.any(P != 0.0))
+    The block is ``y.reshape(-1, dim).T`` itself when that view is contiguous
+    (node-major y), and the result is then returned in y's layout; other y is
+    copied in and out. Per batch shape, J, the model's ``columns``, P (a row
+    for a lockstep column of P), the u coefficient ``u_coef``, the activation
+    and a scratch block s are tiled to rows of one entry per member.
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        u = y[..., :m]
-        rho = y[..., m:m + 1]
-        du = -a * u + activation(u) @ wT + k * window(rho, eta) * u + J
-        if coupled:
-            if linear:
-                du -= P * (m * u - u.sum(axis=-1, keepdims=True))
-            else:
-                du -= P * u * _sigmoid(u, r, V).sum(axis=-1, keepdims=True)
-        drho = u @ gamma - b * rho[..., 0]
-        return np.concatenate([du, drho[..., None]], axis=-1)
-
-    return rhs
-
-
-def make_hebbian_rhs(p: HebbianParams):
-    """Vector-field closure for the Hebbian model; flat state y = (u, rho, w row-major).
-
-    Accepts batched states of shape (..., dim) and returns that shape.
-    ``p.P`` may be a scalar or an array, as for ``make_mhnn_rhs``.
-
-    The field is evaluated on a node-major (dim, members) block (see the
-    module docstring). When ``y.reshape(-1, dim).T`` is already contiguous,
-    as for a Fortran-ordered (count, dim) y, that view is the block and the
-    result is returned as a view of the same layout; any other y is copied in
-    and the result copied out member-major. The coefficients are tiled to
-    rows of one entry per member once per batch shape: broadcasting an (m, 1)
-    column costs more than the arithmetic on rows this short.
+    ``terms(s, dY, Y, f, *rows)`` writes the window's share of the u
+    coefficient into s, W f into dY[:m] and any weight derivatives into
+    dY[m+1:]. The frame adds du += c*u + J, with c = s + u coefficient (less
+    P*sum_j sigma(u_j) under weak coupling), then under linear coupling
+    P*(sum(u) - m*u), which vanishes exactly on a synchronized state, and sets
+    drho = gamma.u - b*rho. Both branches follow p.coupling_kind alone.
     """
     m, dim = p.m, p.dim
-    gamma, b, P = p.gamma, p.b, p.P
+    gamma, b, P, r, V = p.gamma, p.b, p.P, p.r, p.V
     coupled = bool(np.any(P != 0.0))
-    # k, eta and J per node, lam and -c per weight, as (rows, 1) columns
-    columns = [v.reshape(-1, 1) for v in (p.k, p.eta, p.J, p.lam, -p.c)]
+    linear = p.coupling_kind == "linear"
+    columns = [np.reshape(v, (-1, 1)) for v in [p.J] + columns]
     tiled: dict = {}
 
     def coefficients(lead: tuple) -> list:
-        """Tiled rows, u coefficient, P, activation and scratch block for a lead batch of members."""
+        """P, u coefficient, activation, scratch block and tiled rows for a lead batch of members."""
         rows = tiled.get(lead)
         if rows is None:
             n = math.prod(lead)
-            rows = [np.repeat(col, n, axis=1) for col in columns]
             P_row = np.broadcast_to(P, lead + (1,)).reshape(n) if np.ndim(P) else P
-            # the u coefficient of decay and coupling, -a - m*P, per member for a P column
-            rows.append(np.repeat(-p.a[:, None], n, axis=1) - m * P_row)
-            rows += [P_row, _activation_kernel(p.activations, members=n), np.empty((m, n))]
+            coef = np.repeat(u_coef[:, None], n, axis=1)
+            rows = [P_row, coef, _activation_kernel(p.activations, n), np.empty((m, n))]
+            rows += [np.repeat(col, n, axis=1) for col in columns]
             tiled.clear()          # keep the last batch shape only
             tiled[lead] = rows
         return rows
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        k, eta, J, lam, negc, coef, P_row, activation, s = coefficients(y.shape[:-1])
+        P_row, coef, activation, s, J, *rows = coefficients(y.shape[:-1])
         Y = y.reshape(-1, dim).T
         node_major = Y.flags.c_contiguous
-        Y = np.ascontiguousarray(Y)        # a copy only for member-major y
-        n = Y.shape[1]
-        u, rho, W = Y[:m], Y[m], Y[m + 1:]
+        Y = np.ascontiguousarray(Y, dtype=float)   # a copy only for member-major or non-float y
+        u, rho = Y[:m], Y[m]
         f = activation(u)
         dY = np.empty_like(Y)
-        du = dY[:m]
-        # du = W f + [k*rho*(eta - rho) + (-a - m*P)]*u + J + P*sum(u), with the
-        # Strukov-Williams window and both linear terms fused into one u coefficient
-        np.subtract(eta, rho, out=s)
-        s *= rho
-        s *= k
+        terms(s, dY, Y, f, *rows)
         s += coef
+        if coupled and not linear:
+            s -= P_row * np.add.reduce(_sigmoid(u, r, V), axis=0)
         s *= u
-        np.einsum("ijn,jn->in", W.reshape(m, m, n), f, out=du)
+        du = dY[:m]
         du += s
         du += J
-        if coupled:
-            du += P_row * np.add.reduce(u, axis=0)
+        if coupled and linear:
+            du += P_row * (np.add.reduce(u, axis=0) - m * u)
         drho = dY[m]
         np.einsum("in,i->n", u, gamma, out=drho)
         drho -= b * rho
-        dW = dY[m + 1:]
-        np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, n))
-        dW *= lam
-        dW += negc * W
         out = dY.T if node_major else np.ascontiguousarray(dY.T)
         return out.reshape(y.shape)
 
     return rhs
+
+
+def make_mhnn_rhs(p: MhnnParams):
+    """Vector-field closure for the mHNN; flat state y = (u, rho).
+
+    Accepts batched states of shape (..., m+1) in either layout and returns
+    that shape (see ``_node_major_field``). The quadratic window
+    k*(1 - eta*rho^2) enters as -k*eta*rho^2 in the scratch block and k in
+    the u coefficient k - a.
+    """
+    m, w = p.m, p.w
+
+    def terms(s, dY, Y, f, neg_keta):
+        np.multiply(neg_keta, Y[m], out=s)
+        s *= Y[m]
+        np.einsum("ij,jn->in", w, f, out=dY[:m])
+
+    return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms)
+
+
+def make_hebbian_rhs(p: HebbianParams):
+    """Vector-field closure for the Hebbian model; flat state y = (u, rho, w row-major).
+
+    Accepts batched states of shape (..., dim) in either layout and returns
+    that shape (see ``_node_major_field``). The weights are read from the
+    state: the Strukov-Williams window k*rho*(eta - rho) goes to the scratch
+    block, and dw_ij = -c_ij w_ij + lambda_ij f_i f_j.
+    """
+    m = p.m
+
+    def terms(s, dY, Y, f, k, eta, lam, negc):
+        rho, W = Y[m], Y[m + 1:]
+        np.subtract(eta, rho, out=s)
+        s *= rho
+        s *= k
+        np.einsum("ijn,jn->in", W.reshape(m, m, -1), f, out=dY[:m])
+        dW = dY[m + 1:]
+        np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, -1))
+        dW *= lam
+        dW += negc * W
+
+    return _node_major_field(p, -p.a, [p.k, p.eta, p.lam, -p.c], terms)
 
 
 def mhnn_rhs(p: MhnnParams, s: NetworkState) -> NetworkState:

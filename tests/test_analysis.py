@@ -469,6 +469,65 @@ class TestNodeMajorEnsemble:
         assert traj.states.shape == (len(seen), ens.count, p.m)
 
 
+class TestNodeMajorMhnnEnsemble:
+    """integrate_ensemble stores an mHNN ensemble node-major too, and the
+    lockstep sweep stacks its start node-major, with the member-major bits."""
+
+    @staticmethod
+    def spy_layouts(monkeypatch) -> set:
+        """(shape, whether node-major) of every state the mHNN field sees from here on."""
+        layouts = set()
+        make_real = analysis.make_mhnn_rhs
+
+        def spied(q):
+            rhs = make_real(q)
+            return lambda y: layouts.add(
+                (y.shape, np.moveaxis(y, -1, 0).flags.c_contiguous)) or rhs(y)
+
+        monkeypatch.setattr(analysis, "make_mhnn_rhs", spied)
+        return layouts
+
+    @pytest.mark.parametrize("coupling", ["weak-sigmoidal", "linear"])
+    def test_rk4_bitwise_the_member_major_run(self, monkeypatch, coupling):
+        rng = np.random.default_rng(48)
+        p = dataclasses.replace(draw_mhnn(rng, 8, coupling=coupling), P=1.0)
+        ens = EnsembleSpec(count=6, radius=3.0, seed=8)
+        cfg = IntegratorConfig(method="rk4-fixed", dt=5e-3, t_end=1.0, record_stride=3)
+        want = analysis.integrate(analysis.make_mhnn_rhs(p), analysis._initial_states(p, ens),
+                                  cfg, m=p.m)
+        layouts = self.spy_layouts(monkeypatch)
+        got = integrate_ensemble(p, cfg, ens)
+        assert layouts == {((ens.count, p.dim), True)}
+        assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("coupling", ["weak-sigmoidal", "linear"])
+    def test_rk45_report_bitwise_the_member_major_run(self, coupling):
+        # the record is C-ordered: at m = 8 a norm summed in a node-major
+        # record's memory order differs in the last bits from the C-ordered sum
+        rng = np.random.default_rng(50)
+        p = dataclasses.replace(draw_mhnn(rng, 8, coupling=coupling), P=1.0)
+        ens = EnsembleSpec(count=6, radius=3.0, seed=2)
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=2.0,
+                               abs_tol=1e-8, rel_tol=1e-8)
+        want = analysis.integrate(analysis.make_mhnn_rhs(p), analysis._initial_states(p, ens),
+                                  cfg, m=p.m)
+        got = integrate_ensemble(p, cfg, ens)
+        assert got.states.flags.c_contiguous
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.norm_sq_series(), want.norm_sq_series())
+        d = analysis.cst._derive(p)
+        ref = analysis._check_ensemble(p, want, ens, 0.3, d.p_star(0.3), d)
+        assert verify_guarantees(p, cfg, ens, 0.3).to_dict() == ref.to_dict()
+
+    def test_lockstep_start_is_node_major(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        p = draw_mhnn(rng, 3, coupling="linear")
+        ens = EnsembleSpec(count=4, radius=2.0, seed=5)
+        layouts = self.spy_layouts(monkeypatch)
+        sweep_coupling(p, IntegratorConfig(dt=2e-3, t_end=0.1), ens, [0.0, 1.0, 2.0], 0.3)
+        assert layouts == {((3, ens.count, p.dim), True)}
+
+
 class TestSweep:
     def test_rows_and_determinism(self):
         rng = np.random.default_rng(14)

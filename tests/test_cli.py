@@ -202,6 +202,34 @@ class TestValidationExits:
         assert f"config validation error: {field}: " in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["threshold", "simulate", "verify", "sweep"])
+    @pytest.mark.parametrize("key, value, field", [
+        ("integrator", '{"method": "rk45-adaptive", "dt": 1e-3, "t_end": 1e400}',
+         "integrator.t_end"),
+        ("integrator", '{"dt": 2e-3, "t_end": 1e400}', "integrator.t_end"),
+        ("P", "1e400", "P"),
+    ], ids=["t_end-rk45", "t_end-rk4", "P"])
+    def test_infinite_field_exit_3(self, tmp_path, capsys, command, key, value, field):
+        # JSON reads 1e400 as inf: an infinite rk45 t_end used to stop at a NaN
+        # time before the first step, and an infinite P printed "Infinity"
+        text = json.dumps(mhnn_config(**{key: "VALUE"})).replace('"VALUE"', value)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        extra = ["--p-values", "1,2"] if command == "sweep" else []
+        assert run([command, "--config", str(cfg_path)] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config validation error: {field}: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_infinite_sweep_value_exit_3(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, mhnn_config())
+        assert run(["sweep", "--config", cfg_path, "--p-values", "0.5,inf"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: P: " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
 

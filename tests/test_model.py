@@ -178,8 +178,8 @@ class TestMhnnRhs:
     @pytest.mark.parametrize("coupling", ["weak-sigmoidal", "linear"])
     def test_mixed_kinds_match_node_by_node(self, coupling):
         # every activation kind, each node with its own beta, on a (count, dim)
-        # batch: the batched field is bitwise the one built node by node from
-        # the public activation, window and sigmoid functions
+        # batch: the batched field is the one built node by node, one weight
+        # at a time, from np.tanh and np.sin
         kinds = ("sine-clamped", "tanh-scaled", "logistic-centered", "sine-clamped",
                  "logistic-centered", "tanh-scaled")
         rng = np.random.default_rng(31)
@@ -188,18 +188,7 @@ class TestMhnnRhs:
                      for kind, beta in zip(kinds, rng.uniform(0.5, 1.5, m)))
         p = dataclasses.replace(draw_mhnn(rng, m, coupling=coupling), activations=acts, P=0.7)
         y = rng.normal(scale=3.0, size=(7, p.dim))
-        u, rho = y[:, :m], y[:, m]
-        fvec = np.column_stack([activation_eval(act.kind, act.beta, u[:, j])
-                                for j, act in enumerate(acts)])
-        window = np.column_stack([window_eval("quadratic", rho, eta) for eta in p.eta])
-        du = -p.a * u + fvec @ np.ascontiguousarray(p.w.T) + p.k * window * u + p.J
-        if coupling == "linear":
-            du -= p.P * (m * u - u.sum(axis=-1, keepdims=True))
-        else:
-            gam = np.column_stack([sigmoid_gamma(u[:, j], p.r, p.V) for j in range(m)])
-            du -= p.P * u * gam.sum(axis=-1, keepdims=True)
-        expected = np.column_stack([du, u @ p.gamma - p.b * rho])
-        assert np.array_equal(make_mhnn_rhs(p)(y), expected)
+        assert_close(make_mhnn_rhs(p)(y), mhnn_node_by_node(p, y))
 
 
 class TestHebbianRhs:
@@ -230,14 +219,41 @@ class TestHebbianRhs:
             hebbian_rhs(mk_hebbian(), NetworkState(u=[0.0, 0.0], rho=0.0))
 
 
+SHAPES = {"tanh-scaled": np.tanh, "logistic-centered": lambda s: np.tanh(0.5 * s),
+          "sine-clamped": np.sin}
+
+
+def reference_activation(p, u):
+    """f of a (count, m) block, node by node from np.tanh and np.sin, not the package."""
+    return np.column_stack([act.beta * SHAPES[act.kind](u[:, j])
+                            for j, act in enumerate(p.activations)])
+
+
+def mhnn_node_by_node(p, y):
+    """The mHNN field of a (count, dim) batch at scalar p.P, node by node and
+    one weight at a time, with the sigmoid in its exponential form."""
+    m = p.m
+    u, rho = y[:, :m], y[:, m]
+    f = reference_activation(p, u)
+    node_sum = sum(u[:, j] for j in range(m))
+    sigmoid_sum = sum(1.0 / (1.0 + np.exp(-p.r * (u[:, j] - p.V))) for j in range(m))
+    coupling = [p.P * (m * u[:, i] - node_sum) if p.coupling_kind == "linear"
+                else p.P * u[:, i] * sigmoid_sum for i in range(m)]
+    du = np.column_stack([
+        -p.a[i] * u[:, i] + sum(p.w[i, j] * f[:, j] for j in range(m))
+        + p.k * (1.0 - p.eta[i] * rho**2) * u[:, i] + p.J[i] - coupling[i]
+        for i in range(m)])
+    drho = sum(p.gamma[i] * u[:, i] for i in range(m)) - p.b * rho
+    return np.column_stack([du, drho])
+
+
 def hebbian_node_by_node(p, y):
     """The Hebbian field of a (count, dim) batch at scalar p.P, node by node
-    from the public activation, one weight at a time."""
+    and one weight at a time."""
     m = p.m
     u, rho = y[:, :m], y[:, m]
     W = y[:, m + 1:].reshape(-1, m, m)
-    f = np.column_stack([activation_eval(act.kind, act.beta, u[:, j])
-                         for j, act in enumerate(p.activations)])
+    f = reference_activation(p, u)
     node_sum = sum(u[:, j] for j in range(m))
     du = np.column_stack([
         -p.a[i] * u[:, i] + sum(W[:, i, j] * f[:, j] for j in range(m))
@@ -358,7 +374,7 @@ class TestHebbianLayout:
 
 
 class TestHebbianFieldProperty:
-    """The fused Hebbian field against the node-by-node reference, over node
+    """The Hebbian field against the node-by-node reference, over node
     counts, batch sizes, activation mixes and the three forms of P."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -386,6 +402,114 @@ class TestHebbianFieldProperty:
             rhs = make_hebbian_rhs(p)
             got = rhs(y)
             assert_close(got, hebbian_node_by_node(p, y))
+            assert np.array_equal(rhs(np.asfortranarray(y)), got)
+
+
+COUPLINGS = ("weak-sigmoidal", "linear")
+
+
+def mixed_mhnn(m, seed, coupling):
+    """An mHNN draw with every activation kind and P = 0.7, and the generator after it."""
+    rng = np.random.default_rng(seed)
+    acts = tuple(ActivationSpec(TestHebbianBatch.KINDS[j % 3], float(beta))
+                 for j, beta in enumerate(rng.uniform(0.5, 1.5, m)))
+    return rng, dataclasses.replace(draw_mhnn(rng, m, coupling=coupling), activations=acts, P=0.7)
+
+
+class TestMhnnBatch:
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("m", [3, 8, 12])
+    def test_rows_independent_of_batch(self, m, coupling):
+        # a 10-row batch placed at every offset of a 40-row batch: each row of
+        # the field, and of a 200-step RK4 run at three offsets, is bitwise its
+        # value in the 10-row batch alone, for the drawn weights and three
+        # larger w and gamma draws (a last-bit change of W f or u.gamma can be
+        # lost next to the other terms when the product is small)
+        rng, p = mixed_mhnn(m, 120 + m, coupling)
+        y = rng.normal(scale=3.0, size=(10, p.dim))
+        others = rng.normal(scale=3.0, size=(40, p.dim))
+        stacked = []
+        for offset in range(31):
+            stacked.append(others.copy())
+            stacked[offset][offset:offset + 10] = y
+        cfg = IntegratorConfig(method="rk4-fixed", dt=1e-3, t_end=0.2)
+        for draw in range(4):
+            q = p if draw == 0 else dataclasses.replace(
+                p, w=rng.normal(scale=3.0, size=(m, m)), gamma=rng.normal(scale=3.0, size=m))
+            rhs = make_mhnn_rhs(q)
+            alone = rhs(y)
+            for offset, big in enumerate(stacked):
+                assert np.array_equal(rhs(big)[offset:offset + 10], alone), (draw, offset)
+            run = integrate(rhs, y, cfg)
+            for offset in (0, 13, 30):
+                states = integrate(rhs, stacked[offset], cfg).states
+                assert np.array_equal(states[:, offset:offset + 10], run.states), (draw, offset)
+
+
+class TestMhnnLayout:
+    """The mHNN field gives the same bits on member-major and node-major input,
+    and its output keeps the input's layout."""
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("n", [2, 7, 128])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_same_values_in_both_layouts(self, m, n, coupling):
+        rng, p = mixed_mhnn(m, 130 + m, coupling)
+        y = rng.normal(scale=3.0, size=(n, p.dim))
+        rhs = make_mhnn_rhs(p)
+        y_nm = np.asfortranarray(y)
+        got_c, got_nm = rhs(y), rhs(y_nm)
+        assert np.array_equal(got_nm, got_c)
+        assert got_c.flags.c_contiguous
+        assert got_nm.flags.f_contiguous and not got_nm.flags.c_contiguous
+        assert np.array_equal(y_nm, y)          # the input is read, not written
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_lockstep_batch_in_every_layout(self, m, coupling):
+        rng, p = mixed_mhnn(m, 140 + m, coupling)
+        P = np.array([0.0, 0.7, 25.0])
+        y = rng.normal(scale=3.0, size=(3, 10, p.dim))
+        rhs = make_mhnn_rhs(dataclasses.replace(p, P=P[:, None, None]))
+        want = rhs(y)
+        assert want.flags.c_contiguous
+        got = rhs(node_major(y))
+        assert np.array_equal(got, want)
+        assert np.shares_memory(node_major(got), got)   # still node-major, no copy made
+        assert np.array_equal(rhs(np.asfortranarray(y)), want)
+        for block, P_i in enumerate(P):
+            assert_close(want[block], mhnn_node_by_node(dataclasses.replace(p, P=P_i), y[block]))
+
+
+class TestMhnnFieldProperty:
+    """The mHNN field against the node-by-node reference, over couplings, node
+    counts, batch sizes, activation mixes and the three forms of P."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(coupling=st.sampled_from(COUPLINGS), m=st.integers(2, 12),
+           n=st.sampled_from([1, 2, 7, 33]), P_form=st.sampled_from(["zero", "scalar", "column"]),
+           draw=st.integers(0, 2**16), data=st.data())
+    def test_matches_node_by_node_in_both_layouts(self, coupling, m, n, P_form, draw, data):
+        acts = tuple(ActivationSpec(kind, beta) for kind, beta in data.draw(st.lists(
+            st.tuples(st.sampled_from(TestHebbianBatch.KINDS), st.floats(0.25, 2.0)),
+            min_size=m, max_size=m)))
+        rng = np.random.default_rng(draw)
+        p = dataclasses.replace(draw_mhnn(rng, m, coupling=coupling), activations=acts)
+        if P_form == "column":
+            P = np.array([0.0, 0.7, 25.0])
+            y = rng.normal(scale=3.0, size=(3, n, p.dim))
+            rhs = make_mhnn_rhs(dataclasses.replace(p, P=P[:, None, None]))
+            got = rhs(y)
+            for block, P_i in enumerate(P):
+                assert_close(got[block],
+                             mhnn_node_by_node(dataclasses.replace(p, P=P_i), y[block]))
+            assert np.array_equal(rhs(node_major(y)), got)
+        else:
+            p = dataclasses.replace(p, P=0.0 if P_form == "zero" else float(rng.uniform(0.1, 50)))
+            y = rng.normal(scale=3.0, size=(n, p.dim))
+            rhs = make_mhnn_rhs(p)
+            got = rhs(y)
+            assert_close(got, mhnn_node_by_node(p, y))
             assert np.array_equal(rhs(np.asfortranarray(y)), got)
 
 
