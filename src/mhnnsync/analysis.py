@@ -165,9 +165,10 @@ def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
 
 
 def _node_major(y: np.ndarray) -> np.ndarray:
-    """y stored with the state components outermost, so the fields read and
-    write it in place (see ``model``); its shape and values are unchanged."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1)
+    """y stored node-major, as a Fortran-ordered array of the same shape and
+    values: the fields read and write it in place (see ``model``), and the
+    steppers' arithmetic runs on it with numpy's contiguous loops."""
+    return np.asfortranarray(y)
 
 
 def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
@@ -399,8 +400,9 @@ def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
                      epsilon: float, p_star: float, d: cst._Derivation) -> list:
     """verify_guarantees for parameter sets that differ only in P, from one RK4 run.
 
-    The ensemble is stacked node-major on a leading P axis, a (len(swept),
-    count, dim) state, and the RHS takes a (len(swept), 1, 1) column of P.
+    The ensemble is stacked on a leading P axis, a (len(swept), count, dim)
+    state stored node-major (Fortran-ordered), and the RHS takes a
+    (len(swept), 1, 1) column of P.
     The field computes each member from its own state alone, so with count
     >= 2 each block is bitwise its own verify_guarantees run; a one-member
     verify sums over nodes in a numpy kernel of its own.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -266,7 +267,9 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="mhnnsync",
         description="Simulate memristive Hopfield networks and verify their "

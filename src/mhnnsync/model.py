@@ -15,11 +15,15 @@ All functions here are pure; parameter objects are treated as immutable after
 States have shape (..., dim), the components on the last axis. Both fields
 evaluate in one frame, on a node-major (dim, members) block, where u, rho and
 the Hebbian weights are contiguous rows of one value per member rather than
-strided columns. ``analysis`` stores every ensemble node-major, so the block
-is a view of the state and the result comes back in the same layout; other
-input is copied in and out, with bitwise the same values. Sums over nodes run
-elementwise (``np.einsum``, ``np.add.reduce``), not through BLAS, whose row
-blocking would make a member's last bits depend on the batch around it.
+strided columns. Node-major means Fortran-ordered, for a (count, dim)
+ensemble and a (len(P), count, dim) lockstep stack alike: the one node-major
+layout that numpy's contiguous loops recognise, so the integrator's stage
+arithmetic runs on contiguous arrays too. ``analysis`` stores every ensemble
+node-major, so the block is a view of the state and the result comes back
+in the same layout; other input is copied in and out, with bitwise the same
+values. Sums over nodes run elementwise (``np.einsum``, ``np.add.reduce``),
+not through BLAS, whose row blocking would make a member's last bits depend
+on the batch around it.
 Per-call numpy overhead, not arithmetic, sets the cost, so coefficients are
 tiled to rows once per batch shape and the decay, the window and weak
 coupling share one u coefficient.
@@ -335,11 +339,13 @@ class NetworkState:
 def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
-    The block is ``y.reshape(-1, dim).T`` itself when that view is contiguous
-    (node-major y), and the result is then returned in y's layout; other y is
-    copied in and out. Per batch shape, J, the model's ``columns``, P (a row
-    for a lockstep column of P), the u coefficient ``u_coef``, the activation
-    and a scratch block s are tiled to rows of one entry per member.
+    For Fortran-ordered (node-major) y the block is the view
+    ``y.reshape((-1, dim), order="F").T``, its members in Fortran order,
+    and the result is returned as a view in y's layout; other y is copied in
+    Fortran order and its result returned C-ordered. Per batch shape, J, the
+    model's ``columns``, P (a row in the same member order for a lockstep
+    column of P), the u coefficient ``u_coef``, the activation and a scratch
+    block s are tiled to rows of one entry per member.
 
     ``terms(s, dY, Y, f, *rows)`` writes the window's share of the u
     coefficient into s, W f into dY[:m] and any weight derivatives into
@@ -360,7 +366,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
         rows = tiled.get(lead)
         if rows is None:
             n = math.prod(lead)
-            P_row = np.broadcast_to(P, lead + (1,)).reshape(n) if np.ndim(P) else P
+            P_row = np.broadcast_to(P, lead + (1,)).reshape(n, order="F") if np.ndim(P) else P
             coef = np.repeat(u_coef[:, None], n, axis=1)
             rows = [P_row, coef, _activation_kernel(p.activations, n), np.empty((m, n))]
             rows += [np.repeat(col, n, axis=1) for col in columns]
@@ -370,9 +376,9 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
 
     def rhs(y: np.ndarray) -> np.ndarray:
         P_row, coef, activation, s, J, *rows = coefficients(y.shape[:-1])
-        Y = y.reshape(-1, dim).T
-        node_major = Y.flags.c_contiguous
-        Y = np.ascontiguousarray(Y, dtype=float)   # a copy only for member-major or non-float y
+        node_major = y.flags.f_contiguous
+        # a copy only for other layouts or non-float y
+        Y = np.asfortranarray(y, dtype=float).reshape((-1, dim), order="F").T
         u, rho = Y[:m], Y[m]
         f = activation(u)
         dY = np.empty_like(Y)
@@ -386,11 +392,14 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
         du += J
         if coupled and linear:
             du += P_row * (np.add.reduce(u, axis=0) - m * u)
+        # drho is not one einsum over (u, rho) with -b appended: for a single
+        # member einsum runs a lane-split dot product, which rounds m + 1
+        # terms differently from m terms less b*rho
         drho = dY[m]
         np.einsum("in,i->n", u, gamma, out=drho)
         drho -= b * rho
-        out = dY.T if node_major else np.ascontiguousarray(dY.T)
-        return out.reshape(y.shape)
+        dy = dY.T.reshape(y.shape, order="F")
+        return dy if node_major else np.ascontiguousarray(dy)
 
     return rhs
 

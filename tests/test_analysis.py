@@ -481,8 +481,7 @@ class TestNodeMajorMhnnEnsemble:
 
         def spied(q):
             rhs = make_real(q)
-            return lambda y: layouts.add(
-                (y.shape, np.moveaxis(y, -1, 0).flags.c_contiguous)) or rhs(y)
+            return lambda y: layouts.add((y.shape, y.flags.f_contiguous)) or rhs(y)
 
         monkeypatch.setattr(analysis, "make_mhnn_rhs", spied)
         return layouts
@@ -526,6 +525,38 @@ class TestNodeMajorMhnnEnsemble:
         layouts = self.spy_layouts(monkeypatch)
         sweep_coupling(p, IntegratorConfig(dt=2e-3, t_end=0.1), ens, [0.0, 1.0, 2.0], 0.3)
         assert layouts == {((3, ens.count, p.dim), True)}
+
+
+class TestLockstepLayout:
+    """A lockstep RK4 sweep hands the field node-major states only, and gets
+    node-major results back: no state is copied in or out of the field."""
+
+    @pytest.mark.parametrize("model", ["weak-sigmoidal", "linear", "hebbian"])
+    def test_every_state_is_fortran_ordered(self, monkeypatch, model):
+        rng = np.random.default_rng(51)
+        if model == "hebbian":
+            p, name = draw_hebbian(rng, 3), "make_hebbian_rhs"
+        else:
+            p, name = draw_mhnn(rng, 3, coupling=model), "make_mhnn_rhs"
+        ens = EnsembleSpec(count=4, radius=2.0, seed=5)
+        seen = []
+        make_real = getattr(analysis, name)
+
+        def spied(q):
+            rhs = make_real(q)
+
+            def field(y):
+                dy = rhs(y)
+                seen.append((y.shape, y.flags.f_contiguous, dy.flags.f_contiguous))
+                return dy
+            return field
+
+        monkeypatch.setattr(analysis, name, spied)
+        cfg = IntegratorConfig(dt=2e-3, t_end=0.1, record_stride=3)
+        rows = sweep_coupling(p, cfg, ens, [0.0, 1.0, 2.0], 0.3)
+        assert len(rows) == 3
+        assert len(seen) == 4 * 50                  # four calls per step, one lockstep run
+        assert set(seen) == {((3, ens.count, p.dim), True, True)}
 
 
 class TestSweep:

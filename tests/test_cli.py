@@ -384,3 +384,28 @@ class TestDefaults:
         assert run_cfg.integrator.t_end > run_cfg.integrator.dt
         assert run_cfg.ensemble.count >= 1
         assert run_cfg.epsilon > 0
+
+
+class TestParserCache:
+    def test_built_once_and_same_output_as_fresh_processes(self, tmp_path, capsys):
+        # the parser is cached per process; parsing one subcommand must not
+        # change what the next call parses or prints
+        cfg_path = write(tmp_path, mhnn_config())
+        calls = [["constants", "--config", cfg_path], ["threshold", "--config", cfg_path],
+                 ["frobnicate", "--config", cfg_path], ["threshold", "--config", cfg_path,
+                                                         "--epsilon", "0.25"]]
+        cli._build_parser.cache_clear()
+        in_process = []
+        for args in calls:
+            code = run(args)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for args, got in zip(calls, in_process):
+            proc = subprocess.run([sys.executable, "-m", "mhnnsync.cli"] + args,
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), args

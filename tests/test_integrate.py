@@ -289,6 +289,58 @@ class TestStepSizeUnderflow:
         assert "non-finite" in str(exc.value)
 
 
+LIMIT = integrate_module.BLOWUP_LIMIT
+BEYOND = np.nextafter(LIMIT, np.inf)
+METHODS = ("rk4-fixed", "rk45-adaptive")
+
+
+class TestBlowUpLimit:
+    """Both finite checks, RK4's after every step and DP5's on every accepted
+    state, keep |y| = BLOWUP_LIMIT and reject anything beyond it, NaN included."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("value, ok", [(LIMIT, True), (-LIMIT, True), (BEYOND, False),
+                                           (-BEYOND, False), (np.nan, False), (np.inf, False),
+                                           (-np.inf, False)])
+    def test_check_finite(self, value, ok, order):
+        y = np.zeros((3, 4), order=order)
+        y[1, 2] = value
+        if ok:
+            _check_finite(y, 0.5)
+        else:
+            with pytest.raises(BlowUpError) as exc:
+                _check_finite(y, 0.5)
+            assert exc.value.t == 0.5
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("value", [LIMIT, -LIMIT])
+    def test_state_at_the_limit_runs_to_the_end(self, method, value):
+        # y' = 0 keeps every state at y0
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=0.5)
+        traj = integrate(np.zeros_like, np.array([value, 0.5]), cfg)
+        assert traj.times[-1] == 0.5
+        assert np.all(traj.states == [value, 0.5])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("value", [BEYOND, -BEYOND])
+    def test_state_beyond_the_limit_raises_on_the_first_step(self, method, value):
+        # DP5 accepts the exact zero-error step, so its accept check raises
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=0.5)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(np.zeros_like, np.array([value, 0.5]), cfg)
+        assert type(exc.value) is BlowUpError
+        assert exc.value.t == 0.1
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_raises(self, method, value):
+        # a DP5 error estimate of inf - inf or NaN rejects every step, so the
+        # step size underflows, itself a BlowUpError
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=0.5)
+        with pytest.raises(BlowUpError):
+            integrate(np.zeros_like, np.array([value, 0.5]), cfg)
+
+
 class TestAttemptLimit:
     def test_stiff_decay_stops_at_the_limit(self, monkeypatch):
         # y' = -1e6 y needs about 3e5 stable DP5 steps to reach t = 1

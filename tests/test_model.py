@@ -336,7 +336,13 @@ class TestHebbianBatch:
 
 
 def node_major(y):
-    """y, same shape and values, stored with the state components outermost."""
+    """y, same shape and values, stored node-major: Fortran-ordered."""
+    return np.asfortranarray(y)
+
+
+def components_outermost(y):
+    """y with the components outermost but the members C-ordered: neither C- nor
+    F-contiguous for a lockstep stack, so the fields copy it in."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1)
 
 
@@ -361,7 +367,7 @@ class TestHebbianLayout:
     @pytest.mark.parametrize("m", [3, 6])
     def test_lockstep_batch_in_every_layout(self, m):
         # a (3, 10, dim) batch with one coupling strength per block, member-major,
-        # node-major and Fortran-ordered (which the field copies, as member-major)
+        # node-major and with the components outermost (which the field copies)
         rng, p = TestHebbianBatch().mixed(m, 100 + m)
         y = rng.normal(scale=3.0, size=(3, 10, p.dim))
         rhs = make_hebbian_rhs(dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None]))
@@ -370,7 +376,11 @@ class TestHebbianLayout:
         got = rhs(node_major(y))
         assert np.array_equal(got, want)
         assert np.shares_memory(node_major(got), got)   # still node-major, no copy made
-        assert np.array_equal(rhs(np.asfortranarray(y)), want)
+        other = components_outermost(y)
+        assert not (other.flags.c_contiguous or other.flags.f_contiguous)
+        got_other = rhs(other)
+        assert np.array_equal(got_other, want)
+        assert got_other.flags.c_contiguous
 
 
 class TestHebbianFieldProperty:
@@ -476,7 +486,11 @@ class TestMhnnLayout:
         got = rhs(node_major(y))
         assert np.array_equal(got, want)
         assert np.shares_memory(node_major(got), got)   # still node-major, no copy made
-        assert np.array_equal(rhs(np.asfortranarray(y)), want)
+        other = components_outermost(y)
+        assert not (other.flags.c_contiguous or other.flags.f_contiguous)
+        got_other = rhs(other)
+        assert np.array_equal(got_other, want)
+        assert got_other.flags.c_contiguous
         for block, P_i in enumerate(P):
             assert_close(want[block], mhnn_node_by_node(dataclasses.replace(p, P=P_i), y[block]))
 
