@@ -252,19 +252,46 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     A Hebbian run keeps only the (u, rho) columns of each recorded state; the
     weights are checked as each state is recorded and then dropped.
     """
+    p.validate()
     d = cst._derive(p)
-    p_star = d.p_star(epsilon)
-    if not isinstance(p, HebbianParams):
-        return _check_ensemble(p, integrate_ensemble(p, cfg, ens), ens, epsilon, p_star, d)
-    weights = _WeightCheck(p, d)
-    n = p.m + 1
+    return _verify_runs([p], cfg, ens, epsilon, d.p_star(epsilon), d)[0]
 
-    def keep_u_rho(y):
-        weights(y[..., n:])
-        return y[..., :n].copy()
 
-    batch = integrate_ensemble(p, cfg, ens, record=keep_u_rho)
-    return _check_ensemble(p, batch, ens, epsilon, p_star, d, weights)
+def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
+                 epsilon: float, p_star: float, d: cst._Derivation) -> list:
+    """verify_guarantees for parameter sets that differ only in P, from one run.
+
+    One parameter set runs as a (count, dim) ensemble stored node-major
+    (Fortran-ordered). Several run in lockstep: the ensemble is stacked on a
+    leading P axis, a (len(swept), count, dim) node-major state, and the RHS
+    takes a (len(swept), 1, 1) column of P. The field computes each member
+    from its own state alone, so with count >= 2 each block is bitwise its
+    own single run; a one-member run sums over nodes in a numpy kernel of
+    its own. For Hebbian parameters each block's weights are checked as they
+    are recorded and only the (u, rho) columns are kept. Returns one report
+    per parameter set, in the order of ``swept``.
+    """
+    first = swept[0]
+    y0 = _initial_states(first, ens)
+    if len(swept) > 1:
+        y0 = np.stack([y0] * len(swept))
+        first = dataclasses.replace(first, P=np.array([q.P for q in swept])[:, None, None])
+    checks = [None] * len(swept)
+    record = None
+    if isinstance(first, HebbianParams):
+        checks = [_WeightCheck(q, d) for q in swept]
+        n = first.m + 1
+
+        def record(y):
+            for check, w in zip(checks, y[..., n:].reshape(-1, ens.count, first.m**2)):
+                check(w)
+            return y[..., :n].copy()
+
+    batch = integrate(_make_rhs(first), _node_major(y0), cfg, m=first.m, record=record)
+    states = batch.states if len(swept) > 1 else batch.states[:, None]
+    return [_check_ensemble(q, dataclasses.replace(batch, states=states[:, i]),
+                            ens, epsilon, p_star, d, check)
+            for i, (q, check) in enumerate(zip(swept, checks))]
 
 
 def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
@@ -273,8 +300,9 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
     """The checks of verify_guarantees on the recorded ensemble ``batch`` of p, derived as ``d``.
 
     For Hebbian p, ``weights`` is the weight check already fed with every
-    recorded state of ``batch``; without it the weights are read from
-    ``batch``, which must then hold full states.
+    recorded state of ``batch``, as ``_verify_runs`` feeds it. Without it the
+    weights are read from ``batch``, which must then hold full states; only
+    the tests take that path, as a reference for the fed check.
     """
     dc = d.dc
     rate_theory = d.rate(p.P)
@@ -362,7 +390,7 @@ def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
 
     Every coupling value is validated before anything is integrated. A
     fixed-step sweep integrates all of them in one lockstep run (see
-    ``_verify_lockstep``). If that run blows up, and for the adaptive method,
+    ``_verify_runs``). If that run blows up, and for the adaptive method,
     whose step sizes depend on the whole batch, each value runs on its own and
     one that blows up gets an "error" row.
     """
@@ -373,17 +401,15 @@ def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
         q.validate()
     d = cst._derive(swept[0])
     p_star = d.p_star(epsilon)
-    if cfg.method == "rk4-fixed":
+    if cfg.method == "rk4-fixed" and len(swept) > 1:
         try:
-            return [_sweep_row(rep)
-                    for rep in _verify_lockstep(swept, cfg, ens, epsilon, p_star, d)]
+            return [_sweep_row(rep) for rep in _verify_runs(swept, cfg, ens, epsilon, p_star, d)]
         except BlowUpError:
             pass
     rows = []
     for q in swept:
         try:
-            rows.append(_sweep_row(_check_ensemble(q, integrate_ensemble(q, cfg, ens), ens,
-                                                   epsilon, p_star, d)))
+            rows.append(_sweep_row(_verify_runs([q], cfg, ens, epsilon, p_star, d)[0]))
         except BlowUpError:
             rows.append(SweepRow(P=q.P, deg_estimate=None, p_star=p_star,
                                  rate_theory=d.rate(q.P), rate_fitted=None, verdict="error"))
@@ -394,26 +420,3 @@ def _sweep_row(rep: SyncReport) -> SweepRow:
     return SweepRow(P=rep.p_used, deg_estimate=rep.deg_estimate, p_star=rep.p_star,
                     rate_theory=rep.rate_theory, rate_fitted=rep.fitted_rate,
                     verdict=rep.verdict)
-
-
-def _verify_lockstep(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
-                     epsilon: float, p_star: float, d: cst._Derivation) -> list:
-    """verify_guarantees for parameter sets that differ only in P, from one RK4 run.
-
-    The ensemble is stacked on a leading P axis, a (len(swept), count, dim)
-    state stored node-major (Fortran-ordered), and the RHS takes a
-    (len(swept), 1, 1) column of P.
-    The field computes each member from its own state alone, so with count
-    >= 2 each block is bitwise its own verify_guarantees run; a one-member
-    verify sums over nodes in a numpy kernel of its own.
-    """
-    first = swept[0]
-    column = np.array([q.P for q in swept])[:, None, None]
-    y0 = _initial_states(first, ens)
-    batch = integrate(_make_rhs(dataclasses.replace(first, P=column)),
-                      _node_major(np.stack([y0] * len(swept))), cfg,
-                      m=first.m, has_weights=isinstance(first, HebbianParams))
-    return [_check_ensemble(q, dataclasses.replace(batch, states=batch.states[:, i],
-                                                   params_digest=q.digest()),
-                            ens, epsilon, p_star, d)
-            for i, q in enumerate(swept)]

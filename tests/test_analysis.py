@@ -348,6 +348,16 @@ class TestCompactRecord:
     """A Hebbian verify keeps only (u, rho) per recorded step and checks the weights as
     they are recorded."""
 
+    @staticmethod
+    def lower_weight_margin(monkeypatch, p, weights):
+        """The proven weight bound holds on these runs; lower its margin so that
+        about 1 % of ``weights`` break it and every check path reports them."""
+        w0_sq = p.w0.ravel()**2
+        margin = float(np.quantile(weights**2 - w0_sq, 0.99))
+        derive_real = analysis.cst._derive
+        monkeypatch.setattr(analysis.cst, "_derive", lambda q: dataclasses.replace(
+            derive_real(q), weight_margin=margin))
+
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("cfg", [
         IntegratorConfig(method="rk4-fixed", dt=5e-3, t_end=2.0),
@@ -359,13 +369,7 @@ class TestCompactRecord:
         cfg = dataclasses.replace(cfg, record_stride=stride)
         ens = EnsembleSpec(count=4, radius=3.0, seed=5)
         full = integrate_ensemble(p, cfg, ens)
-        # the proven weight bound holds on this run; lower its margin so that
-        # about 1 % of the recorded weights break it and both paths report them
-        w0_sq = p.w0.ravel()**2
-        margin = float(np.quantile(full.states[..., p.m + 1:]**2 - w0_sq, 0.99))
-        derive_real = analysis.cst._derive
-        monkeypatch.setattr(analysis.cst, "_derive", lambda q: dataclasses.replace(
-            derive_real(q), weight_margin=margin))
+        self.lower_weight_margin(monkeypatch, p, full.states[..., p.m + 1:])
         runs = TestSweep.record_integrations(monkeypatch)
         rep = verify_guarantees(p, cfg, ens, 0.3)
         assert len(runs) == 1
@@ -610,10 +614,12 @@ class TestSweep:
         runs = self.record_integrations(monkeypatch)
         rows = sweep_coupling(p, cfg, ens, p_values, eps)
         assert len(runs) == 1
-        states = runs[0].states.reshape(len(runs[0]), len(p_values), ens.count, p.dim)
+        # a Hebbian run keeps the (u, rho) columns: its weights are checked as recorded
+        kept = runs[0].states.shape[-1]
+        states = runs[0].states.reshape(len(runs[0]), len(p_values), ens.count, kept)
         for i, P in enumerate(sorted(p_values)):
             single = integrate_ensemble(dataclasses.replace(p, P=P), cfg, ens)
-            assert np.array_equal(states[:, i], single.states)
+            assert np.array_equal(states[:, i], single.states[..., :kept])
         self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)
 
     def test_one_derivation_for_every_p(self, monkeypatch):
@@ -670,3 +676,45 @@ class TestSweep:
         rows = sweep_coupling(p, cfg, ens, p_values, eps)
         assert [run.states.shape[1:] for run in runs] == [(ens.count, p.dim)] * len(p_values)
         self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)
+
+
+class TestVerifyRuns:
+    """verify and both sweeps run and check through analysis._verify_runs: a Hebbian
+    run keeps (u, rho) and checks each P block's weights as they are recorded."""
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_hebbian_sweeps_keep_u_rho(self, monkeypatch, method):
+        rng = np.random.default_rng(52)
+        p = draw_hebbian(rng, 3)
+        cfg = IntegratorConfig(method=method, dt=1e-2, t_end=1.0, record_stride=2,
+                               abs_tol=1e-6, rel_tol=1e-6)
+        ens = EnsembleSpec(count=3, radius=2.0, seed=7)
+        runs = TestSweep.record_integrations(monkeypatch)
+        sweep_coupling(p, cfg, ens, [0.0, 1.0, 2.0], 0.3)
+        if method == "rk4-fixed":
+            assert [run.states.shape[1:] for run in runs] == [(3, ens.count, p.m + 1)]
+        else:
+            assert [run.states.shape[1:] for run in runs] == [(ens.count, p.m + 1)] * 3
+        assert not any(run.has_weights for run in runs)
+
+    def test_lockstep_blocks_equal_verifies_with_weight_violations(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        p = draw_hebbian(rng, 3)
+        cfg = IntegratorConfig(dt=5e-3, t_end=2.0, record_stride=3)
+        ens = EnsembleSpec(count=4, radius=3.0, seed=5)
+        swept = [dataclasses.replace(p, P=P) for P in (0.0, 0.5, 2.0)]
+        full = [integrate_ensemble(q, cfg, ens) for q in swept]
+        TestCompactRecord.lower_weight_margin(
+            monkeypatch, p, np.stack([run.states[..., p.m + 1:] for run in full]))
+        d = analysis.cst._derive(p)
+        p_star = d.p_star(0.3)
+        reps = analysis._verify_runs(swept, cfg, ens, 0.3, p_star, d)
+        assert len(reps) == len(swept)
+        with_weights = 0
+        for q, run, rep in zip(swept, full, reps):
+            assert rep.to_dict() == verify_guarantees(q, cfg, ens, 0.3).to_dict()
+            # and the reference that reads the weights from the full record
+            assert rep.to_dict() == analysis._check_ensemble(q, run, ens, 0.3, p_star,
+                                                             d).to_dict()
+            with_weights += any(v.check == "weight" for v in rep.violations)
+        assert with_weights >= 2

@@ -256,6 +256,16 @@ class TestBlowUpExit:
         assert err.startswith("mhnnsync: adaptive step size h = ")
         assert err.count("\n") == 1
 
+    def test_rk4_overflow_prints_no_warning(self, tmp_path, capsys):
+        # the first RK4 stage at P = 1e80 overflows inside the field
+        cfg = mhnn_config(P=1e80, integrator={"method": "rk4-fixed", "dt": 1e-3, "t_end": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--config", write(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("mhnnsync: non-finite or |component| > ")
+        assert err.count("\n") == 1
+
     def test_attempt_limit_exit_4(self, tmp_path, capsys, monkeypatch):
         # a budget of 5 attempts ends this 6-time-unit Hebbian verify early
         monkeypatch.setattr(importlib.import_module("mhnnsync.integrate"),

@@ -109,6 +109,17 @@ class TestDerivedConstants:
         with pytest.raises(ParameterError):
             derive_constants(mk_hebbian(a=[0.4, 0.4], k=[1.0, 1.0]))
 
+    @pytest.mark.xfail(strict=True, reason="the Hebbian bar on a uses eta_min, where the "
+                                           "window peaks at k eta_max^2 / 4")
+    def test_hebbian_bar_uses_largest_eta(self):
+        # this set passes today with G = 174.08, yet a DP5 run from
+        # (0, 0, 0.1, rho = 1.5, w = 0) drives ||g||^2 to 4.0e19 by t = 10
+        p = HebbianParams(m=3, a=0.3, b=0.2, k=2, eta=(0.2, 1, 3), c=1,
+                          J=0, gamma=0, lam=0, w0=0)
+        with pytest.raises(ParameterError) as err:
+            p.validate()
+        assert err.value.field == "a"
+
     def test_bounds_exceed_one_on_random_draws(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
