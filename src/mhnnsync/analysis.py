@@ -249,8 +249,9 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     the gap envelope from one sample past ball entry, and (Hebbian only) the
     weight ultimate bound. Envelope violations are reported, not raised.
 
-    A Hebbian run keeps only the (u, rho) columns of each recorded state; the
-    weights are checked as each state is recorded and then dropped.
+    A Hebbian run keeps two numbers per member of each recorded state, its
+    ||g||^2 and its pairwise gap; the weights are checked as each state is
+    recorded and then dropped.
     """
     p.validate()
     d = cst._derive(p)
@@ -267,30 +268,48 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     takes a (len(swept), 1, 1) column of P. The field computes each member
     from its own state alone, so with count >= 2 each block is bitwise its
     own single run; a one-member run sums over nodes in a numpy kernel of
-    its own. For Hebbian parameters each block's weights are checked as they
-    are recorded and only the (u, rho) columns are kept. Returns one report
-    per parameter set, in the order of ``swept``.
+    its own.
+
+    For Hebbian parameters the record hook checks each block's weights and
+    keeps, per member, the two series the checks read: ||g||^2 and the
+    pairwise gap, with the bits of ``norm_sq_series`` and
+    ``pairwise_gap_series``. An mHNN state is (u, rho) only, so it is kept
+    whole and reduced after the run. Returns one report per parameter set,
+    in the order of ``swept``.
     """
     first = swept[0]
     y0 = _initial_states(first, ens)
     if len(swept) > 1:
         y0 = np.stack([y0] * len(swept))
         first = dataclasses.replace(first, P=np.array([q.P for q in swept])[:, None, None])
-    checks = [None] * len(swept)
     record = None
     if isinstance(first, HebbianParams):
         checks = [_WeightCheck(q, d) for q in swept]
-        n = first.m + 1
+        m = first.m
 
         def record(y):
-            for check, w in zip(checks, y[..., n:].reshape(-1, ens.count, first.m**2)):
+            for check, w in zip(checks, y[..., m + 1:].reshape(-1, ens.count, m * m)):
                 check(w)
-            return y[..., :n].copy()
+            kept = np.empty(y.shape[:-1] + (2,))
+            # the bits of norm_sq_series on the C-ordered record: numpy sums a
+            # contiguous last axis pairwise but the node axis of this
+            # node-major state term by term, which differs from 9 terms on
+            kept[..., 0] = np.sum(np.square(y[..., :m + 1], order="C"), axis=-1)
+            # the values of pairwise_gap_series, whose column loop is slower
+            # here: the nodes are this state's slow axis
+            u = y[..., :m]
+            np.subtract(np.maximum.reduce(u, axis=-1), np.minimum.reduce(u, axis=-1),
+                        out=kept[..., 1])
+            return kept
 
     batch = integrate(_make_rhs(first), _node_major(y0), cfg, m=first.m, record=record)
     states = batch.states if len(swept) > 1 else batch.states[:, None]
-    return [_check_ensemble(q, dataclasses.replace(batch, states=states[:, i]),
-                            ens, epsilon, p_star, d, check)
+    if record is None:
+        return [_check_ensemble(q, dataclasses.replace(batch, states=states[:, i]),
+                                ens, epsilon, p_star, d)
+                for i, q in enumerate(swept)]
+    return [_check_series(q, batch.times, states[:, i, :, 0], states[:, i, :, 1],
+                          ens, epsilon, p_star, d, check)
             for i, (q, check) in enumerate(zip(swept, checks))]
 
 
@@ -299,18 +318,31 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
                     weights: Optional[_WeightCheck] = None) -> SyncReport:
     """The checks of verify_guarantees on the recorded ensemble ``batch`` of p, derived as ``d``.
 
-    For Hebbian p, ``weights`` is the weight check already fed with every
-    recorded state of ``batch``, as ``_verify_runs`` feeds it. Without it the
-    weights are read from ``batch``, which must then hold full states; only
-    the tests take that path, as a reference for the fed check.
+    For Hebbian p, ``weights`` is a weight check already fed with every
+    recorded state of ``batch``. Without it the weights are read from
+    ``batch``, which must then hold full states. verify reaches this only
+    for the mHNN; the tests use it as the full-record reference.
     """
+    if isinstance(p, HebbianParams) and weights is None:
+        # one record at a time, as verify feeds it: a whole-batch call
+        # would build an (n, count, m*m) square beside the record
+        weights = _WeightCheck(p, d)
+        for y in batch.states:
+            weights(y[..., p.m + 1:])
+    return _check_series(p, batch.times, batch.norm_sq_series(), pairwise_gap_series(batch),
+                         ens, epsilon, p_star, d, weights)
+
+
+def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.ndarray,
+                  ens: EnsembleSpec, epsilon: float, p_star: float, d: cst._Derivation,
+                  weights: Optional[_WeightCheck]) -> SyncReport:
+    """The checks of verify_guarantees on an ensemble's (n, count) series of
+    ||g||^2 and pairwise gap at ``times``, plus, when given, the weight check
+    fed with every recorded state."""
     dc = d.dc
     rate_theory = d.rate(p.P)
     residual = d.residual(p.P)
 
-    times = batch.times
-    norm_sq = batch.norm_sq_series()           # (n, count)
-    gaps = pairwise_gap_series(batch)          # (n, count)
     gap_sq = gaps**2
     rows = np.arange(len(times))[:, None]
     members = np.arange(ens.count)
@@ -330,16 +362,8 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
     gap_bad = (gap_sq > genv + _tolerance(genv)) & (rows > entry) & entered
     flagged = dissipative_bad.any(axis=0) | gap_bad.any(axis=0)
     # (iii) Hebbian weight ultimate bound
-    weight_bad: dict = {}
-    if isinstance(p, HebbianParams):
-        if weights is None:
-            # one record at a time, as verify feeds it: a whole-batch call
-            # would build an (n, count, m*m) square beside the record
-            weights = _WeightCheck(p, d)
-            for y in batch.states:
-                weights(y[..., p.m + 1:])
-        weight_bad = weights.violations(times)
-        flagged[list(weight_bad)] = True
+    weight_bad = weights.violations(times) if weights is not None else {}
+    flagged[list(weight_bad)] = True
 
     entry_times: list = []
     violations: list = []

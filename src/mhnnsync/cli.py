@@ -3,7 +3,7 @@
 Subcommands: constants, threshold, simulate, verify, sweep. Configs and
 reports are JSON; trajectories and sweeps are CSV. Exit codes: 0 success,
 1 verification verdict fail, 2 config parse error, 3 config validation error,
-4 numerical blow-up, 64 unknown subcommand.
+4 numerical blow-up, 64 unknown subcommand, 73 output path cannot be written.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -30,6 +32,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BLOWUP = 4
 EXIT_USAGE = 64
+EXIT_CANTCREAT = 73
 
 _COUPLING_ALIASES = {"weak": "weak-sigmoidal", "weak-sigmoidal": "weak-sigmoidal",
                      "linear": "linear"}
@@ -146,8 +149,8 @@ def load_config(path: str, *, model_override: Optional[str] = None,
 
     epsilon = (float(epsilon_override) if epsilon_override is not None
                else _field(cfg, "epsilon", float, 0.1))
-    if not (epsilon > 0):
-        raise ParameterError("epsilon", "prescribed gap epsilon must be positive")
+    if not (0 < epsilon < math.inf):
+        raise ParameterError("epsilon", "prescribed gap epsilon must be positive and finite")
 
     ens_cfg = _block(cfg, "ensemble")
     ensemble = analysis.EnsembleSpec(
@@ -178,6 +181,18 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     integrator.validate()
     return RunConfig(model=model, parameters=params, integrator=integrator,
                      ensemble=ensemble, epsilon=epsilon)
+
+
+def _output_problem(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or None; found without creating or truncating it."""
+    if os.path.isdir(path):
+        return "is a directory"
+    if os.path.exists(path):
+        return None if os.access(path, os.W_OK) else "permission denied"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return "no such directory"
+    return None if os.access(parent, os.W_OK | os.X_OK) else "permission denied"
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -319,6 +334,11 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"mhnnsync: config validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # checked before anything is integrated, so that a long run is not lost
+    problem = _output_problem(args.output) if args.output else None
+    if problem is not None:
+        print(f"mhnnsync: cannot write output {args.output}: {problem}", file=sys.stderr)
+        return EXIT_CANTCREAT
     try:
         return _HANDLERS[args.command](run, args)
     except ParameterError as exc:

@@ -165,8 +165,8 @@ class _Derivation:
         return self.numerator / (self.decay * self.B + self.m * P)
 
     def p_star(self, epsilon: float) -> float:
-        if not (epsilon > 0):
-            raise ParameterError("epsilon", "prescribed gap epsilon must be positive")
+        if not (0 < epsilon < math.inf):
+            raise ParameterError("epsilon", "prescribed gap epsilon must be positive and finite")
         p_star = self.numerator / (self.m * epsilon)
         if not math.isfinite(p_star):
             raise ParameterError(

@@ -20,11 +20,12 @@ copy.
 Each recorded state (the initial one, every record_stride-th accepted step
 and the last) passes through a record hook, and the trajectory keeps what the
 hook returns. By default the hook keeps the state itself. A hook may instead
-keep a copy of some columns and consume the rest on the spot, as
-verify_guarantees does for the Hebbian weights. DP5 reuses the buffer of a
-state for a later step unless the kept record shares memory with it, so a
-copying hook lets a run go without one new state buffer per record; a hook
-must hold no other reference into the state it is given.
+reduce the state on the spot and keep a new, smaller array, as
+verify_guarantees does for a Hebbian ensemble: it checks the weights and
+keeps two numbers per member, ||g||^2 and the pairwise gap. DP5 reuses the
+buffer of a state for a later step unless the kept record shares memory with
+it, so such a hook lets a run go without one new state buffer per record; a
+hook must hold no other reference into the state it is given.
 
 A DP5 run that attempts MAX_ADAPTIVE_ATTEMPTS steps without reaching t_end
 ends in AttemptLimitError, a BlowUpError: a stiff system can otherwise need
@@ -126,7 +127,7 @@ class Trajectory:
     ``states`` has shape (n_recorded, dim), or (n_recorded, *batch, dim) for
     batched runs. For network states the flat layout is (u_1..u_m, rho) with
     the row-major weight matrix appended for the Hebbian model. A run with a
-    record hook holds what the hook kept, such as the (u, rho) columns only.
+    record hook holds what the hook kept, such as two numbers per member.
     """
 
     times: np.ndarray

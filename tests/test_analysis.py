@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,8 +346,15 @@ class TestVectorizedChecks:
 
 
 class TestCompactRecord:
-    """A Hebbian verify keeps only (u, rho) per recorded step and checks the weights as
-    they are recorded."""
+    """A Hebbian verify keeps two numbers per member per recorded step, ||g||^2 and the
+    pairwise gap, and checks the weights as they are recorded."""
+
+    @staticmethod
+    def assert_series_kept(kept, full):
+        """``kept`` holds, bitwise, the two series the checks read from the full record."""
+        assert kept.shape == full.states.shape[:-1] + (2,)
+        assert np.array_equal(kept[..., 0], full.norm_sq_series())
+        assert np.array_equal(kept[..., 1], pairwise_gap_series(full))
 
     @staticmethod
     def lower_weight_margin(monkeypatch, p, weights):
@@ -373,8 +381,7 @@ class TestCompactRecord:
         runs = TestSweep.record_integrations(monkeypatch)
         rep = verify_guarantees(p, cfg, ens, 0.3)
         assert len(runs) == 1
-        assert runs[0].states.shape == full.states.shape[:-1] + (p.m + 1,)
-        assert np.array_equal(runs[0].states, full.states[..., :p.m + 1])
+        self.assert_series_kept(runs[0].states, full)
         assert np.array_equal(runs[0].times, full.times)
         d = analysis.cst._derive(p)
         want = analysis._check_ensemble(p, full, ens, 0.3, d.p_star(0.3), d)
@@ -614,12 +621,14 @@ class TestSweep:
         runs = self.record_integrations(monkeypatch)
         rows = sweep_coupling(p, cfg, ens, p_values, eps)
         assert len(runs) == 1
-        # a Hebbian run keeps the (u, rho) columns: its weights are checked as recorded
-        kept = runs[0].states.shape[-1]
-        states = runs[0].states.reshape(len(runs[0]), len(p_values), ens.count, kept)
+        # a Hebbian run keeps ||g||^2 and the gap: its weights are checked as recorded
+        states = runs[0].states
         for i, P in enumerate(sorted(p_values)):
             single = integrate_ensemble(dataclasses.replace(p, P=P), cfg, ens)
-            assert np.array_equal(states[:, i], single.states[..., :kept])
+            if model == "hebbian":
+                TestCompactRecord.assert_series_kept(states[:, i], single)
+            else:
+                assert np.array_equal(states[:, i], single.states)
         self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)
 
     def test_one_derivation_for_every_p(self, monkeypatch):
@@ -680,21 +689,28 @@ class TestSweep:
 
 class TestVerifyRuns:
     """verify and both sweeps run and check through analysis._verify_runs: a Hebbian
-    run keeps (u, rho) and checks each P block's weights as they are recorded."""
+    run keeps ||g||^2 and the pairwise gap per member and checks each P block's
+    weights as they are recorded."""
 
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
-    def test_hebbian_sweeps_keep_u_rho(self, monkeypatch, method):
+    def test_hebbian_sweeps_keep_two_series(self, monkeypatch, method):
         rng = np.random.default_rng(52)
         p = draw_hebbian(rng, 3)
         cfg = IntegratorConfig(method=method, dt=1e-2, t_end=1.0, record_stride=2,
                                abs_tol=1e-6, rel_tol=1e-6)
         ens = EnsembleSpec(count=3, radius=2.0, seed=7)
+        p_values = [0.0, 1.0, 2.0]
+        full = [integrate_ensemble(dataclasses.replace(p, P=P), cfg, ens) for P in p_values]
         runs = TestSweep.record_integrations(monkeypatch)
-        sweep_coupling(p, cfg, ens, [0.0, 1.0, 2.0], 0.3)
+        sweep_coupling(p, cfg, ens, p_values, 0.3)
         if method == "rk4-fixed":
-            assert [run.states.shape[1:] for run in runs] == [(3, ens.count, p.m + 1)]
+            assert len(runs) == 1
+            kept = [runs[0].states[:, i] for i in range(len(p_values))]
         else:
-            assert [run.states.shape[1:] for run in runs] == [(ens.count, p.m + 1)] * 3
+            assert len(runs) == len(p_values)
+            kept = [run.states for run in runs]
+        for series, run in zip(kept, full):
+            TestCompactRecord.assert_series_kept(series, run)
         assert not any(run.has_weights for run in runs)
 
     def test_lockstep_blocks_equal_verifies_with_weight_violations(self, monkeypatch):
@@ -718,3 +734,71 @@ class TestVerifyRuns:
                                                              d).to_dict()
             with_weights += any(v.check == "weight" for v in rep.violations)
         assert with_weights >= 2
+
+
+class TestWideHebbianRecord:
+    """At m = 9 the kept ||g||^2 sums 10 squares. numpy sums a contiguous last axis
+    pairwise but the node axis of a node-major state term by term, and from 9 terms
+    on the two orders differ in the last bits."""
+
+    EPS = 0.3
+
+    def test_verify_and_lockstep_sweep_equal_full_record(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        p = draw_hebbian(rng, 9)
+        ens = EnsembleSpec(count=4, radius=3.0, seed=6)
+        d = analysis.cst._derive(p)
+        p_star = d.p_star(self.EPS)
+        swept = [dataclasses.replace(p, P=P) for P in (0.0, 2 * p_star)]
+        rk4 = IntegratorConfig(dt=5e-3, t_end=1.0)
+        rk45 = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=1.0,
+                                abs_tol=1e-7, rel_tol=1e-7)
+        # a dissipative envelope of half each member's initial ||g||^2, so that the
+        # reports list ||g||^2 values
+        monkeypatch.setattr(analysis.cst, "dissipative_envelope",
+                            lambda dc, t, g0: 0.0 * t + 0.5 * g0)
+        full = {(cfg.method, q.P): integrate_ensemble(q, cfg, ens)
+                for cfg in (rk4, rk45) for q in swept}
+        runs = TestSweep.record_integrations(monkeypatch)
+        lockstep = analysis._verify_runs(swept, rk4, ens, self.EPS, p_star, d)
+        TestCompactRecord.assert_series_kept(runs[0].states[:, 1], full["rk4-fixed", 2 * p_star])
+        for i, q in enumerate(swept):
+            want = analysis._check_ensemble(q, full["rk4-fixed", q.P], ens, self.EPS,
+                                            p_star, d).to_dict()
+            assert any(v["check"] == "dissipative" for v in want["violations"])
+            assert lockstep[i].to_dict() == want
+        for cfg in (rk4, rk45):
+            for q in swept:
+                runs.clear()
+                rep = verify_guarantees(q, cfg, ens, self.EPS)
+                TestCompactRecord.assert_series_kept(runs[0].states, full[cfg.method, q.P])
+                want = analysis._check_ensemble(q, full[cfg.method, q.P], ens, self.EPS,
+                                                p_star, d)
+                assert rep.to_dict() == want.to_dict()
+
+
+class TestHebbianVerifyMemory:
+    """A Hebbian verify keeps two doubles per member per record, so its peak memory
+    per record and member does not grow with m."""
+
+    @staticmethod
+    def peak_doubles_per_record_member(m):
+        rng = np.random.default_rng(60)
+        p = draw_hebbian(rng, m)
+        p = dataclasses.replace(p, P=2 * analysis.cst._derive(p).p_star(0.3))
+        cfg = IntegratorConfig(dt=1e-3, t_end=1.0)           # 1,001 records
+        ens = EnsembleSpec(count=32, radius=3.0, seed=1)
+        verify_guarantees(p, cfg, ens, 0.3)   # warm-up: first calls allocate caches
+        tracemalloc.start()
+        try:
+            verify_guarantees(p, cfg, ens, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 8 / 1001 / ens.count
+
+    def test_peak_does_not_grow_with_m(self):
+        narrow = self.peak_doubles_per_record_member(4)
+        wide = self.peak_doubles_per_record_member(9)
+        assert wide < 10
+        assert abs(wide - narrow) <= 0.05 * narrow

@@ -230,6 +230,26 @@ class TestValidationExits:
         assert "validation error: P: " in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, value, override", [
+        pytest.param(command, "1e400", [], id=f"{command}-config")
+        for command in ("constants", "threshold", "verify", "sweep")
+    ] + [
+        pytest.param(command, "0.5", ["--epsilon", "inf"], id=f"{command}-override")
+        for command in ("threshold", "verify", "sweep")
+    ])
+    def test_infinite_epsilon_exit_3(self, tmp_path, capsys, command, value, override):
+        # an infinite epsilon (JSON reads 1e400 as inf) used to exit 0 with
+        # "epsilon": Infinity, which is not JSON, and a vacuous p_star of 0.0
+        text = json.dumps(mhnn_config(epsilon="VALUE")).replace('"VALUE"', value)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        extra = ["--p-values", "1,2"] if command == "sweep" else []
+        assert run([command, "--config", str(cfg_path)] + override + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config validation error: epsilon: " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
 
@@ -275,6 +295,46 @@ class TestBlowUpExit:
         err = capsys.readouterr().err
         assert err.startswith("mhnnsync: rk45-adaptive attempted 5 steps and reached only t = ")
         assert err.count("\n") == 1
+
+
+class TestOutputPath:
+    """An --output that cannot be written exits 73 before anything is computed."""
+
+    @pytest.mark.parametrize("command", ["constants", "threshold", "simulate", "verify",
+                                         "sweep"])
+    @pytest.mark.parametrize("target, reason", [("no/such/dir/x.json", "no such directory"),
+                                                (".", "is a directory")],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_output_exit_73(self, tmp_path, capsys, monkeypatch, command,
+                                       target, reason):
+        cfg_path = write(tmp_path, hebbian_config())
+        out = str(tmp_path / target)
+        runs = []
+        monkeypatch.setattr(cli.analysis, "integrate", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: runs.append(a))
+        extra = ["--p-values", "1,2"] if command == "sweep" else []
+        assert run([command, "--config", cfg_path, "--output", out] + extra) == 73
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mhnnsync: cannot write output {out}: {reason}\n"
+        assert runs == []
+
+    def test_existing_output_kept_until_written(self, tmp_path):
+        # the check neither truncates nor creates the file: a run that fails
+        # before writing leaves an existing file as it was and makes no new one
+        cfg_path = write(tmp_path, mhnn_config())
+        out = tmp_path / "sweep.csv"
+        out.write_text("kept\n")
+        assert run(["sweep", "--config", cfg_path, "--p-values", "0.5,inf",
+                    "--output", str(out)]) == 3
+        assert out.read_text() == "kept\n"
+        fresh = tmp_path / "fresh.csv"
+        assert run(["sweep", "--config", cfg_path, "--p-values", "0.5,inf",
+                    "--output", str(fresh)]) == 3
+        assert not fresh.exists()
+        assert run(["sweep", "--config", cfg_path, "--p-values", "0.5",
+                    "--output", str(out)]) == 0
+        assert out.read_text().startswith("P,deg_estimate,")
 
 
 class TestStepLimit:

@@ -189,6 +189,14 @@ class TestThreshold:
         with pytest.raises(ParameterError):
             threshold(mk_mhnn(), 0.0)
 
+    @pytest.mark.parametrize("model", ["mhnn", "hebbian"])
+    def test_rejects_infinite_epsilon(self, model):
+        # p_star = N*B/(m*epsilon) would be 0.0 at epsilon = inf: a vacuous guarantee
+        p = mk_mhnn() if model == "mhnn" else draw_hebbian(np.random.default_rng(3), 3)
+        with pytest.raises(ParameterError) as err:
+            threshold(p, math.inf)
+        assert err.value.field == "epsilon"
+
 
 class TestEnvelopes:
     def test_dissipative_t_zero_unit_scale(self):
