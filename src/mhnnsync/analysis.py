@@ -18,7 +18,8 @@ import numpy as np
 
 from . import constants as cst
 from .integrate import BlowUpError, IntegratorConfig, Trajectory, integrate
-from .model import HebbianParams, MhnnParams, ParameterError, make_hebbian_rhs, make_mhnn_rhs
+from .model import (HebbianParams, MhnnParams, ParameterError, as_integer, make_hebbian_rhs,
+                    make_mhnn_rhs)
 
 Params = Union[MhnnParams, HebbianParams]
 
@@ -37,10 +38,13 @@ class EnsembleSpec:
     tail_fraction: float = 0.2
 
     def validate(self) -> None:
+        """Checks every field; count and seed are kept as ints."""
+        self.count = as_integer(self.count, "ensemble.count")
         if not (self.count >= 1):
             raise ParameterError("ensemble.count", "ensemble count must be >= 1")
         if not (0 < self.radius < math.inf):
             raise ParameterError("ensemble.radius", "sampling radius must be positive and finite")
+        self.seed = as_integer(self.seed, "ensemble.seed")
         if not (self.seed >= 0):
             raise ParameterError("ensemble.seed", "seed must be a nonnegative integer")
         if not (0 < self.tail_fraction < 1):
@@ -164,13 +168,6 @@ def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
     return ball
 
 
-def _node_major(y: np.ndarray) -> np.ndarray:
-    """y stored node-major, as a Fortran-ordered array of the same shape and
-    values: the fields read and write it in place (see ``model``), and the
-    steppers' arithmetic runs on it with numpy's contiguous loops."""
-    return np.asfortranarray(y)
-
-
 def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
                        record=None) -> Trajectory:
     """Batched trajectory for a seeded ensemble of initial states.
@@ -178,13 +175,13 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
     For the Hebbian model the (u, rho) block is sampled in the ball and every
     member starts from the same initial weight matrix p.w0. ``record`` is
     passed on to ``integrate``; a run with a record hook keeps what the hook
-    returns, so its trajectory is marked as holding no weights. The ensemble
-    is stored node-major, as a Fortran-ordered (count, dim) array; the states
-    keep their logical (count, dim) shape.
+    returns, so its trajectory is marked as holding no weights. ``integrate``
+    holds the ensemble node-major for the run; the hook and the record see
+    the logical (count, dim) shape.
     """
     p.validate()
     ens.validate()
-    return integrate(_make_rhs(p), _node_major(_initial_states(p, ens)), cfg,
+    return integrate(_make_rhs(p), _initial_states(p, ens), cfg,
                      params_digest=p.digest(), m=p.m,
                      has_weights=isinstance(p, HebbianParams) and record is None,
                      record=record)
@@ -262,13 +259,13 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
                  epsilon: float, p_star: float, d: cst._Derivation) -> list:
     """verify_guarantees for parameter sets that differ only in P, from one run.
 
-    One parameter set runs as a (count, dim) ensemble stored node-major
-    (Fortran-ordered). Several run in lockstep: the ensemble is stacked on a
-    leading P axis, a (len(swept), count, dim) node-major state, and the RHS
-    takes a (len(swept), 1, 1) column of P. The field computes each member
-    from its own state alone, so with count >= 2 each block is bitwise its
-    own single run; a one-member run sums over nodes in a numpy kernel of
-    its own.
+    One parameter set runs as a (count, dim) ensemble. Several run in
+    lockstep: the ensemble is stacked on a leading P axis, a (len(swept),
+    count, dim) state, and the RHS takes a (len(swept), 1, 1) column of P.
+    ``integrate`` holds either node-major, so the hook sees Fortran-ordered
+    states. The field computes each member from its own state alone, so with
+    count >= 2 each block is bitwise its own single run; a one-member run
+    sums over nodes in a numpy kernel of its own.
 
     For Hebbian parameters the record hook checks each block's weights and
     keeps, per member, the two series the checks read: ||g||^2 and the
@@ -302,7 +299,7 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
                         out=kept[..., 1])
             return kept
 
-    batch = integrate(_make_rhs(first), _node_major(y0), cfg, m=first.m, record=record)
+    batch = integrate(_make_rhs(first), y0, cfg, m=first.m, record=record)
     states = batch.states if len(swept) > 1 else batch.states[:, None]
     if record is None:
         return [_check_ensemble(q, dataclasses.replace(batch, states=states[:, i]),

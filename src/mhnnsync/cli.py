@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, constants as cst
 from .integrate import BlowUpError, IntegratorConfig, default_dt, integrate
-from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError
+from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError, as_integer
 
 COMMANDS = ("constants", "threshold", "simulate", "verify", "sweep")
 
@@ -84,26 +84,11 @@ def _activation(spec, path: str) -> ActivationSpec:
                           beta=_field(spec, "beta", float, 1.0, path + "."))
 
 
-def _integer(value) -> int:
-    """value as an int; a JSON boolean or a number with a fractional part is
-    rejected rather than truncated, an integral float such as 10.0 is kept."""
-    if isinstance(value, bool):
-        raise ValueError("expected an integer, got a boolean")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("expected an integer")
-    return int(value)
-
-
-def _node_count(value) -> int:
-    # checked before the parameter object broadcasts scalar fields to length m
-    m = _integer(value)
-    if m < 2:
-        raise ValueError("node count must satisfy m >= 2")
-    return m
-
-
 def _build_params(cfg: dict, model: str):
-    m = _field(cfg, "m", _node_count)
+    # checked before the parameter object broadcasts scalar fields to length m
+    m = as_integer(_field(cfg, "m"), "m")
+    if m < 2:
+        raise ParameterError("m", "node count must satisfy m >= 2")
     acts = cfg.get("activations")
     if acts is None:
         activations = ()
@@ -154,10 +139,10 @@ def load_config(path: str, *, model_override: Optional[str] = None,
 
     ens_cfg = _block(cfg, "ensemble")
     ensemble = analysis.EnsembleSpec(
-        count=_field(ens_cfg, "count", _integer, 10, "ensemble."),
+        count=_field(ens_cfg, "count", None, 10, "ensemble."),
         radius=_field(ens_cfg, "radius", float, 5.0, "ensemble."),
         seed=(int(seed_override) if seed_override is not None
-              else _field(ens_cfg, "seed", _integer, 0, "ensemble.")),
+              else _field(ens_cfg, "seed", None, 0, "ensemble.")),
         tail_fraction=_field(ens_cfg, "tail_fraction", float, 0.2, "ensemble."),
     )
     ensemble.validate()
@@ -174,7 +159,7 @@ def load_config(path: str, *, model_override: Optional[str] = None,
         method=_field(int_cfg, "method", None, "rk4-fixed", "integrator."),
         dt=default_dt(params, d.dc) if dt is None else dt,
         t_end=analysis._horizon(d, params.P, ensemble) if t_end is None else t_end,
-        record_stride=_field(int_cfg, "record_stride", _integer, 1, "integrator."),
+        record_stride=_field(int_cfg, "record_stride", None, 1, "integrator."),
         abs_tol=_field(int_cfg, "abs_tol", float, 1e-9, "integrator."),
         rel_tol=_field(int_cfg, "rel_tol", float, 1e-9, "integrator."),
     )

@@ -1,13 +1,19 @@
 """Fixed-step RK4 and embedded adaptive RK45 time stepping with recorded trajectories.
 
 Both steppers accept batched states of shape (*batch, dim) and integrate
-every member in lockstep. RK4 takes the same steps for every batch and its
-stage arithmetic is elementwise, so a member's result depends only on how the
-right-hand side treats it; DP5 sizes its steps from the error over the whole
-batch. It squares the scaled error into a C-ordered buffer and sums that in
-logical order, so a run's steps do not depend on how y0 is stored: a
-node-major (Fortran-ordered) ensemble takes the steps of the same ensemble
-stored member-major.
+every member in lockstep. ``integrate`` frames y0 once per run as the
+node-major (dim, members) block of ``model.node_major``, a view for a
+Fortran-ordered y0 and a copy of any other, and both steppers step that
+block. A vector field from ``model`` evaluates it through its block
+evaluator, bound once per run; any other right-hand side is called on the
+block's logical (*batch, dim) view and its result framed in turn. Record
+hooks see logical views too. RK4 takes the same steps for every batch and
+its stage arithmetic is elementwise, so a member's result depends only on
+how the right-hand side treats it; DP5 sizes its steps from the error over
+the whole batch. It squares the scaled error's logical view into a C-ordered
+buffer and sums that in logical order, so a run's steps do not depend on how
+y0 is stored: a node-major (Fortran-ordered) ensemble takes the steps of the
+same ensemble stored member-major.
 
 DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
 evaluated at the new solution and serves as the next step's first stage, also
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ParameterError
+from .model import ParameterError, as_integer, logical, node_major
 
 BLOWUP_LIMIT = 1e12
 
@@ -100,6 +106,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
 
     def validate(self) -> None:
+        """Checks every field; record_stride is kept as an int."""
         if self.method not in METHODS:
             raise ParameterError("integrator.method",
                                  f"unknown method {self.method!r}, expected one of {METHODS}")
@@ -112,6 +119,7 @@ class IntegratorConfig:
                                  f"rk4-fixed would take {_fixed_steps(self):.3g} steps to "
                                  f"t_end = {self.t_end:g} at dt = {self.dt:g}, more than "
                                  f"{MAX_FIXED_STEPS:.0e}; raise dt")
+        self.record_stride = as_integer(self.record_stride, "integrator.record_stride")
         if not (self.record_stride >= 1):
             raise ParameterError("integrator.record_stride", "record_stride must be >= 1")
         for name in ("abs_tol", "rel_tol"):
@@ -199,12 +207,12 @@ def _fixed_steps(cfg) -> float:
     return max(1.0, float(np.ceil(cfg.t_end / cfg.dt - 1e-12)))
 
 
-def _integrate_rk4(rhs, y0, cfg, record):
+def _integrate_rk4(rhs, y0, shape, cfg, record):
     """The record is allocated once from the first kept state: the step count is known."""
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.record_stride
     n = int(_fixed_steps(cfg))
     n_rec = 1 + n // stride + (n % stride != 0)
-    first = np.asarray(record(y0))
+    first = np.asarray(record(logical(y0, shape)))
     times = np.empty(n_rec)
     states = np.empty((n_rec,) + first.shape, dtype=first.dtype)
     times[0], states[0] = 0.0, first
@@ -216,18 +224,18 @@ def _integrate_rk4(rhs, y0, cfg, record):
         y = _rk4_step(rhs, y, h)
         _check_finite(y, t_next)
         if i % stride == 0 or i == n:
-            times[r], states[r] = t_next, record(y)
+            times[r], states[r] = t_next, record(logical(y, shape))
             r += 1
     return times, states
 
 
-def _integrate_rk45(rhs, y0, cfg, record):
+def _integrate_rk45(rhs, y0, shape, cfg, record):
     t_end, stride = cfg.t_end, cfg.record_stride
     t_stop = t_end - 1e-14 * t_end
     t, y = 0.0, y0
     h = min(cfg.dt, t_end)
     times = [0.0]
-    states = [record(y0)]
+    states = [record(logical(y0, shape))]
     accepted = 0
     ks = [rhs(y0)] + [None] * 6
     if np.may_share_memory(ks[0], y0):
@@ -236,9 +244,9 @@ def _integrate_rk45(rhs, y0, cfg, record):
         rhs = lambda y: f(y).copy()
         ks[0] = ks[0].copy()
     stage, y_new, term = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
-    sq = np.empty(y0.shape)    # C-ordered: the error sum runs in logical order
+    sq = np.empty(shape)    # C-ordered: the error sum runs in logical order
     abs_y, abs_new = np.abs(y0), np.empty_like(y0)
-    y_kept = True    # y0 is the caller's array, so its buffer is never reused
+    y_kept = True    # y0 may be the caller's array, so its buffer is never reused
     attempts, max_attempts = 0, MAX_ADAPTIVE_ATTEMPTS
     while t < t_stop:
         if attempts == max_attempts:
@@ -258,7 +266,7 @@ def _integrate_rk45(rhs, y0, cfg, record):
         np.multiply(scale, cfg.rel_tol, out=scale)
         np.add(scale, cfg.abs_tol, out=scale)
         np.divide(err, scale, out=err)
-        np.square(err, out=sq)
+        np.square(logical(err, shape), out=sq)
         err_norm = math.sqrt(np.add.reduce(sq, axis=None) / sq.size)
         if err_norm <= 1.0:
             t += h
@@ -272,7 +280,7 @@ def _integrate_rk45(rhs, y0, cfg, record):
             y_kept = False
             if accepted % stride == 0 or at_end:
                 times.append(t_end if at_end else t)
-                states.append(record(y))
+                states.append(record(logical(y, shape)))
                 y_kept = np.may_share_memory(states[-1], y)
             y_new = np.empty_like(y0) if old_kept else y_old
         factor = 0.9 * (err_norm + 1e-16)**-0.2
@@ -280,6 +288,18 @@ def _integrate_rk45(rhs, y0, cfg, record):
         if h < 1e-14 * t_end:
             raise StepSizeUnderflowError(t, h)
     return np.array(times), np.array(states)
+
+
+def _block_field(rhs, shape: tuple):
+    """rhs as a map from node-major block to new node-major block, for states of ``shape``.
+
+    A field from ``model`` is bound to the batch once through ``rhs.block``;
+    any other callable is called on each block's logical view, and its
+    result is framed as a block in turn.
+    """
+    if hasattr(rhs, "block"):
+        return rhs.block(shape[:-1])
+    return lambda Y: node_major(rhs(logical(Y, shape)))
 
 
 def _keep_state(y):
@@ -301,7 +321,8 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
     stepper = _integrate_rk4 if cfg.method == "rk4-fixed" else _integrate_rk45
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
-        times, states = stepper(rhs, y0, cfg, record)
+        times, states = stepper(_block_field(rhs, y0.shape), node_major(y0), y0.shape, cfg,
+                                record)
     return Trajectory(times=times, states=states, params_digest=params_digest,
                       m=m, has_weights=has_weights)
 

@@ -13,20 +13,23 @@ All functions here are pure; parameter objects are treated as immutable after
 ``validate()``.
 
 States have shape (..., dim), the components on the last axis. Both fields
-evaluate in one frame, on a node-major (dim, members) block, where u, rho and
-the Hebbian weights are contiguous rows of one value per member rather than
-strided columns. Node-major means Fortran-ordered, for a (count, dim)
-ensemble and a (len(P), count, dim) lockstep stack alike: the one node-major
-layout that numpy's contiguous loops recognise, so the integrator's stage
-arithmetic runs on contiguous arrays too. ``analysis`` stores every ensemble
-node-major, so the block is a view of the state and the result comes back
-in the same layout; other input is copied in and out, with bitwise the same
-values. Sums over nodes run elementwise (``np.einsum``, ``np.add.reduce``),
-not through BLAS, whose row blocking would make a member's last bits depend
-on the batch around it.
+evaluate on a node-major (dim, members) block, where u, rho and the Hebbian
+weights are contiguous rows of one value per member rather than strided
+columns. ``node_major`` frames a state as that block and ``logical`` undoes
+it: node-major means Fortran-ordered, for a (count, dim) ensemble and a
+(len(P), count, dim) lockstep stack alike, so for such a state the block is
+a view. ``integrate`` holds the state as this block for a whole run and
+calls a field's block evaluator, ``rhs.block(lead)``, bound to the batch
+once, which takes and returns blocks without framing them. The public
+``rhs(y)`` frames each call's y and its result, copying input of any other
+layout in and out, with bitwise the same values. Sums over nodes run
+elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
+whose row blocking would make a member's last bits depend on the batch
+around it.
 Per-call numpy overhead, not arithmetic, sets the cost, so coefficients are
-tiled to rows once per batch shape and the decay, the window and weak
-coupling share one u coefficient.
+tiled to rows once per batch shape, the decay, the window and weak coupling
+share one u coefficient, and einsum is called without numpy's Python
+wrapper.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
+
+# numpy's C einsum kernel. np.einsum without optimize calls exactly this
+# function, so the bits are the same; calling it directly skips a Python
+# wrapper that cost about 1.1 us per call (2-vCPU x86_64, numpy 2.4).
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:                # numpy < 2
+    try:
+        from numpy.core.multiarray import c_einsum
+    except ImportError:
+        c_einsum = np.einsum
 
 ACTIVATION_KINDS = ("tanh-scaled", "logistic-centered", "sine-clamped")
 WINDOW_KINDS = ("quadratic", "strukov-williams")
@@ -56,6 +70,22 @@ class ParameterError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field = field_path
+
+
+def as_integer(value, path: str) -> int:
+    """value as an int, else ParameterError naming ``path``.
+
+    A boolean or a number with a fractional part is rejected rather than
+    truncated; an integral float such as 10.0 is kept.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ParameterError(path, f"expected an integer, got the boolean {value!r}")
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        raise ParameterError(path, f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(path, f"expected an integer, got {value!r} ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -336,71 +366,98 @@ class NetworkState:
         return NetworkState(u=y[:m].copy(), rho=float(y[m]), weights=w)
 
 
+def node_major(y: np.ndarray) -> np.ndarray:
+    """The (..., dim) state y as a C-contiguous node-major (dim, members) block.
+
+    Its rows hold one node's value per member, the members in Fortran order.
+    For Fortran-ordered float y the block is the view
+    ``y.reshape((-1, dim), order="F").T``; other y is copied in Fortran order
+    first, with bitwise the same values.
+    """
+    y = np.asfortranarray(y, dtype=float)
+    return y.reshape((-1, y.shape[-1]), order="F").T
+
+
+def logical(Y: np.ndarray, shape: tuple) -> np.ndarray:
+    """The node-major block Y as a state of the given (..., dim) shape: a
+    Fortran-ordered view of a C-contiguous Y, the inverse of ``node_major``."""
+    return Y.T.reshape(shape, order="F")
+
+
 def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
-    For Fortran-ordered (node-major) y the block is the view
-    ``y.reshape((-1, dim), order="F").T``, its members in Fortran order,
-    and the result is returned as a view in y's layout; other y is copied in
-    Fortran order and its result returned C-ordered. Per batch shape, J, the
-    model's ``columns``, P (a row in the same member order for a lockstep
-    column of P), the u coefficient ``u_coef``, the activation and a scratch
-    block s are tiled to rows of one entry per member.
+    The returned ``rhs(y)`` frames y as its ``node_major`` block and returns
+    the result in y's shape: a view in y's layout for Fortran-ordered y, a
+    C-ordered copy otherwise. ``rhs.block(lead)`` gives the field on the
+    C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps the
+    state node-major: it tiles J, the model's ``columns``, P (a row in the
+    same member order for a lockstep column of P), the u coefficient
+    ``u_coef``, the activation and a scratch block s to rows of one entry per
+    member once, and each call returns a new (dim, members) block. ``rhs``
+    binds it once per batch shape.
 
     ``terms(s, dY, Y, f, *rows)`` writes the window's share of the u
     coefficient into s, W f into dY[:m] and any weight derivatives into
-    dY[m+1:]. The frame adds du += c*u + J, with c = s + u coefficient (less
+    dY[m+1:]. The block adds du += c*u + J, with c = s + u coefficient (less
     P*sum_j sigma(u_j) under weak coupling), then under linear coupling
     P*(sum(u) - m*u), which vanishes exactly on a synchronized state, and sets
     drho = gamma.u - b*rho. Both branches follow p.coupling_kind alone.
     """
-    m, dim = p.m, p.dim
+    m = p.m
     gamma, b, P, r, V = p.gamma, p.b, p.P, p.r, p.V
     coupled = bool(np.any(P != 0.0))
-    linear = p.coupling_kind == "linear"
+    weak = coupled and p.coupling_kind != "linear"
+    linear = coupled and p.coupling_kind == "linear"
     columns = [np.reshape(v, (-1, 1)) for v in [p.J] + columns]
-    tiled: dict = {}
 
-    def coefficients(lead: tuple) -> list:
-        """P, u coefficient, activation, scratch block and tiled rows for a lead batch of members."""
-        rows = tiled.get(lead)
-        if rows is None:
-            n = math.prod(lead)
-            P_row = np.broadcast_to(P, lead + (1,)).reshape(n, order="F") if np.ndim(P) else P
-            coef = np.repeat(u_coef[:, None], n, axis=1)
-            rows = [P_row, coef, _activation_kernel(p.activations, n), np.empty((m, n))]
-            rows += [np.repeat(col, n, axis=1) for col in columns]
-            tiled.clear()          # keep the last batch shape only
-            tiled[lead] = rows
-        return rows
+    def block(lead: tuple):
+        n = math.prod(lead)
+        P_row = np.broadcast_to(P, lead + (1,)).reshape(n, order="F") if np.ndim(P) else P
+        coef = np.repeat(u_coef[:, None], n, axis=1)
+        activation = _activation_kernel(p.activations, n)
+        scratch = np.empty((m, n))
+        J, *rows = [np.repeat(col, n, axis=1) for col in columns]
+
+        def field(Y: np.ndarray) -> np.ndarray:
+            s, u, rho = scratch, Y[:m], Y[m]
+            f = activation(u)
+            dY = np.empty_like(Y)
+            terms(s, dY, Y, f, *rows)
+            s += coef
+            if weak:
+                s -= P_row * np.add.reduce(_sigmoid(u, r, V), axis=0)
+            s *= u
+            du = dY[:m]
+            du += s
+            du += J
+            if linear:
+                # P*(sum(u) - m*u) in the scratch block, bitwise
+                np.multiply(u, -m, out=s)
+                s += np.add.reduce(u, axis=0)
+                s *= P_row
+                du += s
+            # drho is not one einsum over (u, rho) with -b appended: for a single
+            # member einsum runs a lane-split dot product, which rounds m + 1
+            # terms differently from m terms less b*rho
+            drho = dY[m]
+            c_einsum("in,i->n", u, gamma, out=drho)
+            drho -= b * rho
+            return dY
+
+        return field
+
+    bound: dict = {}
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        P_row, coef, activation, s, J, *rows = coefficients(y.shape[:-1])
-        node_major = y.flags.f_contiguous
-        # a copy only for other layouts or non-float y
-        Y = np.asfortranarray(y, dtype=float).reshape((-1, dim), order="F").T
-        u, rho = Y[:m], Y[m]
-        f = activation(u)
-        dY = np.empty_like(Y)
-        terms(s, dY, Y, f, *rows)
-        s += coef
-        if coupled and not linear:
-            s -= P_row * np.add.reduce(_sigmoid(u, r, V), axis=0)
-        s *= u
-        du = dY[:m]
-        du += s
-        du += J
-        if coupled and linear:
-            du += P_row * (np.add.reduce(u, axis=0) - m * u)
-        # drho is not one einsum over (u, rho) with -b appended: for a single
-        # member einsum runs a lane-split dot product, which rounds m + 1
-        # terms differently from m terms less b*rho
-        drho = dY[m]
-        np.einsum("in,i->n", u, gamma, out=drho)
-        drho -= b * rho
-        dy = dY.T.reshape(y.shape, order="F")
-        return dy if node_major else np.ascontiguousarray(dy)
+        field = bound.get(y.shape[:-1])
+        if field is None:
+            bound.clear()          # keep the last batch shape only
+            field = bound[y.shape[:-1]] = block(y.shape[:-1])
+        dy = logical(field(node_major(y)), y.shape)
+        return dy if y.flags.f_contiguous else np.ascontiguousarray(dy)
 
+    rhs.block = block
     return rhs
 
 
@@ -417,7 +474,7 @@ def make_mhnn_rhs(p: MhnnParams):
     def terms(s, dY, Y, f, neg_keta):
         np.multiply(neg_keta, Y[m], out=s)
         s *= Y[m]
-        np.einsum("ij,jn->in", w, f, out=dY[:m])
+        c_einsum("ij,jn->in", w, f, out=dY[:m])
 
     return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms)
 
@@ -437,7 +494,7 @@ def make_hebbian_rhs(p: HebbianParams):
         np.subtract(eta, rho, out=s)
         s *= rho
         s *= k
-        np.einsum("ijn,jn->in", W.reshape(m, m, -1), f, out=dY[:m])
+        c_einsum("ijn,jn->in", W.reshape(m, m, -1), f, out=dY[:m])
         dW = dY[m + 1:]
         np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, -1))
         dW *= lam

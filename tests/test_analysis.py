@@ -135,6 +135,29 @@ class TestSampling:
         assert np.all(np.linalg.norm(pts, axis=1) <= 2.5)
 
 
+class TestEnsembleIntegerFields:
+    """count and seed are integers: a fraction or a boolean is rejected with
+    the field's path, not truncated or left to numpy, and an integral float is
+    kept as an int."""
+
+    @pytest.mark.parametrize("field", ["count", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, np.True_, "x", None])
+    def test_non_integer_rejected(self, field, value):
+        ens = EnsembleSpec(**{field: value})
+        with pytest.raises(ParameterError) as err:
+            ens.validate()
+        assert err.value.field == f"ensemble.{field}"
+        with pytest.raises(ParameterError):
+            sample_initial_states(ens, 3)
+
+    def test_integral_floats_kept_as_ints(self):
+        ens = EnsembleSpec(count=4.0, radius=2.0, seed=9.0)
+        got = sample_initial_states(ens, 3)
+        assert type(ens.count) is int and type(ens.seed) is int
+        want = sample_initial_states(EnsembleSpec(count=4, radius=2.0, seed=9), 3)
+        assert np.array_equal(got, want)
+
+
 class TestVerify:
     def test_homogeneous_passes(self):
         rng = np.random.default_rng(2)

@@ -457,3 +457,80 @@ class TestDissipativeEnvelopeHolds:
         for j in range(ens.count):
             env = dissipative_envelope(dc, batch.times, norms[0, j])
             assert np.all(norms[:, j] <= env + 1e-6 * (1.0 + env))
+
+
+class TestIntegerFields:
+    """record_stride is an integer: a fraction or a boolean is rejected, not
+    truncated, and an integral float is kept as an int."""
+
+    @pytest.mark.parametrize("value", [2.5, True, np.True_, "x", None, math.inf])
+    def test_non_integer_record_stride_rejected(self, value):
+        with pytest.raises(ParameterError) as err:
+            IntegratorConfig(record_stride=value).validate()
+        assert err.value.field == "integrator.record_stride"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_integral_record_stride_kept_as_int(self, method):
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=2.0, record_stride=3.0)
+        got = integrate(linear_decay, np.array([1.0, -2.0]), cfg)
+        assert type(cfg.record_stride) is int
+        want = integrate(linear_decay, np.array([1.0, -2.0]),
+                         dataclasses.replace(cfg, record_stride=3))
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+
+
+class BlockOnly:
+    """A field's block evaluator with a (..., dim) entry point that must not be used."""
+
+    def __init__(self, rhs):
+        self.block = rhs.block
+
+    def __call__(self, y):
+        raise AssertionError("integrate called the (..., dim) entry point")
+
+
+class TestBlockAdapter:
+    """integrate steps a node-major block: a field through its block evaluator,
+    bound once per run, and any other callable through one adapter that frames
+    its result. Both give the same times and records, bit for bit."""
+
+    @staticmethod
+    def case(model, start):
+        rng = np.random.default_rng(71)
+        if model == "hebbian":
+            p = dataclasses.replace(draw_hebbian(rng, 4), P=1.5)
+            make = make_hebbian_rhs
+        else:
+            p = dataclasses.replace(draw_mhnn(rng, 3, coupling=model), P=1.5)
+            make = make_mhnn_rhs
+        y0 = _initial_states(p, EnsembleSpec(count=5, radius=4.0, seed=6))
+        if start.startswith("lockstep"):
+            p = dataclasses.replace(p, P=np.array([0.0, 1.5, 6.0])[:, None, None])
+            y0 = np.stack([y0] * 3)
+        if start == "single":
+            y0 = y0[1]
+        elif start.endswith("F"):
+            y0 = np.asfortranarray(y0)
+        return make(p), y0
+
+    @pytest.mark.parametrize("start", ["C", "F", "lockstep-C", "lockstep-F", "single"])
+    @pytest.mark.parametrize("model", ["hebbian", "weak-sigmoidal", "linear"])
+    @pytest.mark.parametrize("cfg", [
+        IntegratorConfig(method="rk4-fixed", dt=1e-2, t_end=0.5, record_stride=3),
+        IntegratorConfig(method="rk45-adaptive", dt=0.5, t_end=2.0, record_stride=2),
+    ], ids=METHODS)
+    def test_field_and_wrapped_field_agree(self, cfg, model, start):
+        rhs, y0 = self.case(model, start)
+        given = y0.copy(order="K")
+        binds = []
+        block = rhs.block
+        rhs.block = lambda lead: binds.append(lead) or block(lead)
+        direct = integrate(rhs, y0, cfg)
+        assert binds == [y0.shape[:-1]]           # bound once per run
+        assert np.array_equal(integrate(BlockOnly(rhs), y0, cfg).states, direct.states)
+        wrapped = integrate(lambda y: rhs(y), y0, cfg)
+        assert np.array_equal(wrapped.times, direct.times)
+        assert np.array_equal(wrapped.states, direct.states)
+        assert direct.states.shape == (len(direct.times),) + y0.shape
+        assert np.array_equal(y0, given)          # the start is read, not written

@@ -18,6 +18,7 @@ from mhnnsync import (
     window_eval,
 )
 from mhnnsync.model import activation_eval, make_hebbian_rhs, make_mhnn_rhs
+from mhnnsync import model as model_module
 
 from draws import draw_hebbian, draw_mhnn
 
@@ -561,3 +562,63 @@ class TestValidation:
         assert back.u == pytest.approx(s.u)
         assert back.rho == s.rho
         assert back.weights == pytest.approx(s.weights)
+
+
+def drawn_field(model, m, seed):
+    """The generator, a draw with every activation kind and P = 0.7, and the
+    field factory, for the Hebbian model or an mHNN coupling."""
+    if model == "hebbian":
+        rng, p = TestHebbianBatch().mixed(m, seed)
+        return rng, p, make_hebbian_rhs
+    rng, p = mixed_mhnn(m, seed, model)
+    return rng, p, make_mhnn_rhs
+
+
+class TestBlockEvaluator:
+    """rhs.block(lead), the field on the node-major blocks that integrate
+    steps, gives bitwise the values of the public rhs(y)."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 10)],
+                             ids=["single", "one-member", "batch", "lockstep"])
+    @pytest.mark.parametrize("m", [3, 9])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_block_equals_rhs(self, model, m, lead, order):
+        rng, p, make = drawn_field(model, m, 200 + m)
+        if len(lead) == 2:
+            p = dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None])
+        y = np.asarray(rng.normal(scale=3.0, size=lead + (p.dim,)), order=order)
+        rhs = make(p)
+        want = rhs(y)
+        Y = model_module.node_major(y)
+        assert Y.flags.c_contiguous and Y.shape == (p.dim, max(1, y.size // p.dim))
+        field = rhs.block(lead)
+        got = field(Y)
+        assert got.shape == Y.shape
+        assert np.array_equal(model_module.logical(got, y.shape), want)
+        # the scratch rows are reused, the result is a new array on every call
+        again = field(Y)
+        assert np.array_equal(again, got)
+        assert not np.shares_memory(again, got) and not np.shares_memory(got, Y)
+
+
+class TestEinsumBinding:
+    """The field's einsum is numpy's C kernel, which np.einsum calls without
+    optimize: the same bits on every subscript the fields use."""
+
+    def test_binding_is_the_c_kernel(self):
+        assert model_module.c_einsum is not np.einsum
+        assert type(model_module.c_einsum).__name__ == "builtin_function_or_method"
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_subscripts_match_np_einsum(self, m, n):
+        rng = np.random.default_rng(300 + 10 * m + n)
+        w, f = rng.normal(size=(m, m)), rng.normal(size=(m, n))
+        W, gamma = rng.normal(size=(m, m, n)), rng.normal(size=m)
+        for subscripts, operands in [("ij,jn->in", (w, f)), ("ijn,jn->in", (W, f)),
+                                     ("in,i->n", (f, gamma))]:
+            want = np.einsum(subscripts, *operands)
+            got = np.empty_like(want)
+            model_module.c_einsum(subscripts, *operands, out=got)
+            assert np.array_equal(got, want), subscripts
