@@ -3,7 +3,8 @@
 Subcommands: constants, threshold, simulate, verify, sweep. Configs and
 reports are JSON; trajectories and sweeps are CSV. Exit codes: 0 success,
 1 verification verdict fail, 2 config parse error, 3 config validation error,
-4 numerical blow-up, 64 unknown subcommand, 73 output path cannot be written.
+4 numerical blow-up, 64 unknown subcommand, 71 an input too large to
+allocate memory for, 73 output path cannot be written.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BLOWUP = 4
 EXIT_USAGE = 64
+EXIT_OSERR = 71
 EXIT_CANTCREAT = 73
 
 _COUPLING_ALIASES = {"weak": "weak-sigmoidal", "weak-sigmoidal": "weak-sigmoidal",
@@ -319,6 +321,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"mhnnsync: config validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     # checked before anything is integrated, so that a long run is not lost
     problem = _output_problem(args.output) if args.output else None
     if problem is not None:
@@ -332,6 +336,13 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"mhnnsync: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except MemoryError as exc:
+        return _out_of_memory(exc)
+
+
+def _out_of_memory(exc: MemoryError) -> int:
+    print(f"mhnnsync: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+    return EXIT_OSERR
 
 
 if __name__ == "__main__":

@@ -99,19 +99,12 @@ def derive_constants(p: Params) -> DerivedConstants:
 
 def _dissipation(p: Params, ex: Extremes) -> DerivedConstants:
     m, b, beta = p.m, p.b, p.beta_max
+    gap, _ = p.assumption_margins()
     if isinstance(p, MhnnParams):
-        gap = ex.a_min - p.k
-        if gap <= 0:
-            raise ParameterError("a", f"assumption 'a_i > k' violated: a_min = {ex.a_min} <= k = {p.k}")
         weight = m * ex.gamma_max**2 / b + b
         forcing = weight * m * (m * ex.W_max * beta + ex.J_max)**2 / gap**2
         model = "mhnn"
     else:
-        gap = ex.a_min - 0.5 * p.k_max * p.eta_min**2
-        if gap <= 0:
-            raise ParameterError(
-                "a", f"assumption 'a > (1/2) k eta^2' violated: "
-                     f"a_min = {ex.a_min} <= (1/2) k_max eta_min^2 = {0.5 * p.k_max * p.eta_min**2}")
         weight = m * ex.gamma_max**2 / b + 0.5 * b
         S = math.sqrt(1.0 + _hebbian_weight_margin(p))
         forcing = weight * (ex.J_max + m * beta * S)**2 / gap**2
@@ -181,16 +174,16 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
     if dc is None:
         dc = _dissipation(p, ex)
     m, beta, bound = p.m, p.beta_max, dc.bound
+    _, decay = p.assumption_margins()
     if isinstance(p, HebbianParams):
         margin = _hebbian_weight_margin(p)
         N = (ex.a_star * math.sqrt(bound) + p.k_max * ex.eta_star * bound**1.5
              + 2.0 * m * beta * math.sqrt(1.0 + margin) + ex.J_star)
-        return _Derivation(dc, margin, m, decay=ex.a_min - 0.5 * p.k_max * p.eta_min,
-                           gain=m, B=1.0, numerator=N)
+        return _Derivation(dc, margin, m, decay=decay, gain=m, B=1.0, numerator=N)
     N = (m * ex.W_star * beta + ex.a_star * math.sqrt(bound)
          + p.k * ex.eta_star * bound**1.5 + ex.J_star)
     if p.coupling_kind == "linear":
-        return _Derivation(dc, 0.0, m, decay=ex.a_min - p.k, gain=1, B=1.0, numerator=N)
+        return _Derivation(dc, 0.0, m, decay=decay, gain=1, B=1.0, numerator=N)
     # 1 + exp(r(sqrt(Q) + |V|)): worst-case reciprocal of the sigmoid sum / m
     exponent = p.r * (math.sqrt(bound) + abs(p.V))
     try:
@@ -199,7 +192,7 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
         raise ParameterError(
             "r", f"r(sqrt(Q) + |V|) = {exponent:.6g} exceeds the exp range, so the "
                  "weak-coupling threshold overflows; reduce r or |V|") from None
-    return _Derivation(dc, 0.0, m, decay=ex.a_min - p.k, gain=m, B=B, numerator=N * B)
+    return _Derivation(dc, 0.0, m, decay=decay, gain=m, B=B, numerator=N * B)
 
 
 def sync_rate(p: Params, dc: DerivedConstants, P: float) -> float:

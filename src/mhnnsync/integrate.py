@@ -1,41 +1,31 @@
 """Fixed-step RK4 and embedded adaptive RK45 time stepping with recorded trajectories.
 
-Both steppers accept batched states of shape (*batch, dim) and integrate
-every member in lockstep. ``integrate`` frames y0 once per run as the
-node-major (dim, members) block of ``model.node_major``, a view for a
-Fortran-ordered y0 and a copy of any other, and both steppers step that
-block. A vector field from ``model`` evaluates it through its block
-evaluator, bound once per run; any other right-hand side is called on the
-block's logical (*batch, dim) view and its result framed in turn. Record
-hooks see logical views too. RK4 takes the same steps for every batch and
-its stage arithmetic is elementwise, so a member's result depends only on
-how the right-hand side treats it; DP5 sizes its steps from the error over
-the whole batch. It squares the scaled error's logical view into a C-ordered
-buffer and sums that in logical order, so a run's steps do not depend on how
-y0 is stored: a node-major (Fortran-ordered) ensemble takes the steps of the
-same ensemble stored member-major.
+Both steppers integrate batched states of shape (*batch, dim) in lockstep,
+on the node-major (dim, members) block of y0 (``model.node_major``: a view of
+a Fortran-ordered y0, else a copy), framed once per run. A field from
+``model`` evaluates it through its block evaluator, bound once per run; any
+other right-hand side, like a record hook, is called on its logical view. RK4
+takes the same steps for every batch and its stage arithmetic is elementwise,
+so a member's result depends only on how the right-hand side treats it. DP5
+sizes its steps from the error over the whole batch, squared into a C-ordered
+buffer and summed in logical order, so a node-major (Fortran-ordered)
+ensemble takes the steps of the same ensemble stored member-major.
 
 DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
 evaluated at the new solution and serves as the next step's first stage, also
 after a rejected step. A run calls the RHS once to start and then 6 times per
-attempted step, accepted or rejected. Its stage arithmetic writes into
-buffers allocated once per run, so the RHS must return a new array on every
-call; an RHS whose first result shares memory with its argument is wrapped to
-copy.
+attempted step, accepted or rejected. It steps a copy of y0 in two state
+buffers that swap on every accepted step, and its stage arithmetic writes
+into buffers allocated once per run. A run that attempts MAX_ADAPTIVE_ATTEMPTS
+steps without reaching t_end ends in AttemptLimitError, a BlowUpError: a
+stiff system can otherwise need some 10^8 attempts, hours of work.
 
 Each recorded state (the initial one, every record_stride-th accepted step
 and the last) passes through a record hook, and the trajectory keeps what the
-hook returns. By default the hook keeps the state itself. A hook may instead
-reduce the state on the spot and keep a new, smaller array, as
-verify_guarantees does for a Hebbian ensemble: it checks the weights and
-keeps two numbers per member, ||g||^2 and the pairwise gap. DP5 reuses the
-buffer of a state for a later step unless the kept record shares memory with
-it, so such a hook lets a run go without one new state buffer per record; a
-hook must hold no other reference into the state it is given.
-
-A DP5 run that attempts MAX_ADAPTIVE_ATTEMPTS steps without reaching t_end
-ends in AttemptLimitError, a BlowUpError: a stiff system can otherwise need
-some 10^8 attempts, hours of work.
+hook returns: by default the state itself, or a reduction such as the two
+numbers per member that verify_guarantees keeps of a Hebbian ensemble. Both
+steppers copy each kept value into one record, allocated from the first: RK4's
+at its final size, DP5's grown by doubling and trimmed at the end.
 
 Both steppers filter out numpy's overflow and invalid-value warnings: every
 accepted state is checked, so a diverging run ends in BlowUpError or
@@ -47,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +50,9 @@ MAX_FIXED_STEPS = 10**8
 
 # The most steps, accepted or rejected, an rk45-adaptive run may attempt.
 MAX_ADAPTIVE_ATTEMPTS = 10**6
+
+# The records a DP5 run has room for before it first doubles them.
+DP5_RECORD_CAPACITY = 64
 
 METHODS = ("rk4-fixed", "rk45-adaptive")
 
@@ -153,8 +146,8 @@ class Trajectory:
         return int(np.prod(self.states.shape[1:-1]))
 
     def member(self, j: int) -> "Trajectory":
-        """Single-trajectory view of member j of a batched run."""
-        states = self.states[:, j, :] if self.states.ndim == 3 else self.states
+        """Single-trajectory view of member j of a batched run, its batch axes flattened."""
+        states = self.states.reshape((len(self.times), self.batch_size, -1))[:, j]
         return Trajectory(times=self.times, states=states, params_digest=self.params_digest,
                           m=self.m, has_weights=self.has_weights)
 
@@ -207,16 +200,40 @@ def _fixed_steps(cfg) -> float:
     return max(1.0, float(np.ceil(cfg.t_end / cfg.dt - 1e-12)))
 
 
+class _Record:
+    """Times and kept values, copied into arrays allocated from the first kept value.
+
+    A run that outgrows them doubles both in place, and ``arrays`` trims them
+    to length. No view of them exists before then, so ``ndarray.resize`` may
+    skip its reference check.
+    """
+
+    def __init__(self, first, capacity: int):
+        first = np.asarray(first)
+        self.times, self.n = np.zeros(capacity), 1
+        self.states = np.empty((capacity,) + first.shape, dtype=first.dtype)
+        self.states[0] = first
+
+    def add(self, t: float, kept) -> None:
+        if self.n == len(self.times):
+            self.resize(2 * self.n)
+        self.times[self.n], self.states[self.n] = t, kept
+        self.n += 1
+
+    def arrays(self) -> tuple:
+        self.resize(self.n)
+        return self.times, self.states
+
+    def resize(self, n: int) -> None:
+        for a in (self.times, self.states):
+            a.resize((n,) + a.shape[1:], refcheck=False)
+
+
 def _integrate_rk4(rhs, y0, shape, cfg, record):
-    """The record is allocated once from the first kept state: the step count is known."""
+    """The record is allocated at its final size: the step count is known."""
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.record_stride
     n = int(_fixed_steps(cfg))
-    n_rec = 1 + n // stride + (n % stride != 0)
-    first = np.asarray(record(logical(y0, shape)))
-    times = np.empty(n_rec)
-    states = np.empty((n_rec,) + first.shape, dtype=first.dtype)
-    times[0], states[0] = 0.0, first
-    r = 1
+    rec = _Record(record(logical(y0, shape)), 1 + n // stride + (n % stride != 0))
     y = y0
     for i in range(1, n + 1):
         t_next = i * dt if i < n else t_end
@@ -224,30 +241,20 @@ def _integrate_rk4(rhs, y0, shape, cfg, record):
         y = _rk4_step(rhs, y, h)
         _check_finite(y, t_next)
         if i % stride == 0 or i == n:
-            times[r], states[r] = t_next, record(logical(y, shape))
-            r += 1
-    return times, states
+            rec.add(t_next, record(logical(y, shape)))
+    return rec.arrays()
 
 
 def _integrate_rk45(rhs, y0, shape, cfg, record):
     t_end, stride = cfg.t_end, cfg.record_stride
     t_stop = t_end - 1e-14 * t_end
-    t, y = 0.0, y0
-    h = min(cfg.dt, t_end)
-    times = [0.0]
-    states = [record(logical(y0, shape))]
-    accepted = 0
-    ks = [rhs(y0)] + [None] * 6
-    if np.may_share_memory(ks[0], y0):
-        # the stage buffers below are reused, so no stage may alias one
-        f = rhs
-        rhs = lambda y: f(y).copy()
-        ks[0] = ks[0].copy()
-    stage, y_new, term = np.empty_like(y0), np.empty_like(y0), np.empty_like(y0)
+    t, h, y = 0.0, min(cfg.dt, t_end), y0.copy()    # y0 may view the caller's array
+    rec = _Record(record(logical(y, shape)), DP5_RECORD_CAPACITY)
+    ks = [rhs(y)] + [None] * 6
+    y_new, stage, term, abs_new = (np.empty_like(y0) for _ in range(4))
     sq = np.empty(shape)    # C-ordered: the error sum runs in logical order
-    abs_y, abs_new = np.abs(y0), np.empty_like(y0)
-    y_kept = True    # y0 may be the caller's array, so its buffer is never reused
-    attempts, max_attempts = 0, MAX_ADAPTIVE_ATTEMPTS
+    abs_y = np.abs(y0)
+    accepted, attempts, max_attempts = 0, 0, MAX_ADAPTIVE_ATTEMPTS
     while t < t_stop:
         if attempts == max_attempts:
             raise AttemptLimitError(t, h, attempts)
@@ -270,40 +277,31 @@ def _integrate_rk45(rhs, y0, shape, cfg, record):
         err_norm = math.sqrt(np.add.reduce(sq, axis=None) / sq.size)
         if err_norm <= 1.0:
             t += h
-            y_old, old_kept = y, y_kept
-            y, abs_y, abs_new = y_new, abs_new, abs_y
+            y, y_new = y_new, y
+            abs_y, abs_new = abs_new, abs_y
             if not abs_y.max() <= BLOWUP_LIMIT:
                 raise BlowUpError(t)
             ks[0] = ks[6]
             accepted += 1
             at_end = t >= t_stop
-            y_kept = False
             if accepted % stride == 0 or at_end:
-                times.append(t_end if at_end else t)
-                states.append(record(logical(y, shape)))
-                y_kept = np.may_share_memory(states[-1], y)
-            y_new = np.empty_like(y0) if old_kept else y_old
+                rec.add(t_end if at_end else t, record(logical(y, shape)))
         factor = 0.9 * (err_norm + 1e-16)**-0.2
         h *= min(5.0, max(0.2, factor))
         if h < 1e-14 * t_end:
             raise StepSizeUnderflowError(t, h)
-    return np.array(times), np.array(states)
+    return rec.arrays()
 
 
 def _block_field(rhs, shape: tuple):
     """rhs as a map from node-major block to new node-major block, for states of ``shape``.
 
-    A field from ``model`` is bound to the batch once through ``rhs.block``;
-    any other callable is called on each block's logical view, and its
-    result is framed as a block in turn.
+    A field from ``model`` is bound once through ``rhs.block``, which returns a
+    new block per call; any other callable's result is copied into a new block.
     """
     if hasattr(rhs, "block"):
         return rhs.block(shape[:-1])
-    return lambda Y: node_major(rhs(logical(Y, shape)))
-
-
-def _keep_state(y):
-    return y
+    return lambda Y: node_major(np.array(rhs(logical(Y, shape)), dtype=float, order="F"))
 
 
 def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
@@ -317,7 +315,8 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
     """
     cfg.validate()
     y0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    record = _keep_state if record is None else record
+    if record is None:
+        record = lambda y: y
     stepper = _integrate_rk4 if cfg.method == "rk4-fixed" else _integrate_rk45
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)

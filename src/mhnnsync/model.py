@@ -196,13 +196,14 @@ class _NetworkParams:
     """What MhnnParams and HebbianParams share; no fields, so each keeps its field order.
 
     A subclass names its vectors and its (field, config path) matrices, which
-    __post_init__ coerces (``P`` is left as given), and adds ``_validate_model``.
+    __post_init__ coerces (``P`` is left as given), and adds ``_validate_model``
+    and ``assumption_margins``.
     """
 
     _UNHASHED = ("activations",)
 
     def __post_init__(self):
-        self.m = int(self.m)
+        self.m = as_integer(self.m, "m")
         for name in self._VECTORS:
             setattr(self, name, _as_array(getattr(self, name), (self.m,), name))
         for name, path in self._MATRICES:
@@ -271,12 +272,19 @@ class MhnnParams(_NetworkParams):
     def dim(self) -> int:
         return self.m + 1
 
+    def assumption_margins(self) -> tuple[float, float]:
+        """(dissipation gap, sync decay), both a_min - k; ParameterError naming
+        ``a`` unless they are positive."""
+        gap = float(self.a.min()) - self.k
+        if not (gap > 0):
+            raise ParameterError(
+                "a", f"assumption 'a_i > k' violated: min a_i = {self.a.min()} <= k = {self.k}")
+        return gap, gap
+
     def _validate_model(self) -> None:
         if not (self.k > 0):
             raise ParameterError("k", "memristive coupling strength k must be positive")
-        if not np.all(self.a > self.k):
-            raise ParameterError(
-                "a", f"assumption 'a_i > k' violated: min a_i = {self.a.min()} <= k = {self.k}")
+        self.assumption_margins()
         if self.coupling_kind not in COUPLING_KINDS:
             raise ParameterError("coupling_kind",
                                  f"unknown coupling {self.coupling_kind!r}, expected one of {COUPLING_KINDS}")
@@ -314,17 +322,27 @@ class HebbianParams(_NetworkParams):
     def eta_min(self) -> float:
         return float(self.eta.min())
 
+    def assumption_margins(self) -> tuple[float, float]:
+        """(dissipation gap a_min - k_max eta_min^2/2, sync decay a_min - k_max eta_min/2).
+
+        ParameterError naming ``a`` unless both are positive: strictly stronger
+        than a > k*eta^2/2 alone, so that both the dissipation denominator
+        (eta^2) and the sync rate (eta) stay positive.
+        """
+        a_min, half_k, eta = float(self.a.min()), 0.5 * self.k_max, self.eta_min
+        gap, decay = a_min - half_k * eta**2, a_min - half_k * eta
+        if not (gap > 0 and decay > 0):
+            raise ParameterError(
+                "a",
+                "assumption 'a > (1/2) k eta^2' violated: min a_i = "
+                f"{self.a.min()} <= (1/2) k_max max(eta_min, eta_min^2) = "
+                f"{half_k * max(eta, eta**2)}")
+        return gap, decay
+
     def _validate_model(self) -> None:
         if not np.all(self.k > 0):
             raise ParameterError("k", "all memristive strengths k_i must be positive")
-        # strictly stronger than a > k*eta^2/2 alone so that both the
-        # dissipation denominator (eta^2) and the sync rate (eta) stay positive
-        bar = 0.5 * self.k_max * max(self.eta_min, self.eta_min**2)
-        if not (self.a.min() > bar):
-            raise ParameterError(
-                "a",
-                "assumption 'a > (1/2) k eta^2' violated: "
-                f"min a_i = {self.a.min()} <= (1/2) k_max max(eta_min, eta_min^2) = {bar}")
+        self.assumption_margins()
         if not np.all(self.c > 0):
             raise ParameterError("c", "all weight decays c_ij must be positive")
         if not np.all((self.w0 == 0) | (self.w0 == 1)):

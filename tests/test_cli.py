@@ -297,6 +297,25 @@ class TestBlowUpExit:
         assert err.count("\n") == 1
 
 
+class TestOutOfMemoryExit:
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_ensemble_too_large_exit_71(self, tmp_path, capsys, command):
+        # 10^13 members of dim 3 need 218 TiB, so the allocator fails at once
+        cfg = mhnn_config(ensemble={"count": 10**13, "radius": 2.0, "seed": 7})
+        assert run([command, "--config", write(tmp_path, cfg)]) == 71
+        err = capsys.readouterr().err
+        assert err.startswith("mhnnsync: out of memory: ")
+        assert err.count("\n") == 1
+
+    def test_config_load_out_of_memory_exit_71(self, tmp_path, capsys, monkeypatch):
+        def load_config(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_config", load_config)
+        assert run(["constants", "--config", write(tmp_path, mhnn_config())]) == 71
+        assert capsys.readouterr().err == "mhnnsync: out of memory: allocation failed\n"
+
+
 class TestOutputPath:
     """An --output that cannot be written exits 73 before anything is computed."""
 

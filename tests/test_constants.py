@@ -127,6 +127,41 @@ class TestDerivedConstants:
             assert derive_constants(draw_hebbian(rng, 3)).bound > 1.0
 
 
+class TestAssumptionMargins:
+    """One rule per model for validate, the dissipation gap and the sync decay."""
+
+    def test_margins_are_the_derivation_inputs(self):
+        rng = np.random.default_rng(5)
+        for p in (draw_mhnn(rng, 3), draw_mhnn(rng, 4, coupling="linear"), draw_hebbian(rng, 3)):
+            gap, decay = p.assumption_margins()
+            assert sync_rate(p, derive_constants(p), 0.0) == decay
+            a_min = float(p.a.min())
+            if isinstance(p, MhnnParams):
+                assert gap == decay == a_min - p.k
+            else:
+                assert gap == a_min - 0.5 * p.k_max * p.eta_min**2
+                assert decay == a_min - 0.5 * p.k_max * p.eta_min
+
+    @pytest.mark.parametrize("a, eta", [
+        (0.45, 0.9),    # gap 0.045 > 0, decay 0
+        (0.65, 1.2),    # gap -0.07, decay 0.05 > 0
+    ])
+    def test_hebbian_rejects_either_margin(self, a, eta):
+        p = mk_hebbian(a=[a, a], eta=[eta, eta])
+        for call in (p.validate, p.assumption_margins, lambda: derive_constants(p),
+                     lambda: threshold(p, 0.1)):
+            with pytest.raises(ParameterError, match="eta") as err:
+                call()
+            assert err.value.field == "a"
+
+    def test_mhnn_boundary(self):
+        assert mk_mhnn(k=np.nextafter(2.0, 0.0)).assumption_margins()[0] > 0
+        for call in (mk_mhnn(k=2.0).validate, lambda: derive_constants(mk_mhnn(k=2.0))):
+            with pytest.raises(ParameterError, match="a_i > k") as err:
+                call()
+            assert err.value.field == "a"
+
+
 class TestAbsorbTime:
     def test_clamped_to_zero(self):
         dc = derive_constants(mk_mhnn())

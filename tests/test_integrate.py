@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from mhnnsync import (
     derive_constants,
     dissipative_envelope,
     integrate,
+    threshold,
 )
 from mhnnsync.analysis import _initial_states, integrate_ensemble
-from mhnnsync.integrate import MAX_ADAPTIVE_ATTEMPTS, MAX_FIXED_STEPS, _check_finite, _rk4_step
+from mhnnsync.integrate import (DP5_RECORD_CAPACITY, MAX_ADAPTIVE_ATTEMPTS, MAX_FIXED_STEPS,
+                                _check_finite, _rk4_step)
 from mhnnsync.model import make_hebbian_rhs, make_mhnn_rhs
 
 from draws import draw_hebbian, draw_mhnn
@@ -231,6 +234,75 @@ class TestDp5MatchesReference:
         assert np.array_equal(aliased.states, fresh.states)
         assert np.array_equal(aliased.times, fresh.times)
         assert np.array_equal(y0, [1.0, -0.5, 2.0])
+
+
+class TestRecord:
+    """Both steppers copy what they keep into one record: RK4's allocated at
+    its final size, DP5's doubled in place as it fills and trimmed at the end."""
+
+    @pytest.mark.parametrize("model", ["hebbian", "weak-sigmoidal"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_grown_record_matches_reference(self, model, stride, monkeypatch):
+        # from room for 2 records the run's record doubles at least three times
+        monkeypatch.setattr(integrate_module, "DP5_RECORD_CAPACITY", 2)
+        rhs, y0 = dp5_batch(model)
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5, t_end=2.0, record_stride=stride)
+        ref_times, ref_states = _integrate_rk45(rhs, y0, cfg)
+        assert len(ref_times) > 8
+        traj = integrate(rhs, y0, cfg)
+        assert np.array_equal(traj.times, ref_times)
+        assert np.array_equal(traj.states, ref_states)
+        assert traj.states.flags.c_contiguous
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    @pytest.mark.parametrize("model", ["hebbian", "weak-sigmoidal"])
+    def test_fortran_start_is_not_written(self, method, model):
+        # node_major views a Fortran-ordered start, which DP5 must not step in place
+        rhs, y0 = dp5_batch(model)
+        y0 = np.asfortranarray(y0)
+        given = y0.copy(order="K")
+        cfg = IntegratorConfig(method=method, dt=1e-2, t_end=0.5, record_stride=3)
+        traj = integrate(rhs, y0, cfg)
+        assert np.array_equal(y0, given)
+        assert not np.shares_memory(traj.states, y0)
+        assert np.array_equal(traj.states[0], given)
+
+    def test_rk45_ensemble_holds_its_record_once(self):
+        # a Hebbian m = 6 ensemble of 128 members at 1.01 p_star takes 340
+        # accepted steps, so its record doubles from DP5_RECORD_CAPACITY three
+        # times; a record built as a list and then copied peaks above 2x
+        rng = np.random.default_rng(0)
+        p = draw_hebbian(rng, 6)
+        p = dataclasses.replace(p, P=1.01 * threshold(p, 0.1).p_star)
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=1e-2, t_end=5.0,
+                               abs_tol=1e-8, rel_tol=1e-8)
+        ens = EnsembleSpec(count=128, radius=5.0, seed=1)
+        tracemalloc.start()
+        try:
+            traj = integrate_ensemble(p, cfg, ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) > 4 * DP5_RECORD_CAPACITY
+        assert peak <= 1.8 * (traj.times.nbytes + traj.states.nbytes)
+        ref_times, ref_states = _integrate_rk45(make_hebbian_rhs(p), _initial_states(p, ens), cfg)
+        assert np.array_equal(traj.times, ref_times)
+        assert np.array_equal(traj.states, ref_states)
+
+
+class TestTrajectoryMember:
+    def test_member_of_two_batch_axes(self):
+        y0 = np.arange(24.0).reshape(2, 3, 4)
+        traj = integrate(linear_decay, y0, IntegratorConfig(dt=0.1, t_end=0.3))
+        assert traj.batch_size == 6
+        for j in range(6):
+            member = traj.member(j)
+            assert member.states.shape == (len(traj), 4)
+            assert np.array_equal(member.states, traj.states[:, j // 3, j % 3])
+
+    def test_member_of_one_state(self):
+        traj = integrate(linear_decay, np.array([1.0, 2.0]), IntegratorConfig(dt=0.1, t_end=0.3))
+        assert np.array_equal(traj.member(0).states, traj.states)
 
 
 class TestRecordHook:

@@ -539,6 +539,18 @@ class TestValidation:
         with pytest.raises(ParameterError):
             p.validate()
 
+    @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
+    @pytest.mark.parametrize("m", [2.7, True])
+    def test_non_integer_m_rejected(self, make, m):
+        # rejected, not truncated, as the CLI rejects "m": 2.7
+        with pytest.raises(ParameterError) as err:
+            make(m=m).validate()
+        assert err.value.field == "m"
+
+    @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
+    def test_integral_m_kept_as_int(self, make):
+        assert type(make(m=2.0).m) is int
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ParameterError):
             MhnnParams(m=3, a=[1.0, 2.0], b=1.0, k=0.5, eta=[1, 1, 1],
