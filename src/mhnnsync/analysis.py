@@ -263,23 +263,22 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     lockstep: the ensemble is stacked on a leading P axis, a (len(swept),
     count, dim) state, and the RHS takes a (len(swept), 1, 1) column of P.
     ``integrate`` holds either node-major, so the hook sees Fortran-ordered
-    states. The field computes each member from its own state alone, so with
-    count >= 2 each block is bitwise its own single run; a one-member run
-    sums over nodes in a numpy kernel of its own.
+    states. The field computes each member from its own state alone, so each
+    block is bitwise its own single run.
 
-    For Hebbian parameters the record hook checks each block's weights and
-    keeps, per member, the two series the checks read: ||g||^2 and the
-    pairwise gap, with the bits of ``norm_sq_series`` and
-    ``pairwise_gap_series``. An mHNN state is (u, rho) only, so it is kept
-    whole and reduced after the run. Returns one report per parameter set,
-    in the order of ``swept``.
+    Every block is checked from two series per member, ||g||^2 and the
+    pairwise gap. For Hebbian parameters the record hook checks each block's
+    weights and keeps these two series, with the bits of ``norm_sq_series``
+    and ``pairwise_gap_series``. An mHNN state is (u, rho) only, so it is
+    kept whole and reduced by those two after the run. Returns one report
+    per parameter set, in the order of ``swept``.
     """
     first = swept[0]
     y0 = _initial_states(first, ens)
     if len(swept) > 1:
         y0 = np.stack([y0] * len(swept))
         first = dataclasses.replace(first, P=np.array([q.P for q in swept])[:, None, None])
-    record = None
+    record, checks = None, [None] * len(swept)
     if isinstance(first, HebbianParams):
         checks = [_WeightCheck(q, d) for q in swept]
         m = first.m
@@ -300,12 +299,12 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
             return kept
 
     batch = integrate(_make_rhs(first), y0, cfg, m=first.m, record=record)
-    states = batch.states if len(swept) > 1 else batch.states[:, None]
     if record is None:
-        return [_check_ensemble(q, dataclasses.replace(batch, states=states[:, i]),
-                                ens, epsilon, p_star, d)
-                for i, q in enumerate(swept)]
-    return [_check_series(q, batch.times, states[:, i, :, 0], states[:, i, :, 1],
+        series = batch.norm_sq_series(), pairwise_gap_series(batch)
+    else:
+        series = np.moveaxis(batch.states, -1, 0)
+    norm_sq, gaps = (s.reshape(len(batch), len(swept), ens.count) for s in series)
+    return [_check_series(q, batch.times, norm_sq[:, i], gaps[:, i],
                           ens, epsilon, p_star, d, check)
             for i, (q, check) in enumerate(zip(swept, checks))]
 
@@ -317,8 +316,8 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
 
     For Hebbian p, ``weights`` is a weight check already fed with every
     recorded state of ``batch``. Without it the weights are read from
-    ``batch``, which must then hold full states. verify reaches this only
-    for the mHNN; the tests use it as the full-record reference.
+    ``batch``, which must then hold full states. verify does not reach
+    this; the tests use it as the full-record reference.
     """
     if isinstance(p, HebbianParams) and weights is None:
         # one record at a time, as verify feeds it: a whole-batch call

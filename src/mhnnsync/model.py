@@ -20,20 +20,19 @@ it: node-major means Fortran-ordered, for a (count, dim) ensemble and a
 (len(P), count, dim) lockstep stack alike, so for such a state the block is
 a view. ``integrate`` holds the state as this block for a whole run and
 calls a field's block evaluator, ``rhs.block(lead)``, bound to the batch
-once, which takes and returns blocks without framing them. The public
-``rhs(y)`` frames each call's y and its result, copying input of any other
-layout in and out, with bitwise the same values. Sums over nodes run
-elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
-whose row blocking would make a member's last bits depend on the batch
-around it.
-Per-call numpy overhead, not arithmetic, sets the cost, so coefficients are
-tiled to rows once per batch shape, the decay, the window and weak coupling
-share one u coefficient, and einsum is called without numpy's Python
-wrapper.
+once; the public ``rhs(y)`` frames each call's y and its result, with
+bitwise the same values. A member's derivative never depends on the batch
+around it: sums over nodes run elementwise (numpy's C einsum kernel,
+``np.add.reduce``), not through BLAS, and a lone member runs as a
+two-member block. Per-call numpy overhead, not arithmetic, sets the cost,
+so coefficients are tiled to rows once per batch shape, the decay, the
+window and weak coupling share one u coefficient, and einsum is called
+without numpy's Python wrapper.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -99,8 +98,8 @@ class ActivationSpec:
         if self.kind not in ACTIVATION_KINDS:
             raise ParameterError(f"{path}.kind",
                                  f"unknown kind {self.kind!r}, expected one of {ACTIVATION_KINDS}")
-        if not (self.beta > 0):
-            raise ParameterError(f"{path}.beta", "bound beta must be positive")
+        if not (0 < self.beta < math.inf):
+            raise ParameterError(f"{path}.beta", "bound beta must be positive and finite")
 
     def __call__(self, s):
         return activation_eval(self.kind, self.beta, s)
@@ -223,6 +222,10 @@ class _NetworkParams:
     def validate(self) -> None:
         if self.m < 2:
             raise ParameterError("m", "node count must satisfy m >= 2")
+        paths = dict(self._MATRICES)
+        for name in (*self._VECTORS, *paths, "b", "k", "r", "V"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(paths.get(name, name), "must be finite, not inf or nan")
         if len(self.activations) != self.m:
             raise ParameterError("activations",
                                  f"expected {self.m} activation specs, got {len(self.activations)}")
@@ -413,32 +416,40 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     same member order for a lockstep column of P), the u coefficient
     ``u_coef``, the activation and a scratch block s to rows of one entry per
     member once, and each call returns a new (dim, members) block. ``rhs``
-    binds it once per batch shape.
+    binds it once per batch shape. numpy sums over the nodes of one column in
+    kernels of its own, so a lone member (a lead of (), (1,) or (1, 1)) is
+    bound as a two-member block: each call copies it into both columns and
+    returns column 0, which has the bits of its row in any batch.
 
     ``terms(s, dY, Y, f, *rows)`` writes the window's share of the u
     coefficient into s, W f into dY[:m] and any weight derivatives into
     dY[m+1:]. The block adds du += c*u + J, with c = s + u coefficient (less
     P*sum_j sigma(u_j) under weak coupling), then under linear coupling
     P*(sum(u) - m*u), which vanishes exactly on a synchronized state, and sets
-    drho = gamma.u - b*rho. Both branches follow p.coupling_kind alone.
+    drho = [gamma, -b].(u, rho). Both branches follow p.coupling_kind alone.
     """
     m = p.m
-    gamma, b, P, r, V = p.gamma, p.b, p.P, p.r, p.V
+    P, r, V, gamma_b = p.P, p.r, p.V, np.append(p.gamma, -p.b)
     coupled = bool(np.any(P != 0.0))
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
-    columns = [np.reshape(v, (-1, 1)) for v in [p.J] + columns]
 
     def block(lead: tuple):
         n = math.prod(lead)
+        if n == 1:
+            pair, Y2 = block(lead[:-1] + (2,)), np.empty((p.dim, 2))
+            def lone(Y: np.ndarray) -> np.ndarray:
+                Y2[:] = Y
+                return pair(Y2)[:, :1].copy()
+            return lone
         P_row = np.broadcast_to(P, lead + (1,)).reshape(n, order="F") if np.ndim(P) else P
         coef = np.repeat(u_coef[:, None], n, axis=1)
         activation = _activation_kernel(p.activations, n)
         scratch = np.empty((m, n))
-        J, *rows = [np.repeat(col, n, axis=1) for col in columns]
+        J, *rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in [p.J] + columns]
 
         def field(Y: np.ndarray) -> np.ndarray:
-            s, u, rho = scratch, Y[:m], Y[m]
+            s, u = scratch, Y[:m]
             f = activation(u)
             dY = np.empty_like(Y)
             terms(s, dY, Y, f, *rows)
@@ -455,24 +466,15 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
                 s += np.add.reduce(u, axis=0)
                 s *= P_row
                 du += s
-            # drho is not one einsum over (u, rho) with -b appended: for a single
-            # member einsum runs a lane-split dot product, which rounds m + 1
-            # terms differently from m terms less b*rho
-            drho = dY[m]
-            c_einsum("in,i->n", u, gamma, out=drho)
-            drho -= b * rho
+            c_einsum("in,i->n", Y[:m + 1], gamma_b, out=dY[m])
             return dY
 
         return field
 
-    bound: dict = {}
+    bound = functools.lru_cache(maxsize=1)(block)     # the last batch shape only
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        field = bound.get(y.shape[:-1])
-        if field is None:
-            bound.clear()          # keep the last batch shape only
-            field = bound[y.shape[:-1]] = block(y.shape[:-1])
-        dy = logical(field(node_major(y)), y.shape)
+        dy = logical(bound(y.shape[:-1])(node_major(y)), y.shape)
         return dy if y.flags.f_contiguous else np.ascontiguousarray(dy)
 
     rhs.block = block
@@ -527,8 +529,7 @@ def mhnn_rhs(p: MhnnParams, s: NetworkState) -> NetworkState:
         raise ParameterError("state.weights", "mHNN state carries no weight matrix")
     if s.u.shape != (p.m,):
         raise ParameterError("state.u", f"expected {p.m} potentials, got shape {s.u.shape}")
-    dy = make_mhnn_rhs(p)(s.to_vector())
-    return NetworkState.from_vector(dy, p.m)
+    return NetworkState.from_vector(make_mhnn_rhs(p)(s.to_vector()), p.m)
 
 
 def hebbian_rhs(p: HebbianParams, s: NetworkState) -> NetworkState:
@@ -537,5 +538,4 @@ def hebbian_rhs(p: HebbianParams, s: NetworkState) -> NetworkState:
         raise ParameterError("state.weights", "hebbian state requires a weight matrix")
     if s.u.shape != (p.m,) or s.weights.shape != (p.m, p.m):
         raise ParameterError("state", f"state dimensions do not match m = {p.m}")
-    dy = make_hebbian_rhs(p)(s.to_vector())
-    return NetworkState.from_vector(dy, p.m, has_weights=True)
+    return NetworkState.from_vector(make_hebbian_rhs(p)(s.to_vector()), p.m, has_weights=True)

@@ -629,9 +629,10 @@ class TestSweep:
                     row.verdict) == (rep["deg_estimate"], rep["p_star"], rep["rate_theory"],
                                      rep["fitted_rate"], rep["verdict"])
 
+    @pytest.mark.parametrize("count", [10, 1])
     @pytest.mark.parametrize("model, m", [("weak-sigmoidal", 8), ("linear", 2),
                                           ("linear", 8), ("hebbian", 3)])
-    def test_lockstep_rows_equal_single_verifies(self, monkeypatch, model, m):
+    def test_lockstep_rows_equal_single_verifies(self, monkeypatch, model, m, count):
         # at m = 8 a flat (len(P) * count, dim) batch would change the BLAS row
         # blocking of the RHS matrix products, and with it the last bits
         rng = np.random.default_rng(21 + m)
@@ -640,7 +641,7 @@ class TestSweep:
         p_star = threshold(p, eps).p_star
         p_values = [2 * p_star, 0.0, 0.5 * p_star, 2 * p_star]
         cfg = IntegratorConfig(dt=2e-3, t_end=2.0, record_stride=2)
-        ens = EnsembleSpec(count=10, radius=2.0, seed=9)
+        ens = EnsembleSpec(count=count, radius=2.0, seed=9)
         runs = self.record_integrations(monkeypatch)
         rows = sweep_coupling(p, cfg, ens, p_values, eps)
         assert len(runs) == 1

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mhnnsync import cli
+from mhnnsync import analysis, cli
 
 from test_analysis import count_derivations
 
@@ -222,6 +222,29 @@ class TestValidationExits:
         assert f"config validation error: {field}: " in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["constants", "threshold", "verify"])
+    @pytest.mark.parametrize("config, key, value, field", [
+        (mhnn_config, "J", "[1e400, 1.0]", "J"),
+        (mhnn_config, "w", "[[0.0, 0.0], [-1e400, 0.0]]", "w"),
+        (mhnn_config, "b", "1e400", "b"),
+        (hebbian_config, "lambda", "[[1.0, 1e400], [1.0, 1.0]]", "lambda"),
+        (mhnn_config, "activations",
+         '[{"kind": "tanh-scaled", "beta": 1e400}, {"kind": "tanh-scaled"}]',
+         "activations[0].beta"),
+    ], ids=["vector", "matrix", "scalar", "hebbian-matrix", "beta"])
+    def test_infinite_parameter_exit_3(self, tmp_path, capsys, command, config, key, value,
+                                       field):
+        # JSON reads 1e400 as inf: an infinite entry used to print "Infinity"
+        # constants, or fail later naming epsilon
+        text = json.dumps(config(**{key: "VALUE"})).replace('"VALUE"', value)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        assert run([command, "--config", str(cfg_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config validation error: {field}: " in captured.err
+        assert "Traceback" not in captured.err
+
     def test_infinite_sweep_value_exit_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path, mhnn_config())
         assert run(["sweep", "--config", cfg_path, "--p-values", "0.5,inf"]) == 3
@@ -426,6 +449,39 @@ class TestSimulateCommand:
         lines = out.read_text().splitlines()[1:]
         parsed = np.array([[float(x) for x in line.split(",")] for line in lines])
         assert np.all(np.isfinite(parsed))
+
+
+    @pytest.mark.parametrize("model", ["weak-sigmoidal", "linear", "hebbian"])
+    def test_trajectory_is_member_0_of_the_ensemble(self, tmp_path, model):
+        # a lone state runs as a two-member block, so under rk4-fixed the run
+        # that simulate makes is bitwise member 0 of the seeded ensemble
+        integrator = {"method": "rk4-fixed", "dt": 1e-3, "t_end": 0.5}
+        ensemble = {"count": 5, "radius": 3.0, "seed": 11}
+        for draw in range(3):
+            rng = np.random.default_rng(70 + draw)
+            m = 6 if model == "hebbian" else 4
+            cfg = {"m": m, "a": rng.uniform(1.8, 2.2, m).tolist(), "b": 1.0,
+                   "eta": rng.uniform(0.8, 1.0, m).tolist(),
+                   "J": rng.uniform(-0.3, 0.3, m).tolist(),
+                   "gamma": rng.normal(scale=3.0, size=m).tolist(), "P": 0.7, "r": 0.1,
+                   "integrator": integrator, "ensemble": ensemble}
+            if model == "hebbian":
+                cfg.update(model="hebbian", k=[0.15] * m,
+                           c=rng.uniform(0.8, 1.2, (m, m)).tolist(),
+                           **{"lambda": rng.uniform(-0.3, 0.3, (m, m)).tolist()})
+            else:
+                cfg.update(model="mhnn", k=0.2, w=rng.normal(scale=3.0, size=(m, m)).tolist(),
+                           coupling="weak" if model == "weak-sigmoidal" else "linear")
+            cfg_path = write(tmp_path, cfg)
+            out = tmp_path / "traj.csv"
+            assert run(["simulate", "--config", cfg_path, "--output", str(out)]) == 0
+            rows = np.array([[float(x) for x in line.split(",")]
+                             for line in out.read_text().splitlines()[1:]])
+            run_cfg = cli.load_config(cfg_path)
+            batch = analysis.integrate_ensemble(run_cfg.parameters, run_cfg.integrator,
+                                                run_cfg.ensemble)
+            assert np.array_equal(rows[:, 0], batch.times)
+            assert np.array_equal(rows[:, 1:], batch.states[:, 0]), draw
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ class TestExtremes:
             ex = derive_extremes(p)
             for name, val in brute_force_extremes(p).items():
                 assert getattr(ex, name) == pytest.approx(val, abs=0.0), name
+
+    def test_no_cubic_temporary(self):
+        # each starred value is a max - min: at m = 200 the pairwise
+        # differences of w would take 61 MiB; |w| for W_max is the one
+        # m x m temporary
+        p = draw_mhnn(np.random.default_rng(200), 200)
+        derive_extremes(p)
+        tracemalloc.start()
+        try:
+            derive_extremes(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 200 * 200
 
     def test_hebbian_w0_star(self):
         p = mk_hebbian(w0=np.array([[1.0, 0.0], [0.0, 1.0]]))

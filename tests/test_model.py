@@ -556,6 +556,24 @@ class TestValidation:
             MhnnParams(m=3, a=[1.0, 2.0], b=1.0, k=0.5, eta=[1, 1, 1],
                        w=np.zeros((3, 3)), J=[0, 0, 0], gamma=[0, 0, 0])
 
+    @pytest.mark.parametrize("make, field, path, value", [
+        (mk_mhnn, "J", "J", [np.inf, 1.0]),
+        (mk_mhnn, "w", "w", [[0.0, np.nan], [0.0, 0.0]]),
+        (mk_mhnn, "b", "b", np.inf),
+        (mk_mhnn, "V", "V", -np.inf),
+        (mk_hebbian, "lam", "lambda", [[1.0, np.inf], [1.0, 1.0]]),
+        (mk_hebbian, "k", "k", [np.inf, 1.0]),
+    ])
+    def test_non_finite_entry_rejected(self, make, field, path, value):
+        with pytest.raises(ParameterError) as exc:
+            make(**{field: value}).validate()
+        assert exc.value.field == path
+
+    def test_infinite_activation_bound_rejected(self):
+        with pytest.raises(ParameterError) as exc:
+            mk_mhnn(activations=(ActivationSpec("tanh-scaled", np.inf),) * 2).validate()
+        assert exc.value.field == "activations[0].beta"
+
     def test_hebbian_assumption(self):
         with pytest.raises(ParameterError, match="eta"):
             mk_hebbian(a=[0.4, 0.4]).validate()
@@ -612,6 +630,31 @@ class TestBlockEvaluator:
         again = field(Y)
         assert np.array_equal(again, got)
         assert not np.shares_memory(again, got) and not np.shares_memory(got, Y)
+
+
+class TestLoneMember:
+    """A lone member runs as a two-member block, so its derivative is bitwise its
+    row in a batch of five: as a single state, as a one-member batch and through
+    the block evaluator on a (1, 1) lockstep lead."""
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 8, 9, 12])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_lone_rows_equal_batch_rows(self, model, m):
+        # three large gamma draws besides the drawn one: a last-bit change of
+        # the drho sum is lost next to b*rho when gamma.u is small
+        rng, p, make = drawn_field(model, m, 400 + m)
+        for draw in range(4):
+            q = p if draw == 0 else dataclasses.replace(p, gamma=rng.normal(scale=3.0, size=m))
+            y = rng.normal(scale=3.0, size=(5, p.dim))
+            rhs = make(q)
+            want = rhs(y)
+            lockstep = make(dataclasses.replace(q, P=np.full((1, 1, 1), q.P))).block((1, 1))
+            for i in range(5):
+                assert np.array_equal(rhs(y[i]), want[i]), (draw, i)
+                assert np.array_equal(rhs(y[i:i + 1]), want[i:i + 1]), (draw, i)
+                got = lockstep(model_module.node_major(y[i].reshape(1, 1, -1)))
+                assert got.shape == (p.dim, 1)
+                assert np.array_equal(got[:, 0], want[i]), (draw, i)
 
 
 class TestEinsumBinding:
