@@ -270,8 +270,8 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     pairwise gap. For Hebbian parameters the record hook checks each block's
     weights and keeps these two series, with the bits of ``norm_sq_series``
     and ``pairwise_gap_series``. An mHNN state is (u, rho) only, so it is
-    kept whole and reduced by those two after the run. Returns one report
-    per parameter set, in the order of ``swept``.
+    kept whole and reduced by those two after the run, one block at a time.
+    Returns one report per parameter set, in the order of ``swept``.
     """
     first = swept[0]
     y0 = _initial_states(first, ens)
@@ -299,13 +299,16 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
             return kept
 
     batch = integrate(_make_rhs(first), y0, cfg, m=first.m, record=record)
-    if record is None:
-        series = batch.norm_sq_series(), pairwise_gap_series(batch)
-    else:
-        series = np.moveaxis(batch.states, -1, 0)
-    norm_sq, gaps = (s.reshape(len(batch), len(swept), ens.count) for s in series)
-    return [_check_series(q, batch.times, norm_sq[:, i], gaps[:, i],
-                          ens, epsilon, p_star, d, check)
+    blocks = batch.states.reshape((len(batch), len(swept), ens.count, -1))
+
+    def series(i: int) -> tuple:
+        # one P block at a time: only that block's series are held beside the record
+        if record is not None:
+            return blocks[:, i, :, 0], blocks[:, i, :, 1]
+        block = Trajectory(times=batch.times, states=blocks[:, i], m=first.m)
+        return block.norm_sq_series(), pairwise_gap_series(block)
+
+    return [_check_series(q, batch.times, *series(i), ens, epsilon, p_star, d, check)
             for i, (q, check) in enumerate(zip(swept, checks))]
 
 

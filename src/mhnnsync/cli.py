@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from . import analysis, constants as cst
 from .integrate import BlowUpError, IntegratorConfig, default_dt, integrate
 from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError, as_integer
@@ -115,7 +113,7 @@ def _build_params(cfg: dict, model: str):
     if model == "hebbian":
         return HebbianParams(k=_field(cfg, "k"), c=_field(cfg, "c"),
                              lam=_field(cfg, "lambda"),
-                             w0=cfg.get("w0", np.ones((m, m))), **common)
+                             w0=cfg.get("w0", 1.0), **common)
     raise ParameterError("model", f"expected 'mhnn' or 'hebbian', got {model!r}")
 
 

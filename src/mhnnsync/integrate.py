@@ -2,23 +2,33 @@
 
 Both steppers integrate batched states of shape (*batch, dim) in lockstep,
 on the node-major (dim, members) block of y0 (``model.node_major``: a view of
-a Fortran-ordered y0, else a copy), framed once per run. A field from
-``model`` evaluates it through its block evaluator, bound once per run; any
-other right-hand side, like a record hook, is called on its logical view. RK4
-takes the same steps for every batch and its stage arithmetic is elementwise,
-so a member's result depends only on how the right-hand side treats it. DP5
-sizes its steps from the error over the whole batch, squared into a C-ordered
-buffer and summed in logical order, so a node-major (Fortran-ordered)
-ensemble takes the steps of the same ensemble stored member-major.
+a Fortran-ordered y0, else a copy), framed once per run. Every buffer a run
+steps in is a block allocated once per run, and the right-hand side writes
+into them through evaluators bound once per (state, derivative) buffer pair:
+a field from ``model`` through ``rhs.block(lead).bind``, which makes its
+views and scratch rows once, and any other right-hand side through an adapter
+that calls it on the state's logical view and copies its result in. A record
+hook is called on the logical view of the state. RK4 takes the same steps for
+every batch and its stage arithmetic is elementwise, so a member's result
+depends only on how the right-hand side treats it. DP5 sizes its steps from
+the error over the whole batch, squared into a C-ordered buffer and summed in
+logical order, so a node-major (Fortran-ordered) ensemble takes the steps of
+the same ensemble stored member-major.
+
+RK4 steps a copy of y0 in place, with four stage blocks, a stage input and
+one scratch block; it keeps the operation order of the textbook step, so its
+bits are those of y + (h/6)*(k1 + 2*k2 + 2*k3 + k4) with fresh arrays.
 
 DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
 evaluated at the new solution and serves as the next step's first stage, also
 after a rejected step. A run calls the RHS once to start and then 6 times per
 attempted step, accepted or rejected. It steps a copy of y0 in two state
-buffers that swap on every accepted step, and its stage arithmetic writes
-into buffers allocated once per run. A run that attempts MAX_ADAPTIVE_ATTEMPTS
-steps without reaching t_end ends in AttemptLimitError, a BlowUpError: a
-stiff system can otherwise need some 10^8 attempts, hours of work.
+buffers that swap on every accepted step, together with the first and last
+stage blocks and the evaluators bound to them, and its stage arithmetic
+writes into buffers allocated once per run. A run that attempts
+MAX_ADAPTIVE_ATTEMPTS steps without reaching t_end ends in AttemptLimitError,
+a BlowUpError: a stiff system can otherwise need some 10^8 attempts, hours of
+work.
 
 Each recorded state (the initial one, every record_stride-th accepted step
 and the last) passes through a record hook, and the trajectory keeps what the
@@ -53,6 +63,9 @@ MAX_ADAPTIVE_ATTEMPTS = 10**6
 
 # The records a DP5 run has room for before it first doubles them.
 DP5_RECORD_CAPACITY = 64
+
+# The bytes of the squares that Trajectory.norm_sq_series holds at once.
+SERIES_CHUNK_BYTES = 2**20
 
 METHODS = ("rk4-fixed", "rk45-adaptive")
 
@@ -152,23 +165,26 @@ class Trajectory:
                           m=self.m, has_weights=self.has_weights)
 
     def norm_sq_series(self) -> np.ndarray:
-        """||g(t)||^2 over the recorded samples (weights excluded)."""
+        """||g(t)||^2 over the recorded samples (weights excluded).
+
+        The squares are taken a chunk of records at a time, so the temporary
+        stays near SERIES_CHUNK_BYTES whatever the record's length; each row
+        is summed on its own, so the values are those of one whole-record sum.
+        """
         n = self.m + 1 if self.m else self.states.shape[-1]
-        return np.sum(self.states[..., :n]**2, axis=-1)
+        u_rho = self.states[..., :n]
+        out = np.empty(u_rho.shape[:-1])
+        rows = max(1, SERIES_CHUNK_BYTES // max(1, u_rho[:1].nbytes))
+        for i in range(0, len(u_rho), rows):
+            np.sum(np.square(u_rho[i:i + rows]), axis=-1, out=out[i:i + rows])
+        return out
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
     # a NaN propagates through max and min, so it fails the test as well
-    if not (y.max() <= BLOWUP_LIMIT and y.min() >= -BLOWUP_LIMIT):
+    if not (np.maximum.reduce(y, None) <= BLOWUP_LIMIT
+            and np.minimum.reduce(y, None) >= -BLOWUP_LIMIT):
         raise BlowUpError(t)
-
-
-def _rk4_step(rhs, y, h):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 5(4) tableau. Row i of _DP_A builds the input of stage i + 2
@@ -229,29 +245,61 @@ class _Record:
             a.resize((n,) + a.shape[1:], refcheck=False)
 
 
-def _integrate_rk4(rhs, y0, shape, cfg, record):
-    """The record is allocated at its final size: the step count is known."""
+def _integrate_rk4(bind, y0, shape, cfg, record):
+    """The record is allocated at its final size: the step count is known.
+
+    Each step is the classic RK4 step y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4),
+    with stage inputs y + (h/2)*k1, y + (h/2)*k2 and y + h*k3, in that order
+    of operations, written into blocks allocated once per run: y (a copy of
+    y0) is updated in place.
+    """
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.record_stride
     n = int(_fixed_steps(cfg))
-    rec = _Record(record(logical(y0, shape)), 1 + n // stride + (n % stride != 0))
-    y = y0
+    y = y0.copy()                    # y0 may view the caller's array
+    k1, k2, k3, k4, stage, term = (np.empty_like(y) for _ in range(6))
+    eval_k1, eval_k2, eval_k3, eval_k4 = (bind(y, k1), bind(stage, k2), bind(stage, k3),
+                                          bind(stage, k4))
+    rec = _Record(record(logical(y, shape)), 1 + n // stride + (n % stride != 0))
     for i in range(1, n + 1):
         t_next = i * dt if i < n else t_end
         h = dt if i < n else t_end - (n - 1) * dt
-        y = _rk4_step(rhs, y, h)
+        half = 0.5 * h
+        eval_k1()
+        np.multiply(k1, half, term)
+        np.add(y, term, stage)
+        eval_k2()
+        np.multiply(k2, half, term)
+        np.add(y, term, stage)
+        eval_k3()
+        np.multiply(k3, h, term)
+        np.add(y, term, stage)
+        eval_k4()
+        np.multiply(k2, 2.0, term)
+        np.add(k1, term, k1)
+        np.multiply(k3, 2.0, term)
+        np.add(k1, term, k1)
+        np.add(k1, k4, k1)
+        np.multiply(k1, h / 6.0, k1)
+        np.add(y, k1, y)
         _check_finite(y, t_next)
         if i % stride == 0 or i == n:
             rec.add(t_next, record(logical(y, shape)))
     return rec.arrays()
 
 
-def _integrate_rk45(rhs, y0, shape, cfg, record):
+def _integrate_rk45(bind, y0, shape, cfg, record):
     t_end, stride = cfg.t_end, cfg.record_stride
     t_stop = t_end - 1e-14 * t_end
     t, h, y = 0.0, min(cfg.dt, t_end), y0.copy()    # y0 may view the caller's array
     rec = _Record(record(logical(y, shape)), DP5_RECORD_CAPACITY)
-    ks = [rhs(y)] + [None] * 6
     y_new, stage, term, abs_new = (np.empty_like(y0) for _ in range(4))
+    ks = [np.empty_like(y0) for _ in range(7)]
+    # stages 2-6 evaluate stage and stage 7 evaluates y_new; an accepted step
+    # swaps y with y_new and k1 with k7, so the stage-7 evaluator swaps with
+    # its twin, which evaluates y into k1 and gives the first stage
+    evals = [None] + [bind(stage, k) for k in ks[1:6]] + [bind(y_new, ks[6])]
+    twin = bind(y, ks[0])
+    twin()
     sq = np.empty(shape)    # C-ordered: the error sum runs in logical order
     abs_y = np.abs(y0)
     accepted, attempts, max_attempts = 0, 0, MAX_ADAPTIVE_ATTEMPTS
@@ -261,9 +309,8 @@ def _integrate_rk45(rhs, y0, shape, cfg, record):
         attempts += 1
         h = min(h, t_end - t)
         for i, row in enumerate(_DP_A, 1):
-            out = y_new if i == 6 else stage
-            _combine(out, y, h, row, ks, term)
-            ks[i] = rhs(out)
+            _combine(y_new if i == 6 else stage, y, h, row, ks, term)
+            evals[i]()
         err = stage
         _combine(err, y, h, _DP_B4, ks, term)
         np.subtract(y_new, err, out=err)
@@ -281,7 +328,8 @@ def _integrate_rk45(rhs, y0, shape, cfg, record):
             abs_y, abs_new = abs_new, abs_y
             if not abs_y.max() <= BLOWUP_LIMIT:
                 raise BlowUpError(t)
-            ks[0] = ks[6]
+            ks[0], ks[6] = ks[6], ks[0]
+            evals[6], twin = twin, evals[6]
             accepted += 1
             at_end = t >= t_stop
             if accepted % stride == 0 or at_end:
@@ -294,14 +342,22 @@ def _integrate_rk45(rhs, y0, shape, cfg, record):
 
 
 def _block_field(rhs, shape: tuple):
-    """rhs as a map from node-major block to new node-major block, for states of ``shape``.
+    """rhs as a binder on the node-major blocks of states of ``shape``.
 
-    A field from ``model`` is bound once through ``rhs.block``, which returns a
-    new block per call; any other callable's result is copied into a new block.
+    ``bind(Y, dY)`` returns an evaluator that writes rhs at Y into dY. A field
+    from ``model`` is bound through ``rhs.block``, once per run; any other
+    callable is called on Y's logical view and its result copied into dY's.
     """
     if hasattr(rhs, "block"):
-        return rhs.block(shape[:-1])
-    return lambda Y: node_major(np.array(rhs(logical(Y, shape)), dtype=float, order="F"))
+        return rhs.block(shape[:-1]).bind
+
+    def bind(Y: np.ndarray, dY: np.ndarray):
+        y, dy = logical(Y, shape), logical(dY, shape)
+
+        def evaluate():
+            dy[...] = rhs(y)
+        return evaluate
+    return bind
 
 
 def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
@@ -311,7 +367,9 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
     Records the initial state, every record_stride-th accepted step, and the
     final state at exactly t_end. ``record``, called on each of these states
     in time order, returns what the trajectory keeps of it; by default the
-    state itself. Raises BlowUpError on non-finite states.
+    state itself. The state it is given views the stepper's buffer, which
+    the next step overwrites, and what it returns is copied into the record.
+    Raises BlowUpError on non-finite states.
     """
     cfg.validate()
     y0 = np.atleast_1d(np.asarray(s0, dtype=float))

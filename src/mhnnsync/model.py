@@ -18,16 +18,20 @@ weights are contiguous rows of one value per member rather than strided
 columns. ``node_major`` frames a state as that block and ``logical`` undoes
 it: node-major means Fortran-ordered, for a (count, dim) ensemble and a
 (len(P), count, dim) lockstep stack alike, so for such a state the block is
-a view. ``integrate`` holds the state as this block for a whole run and
-calls a field's block evaluator, ``rhs.block(lead)``, bound to the batch
-once; the public ``rhs(y)`` frames each call's y and its result, with
-bitwise the same values. A member's derivative never depends on the batch
-around it: sums over nodes run elementwise (numpy's C einsum kernel,
-``np.add.reduce``), not through BLAS, and a lone member runs as a
-two-member block. Per-call numpy overhead, not arithmetic, sets the cost,
-so coefficients are tiled to rows once per batch shape, the decay, the
-window and weak coupling share one u coefficient, and einsum is called
-without numpy's Python wrapper.
+a view. A field's block evaluator, ``rhs.block(lead)``, is made once per
+batch shape, and its ``bind(Y, dY)`` is the entry point: it makes every view
+of a (state, derivative) pair of blocks and the scratch rows once, and the
+evaluator it returns writes f(Y) into dY with numpy calls on those views
+alone. ``integrate`` holds the state as blocks of its own for a whole run
+and binds each buffer pair before it steps. ``rhs.block(lead)(Y)`` and the
+public ``rhs(y)``, which frames each call's y and its result, still return a
+new block through the same path, with bitwise the same values. A member's
+derivative never depends on the batch around it: sums over nodes run
+elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
+and a lone member runs as a two-member block. Per-call numpy overhead, not
+arithmetic, sets the cost, so coefficients are tiled to rows once per batch
+shape, the decay, the window and weak coupling share one u coefficient, and
+einsum is called without numpy's Python wrapper.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -108,20 +113,22 @@ class ActivationSpec:
 def activation_eval(kind: str, beta: float, s):
     """Evaluate one activation family at s (scalar or array)."""
     s = np.asarray(s, dtype=float)
-    out = _activation_kernel((ActivationSpec(kind, beta),), s.size)(s.reshape(1, -1))
+    out = np.empty((1, s.size))
+    _activation_kernel((ActivationSpec(kind, beta),), s.size)(s.reshape(1, -1), out)()
     return out.reshape(s.shape) if s.ndim else float(out[0, 0])
 
 
 def _activation_kernel(activations, members: int):
-    """f(u) = (beta_j g_j(u_j))_j on a node-major (m, members) block u, one spec per node.
+    """A binder of f(u) = (beta_j g_j(u_j))_j on node-major (m, members) blocks, one spec per node.
 
-    The per-node scale, beta and sine mask are tiled to rows of ``members``
-    entries: broadcasting an (m, 1) column against a block with rows this
-    short costs more than the arithmetic. tanh(scale*u) is evaluated in place
-    for all nodes, then one masked ``np.sin`` overwrites the sine-clamped
-    nodes and beta multiplies in place: four numpy calls, no fancy-index
-    gather or scatter. The scale 1.0 keeps tanh-scaled bitwise tanh(u), since
-    1.0*u == u.
+    ``bind(u, out)`` returns an evaluator that writes f(u) into out, reading
+    the current contents of u on every call. The per-node scale, beta and
+    sine mask are tiled to rows of ``members`` entries: broadcasting an
+    (m, 1) column against a block with rows this short costs more than the
+    arithmetic. tanh(scale*u) is evaluated in place for all nodes, then one
+    masked ``np.sin`` overwrites the sine-clamped nodes and beta multiplies
+    in place: four numpy calls, no fancy-index gather or scatter. The scale
+    1.0 keeps tanh-scaled bitwise tanh(u), since 1.0*u == u.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
@@ -132,30 +139,37 @@ def _activation_kernel(activations, members: int):
     scale, sine, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, sine, betas))
     any_sine = bool(sine.any())
 
-    def f(u: np.ndarray) -> np.ndarray:
-        out = np.multiply(scale, u)
-        np.tanh(out, out=out)
-        if any_sine:
-            np.sin(u, out=out, where=sine)
-        out *= betas
-        return out
+    def bind(u: np.ndarray, out: np.ndarray):
+        def f():
+            np.multiply(scale, u, out)
+            np.tanh(out, out)
+            if any_sine:
+                np.sin(u, out=out, where=sine)
+            np.multiply(out, betas, out)
+        return f
 
-    return f
+    return bind
 
 
-def _sigmoid(s, r, V):
-    """The sigmoid of sigmoid_gamma without its check on r.
+def _sigmoid(s, r, V, out):
+    """The sigmoid of sigmoid_gamma without its check on r, written into out.
 
     1/(1 + e^-z) = (1 + tanh(z/2))/2, which cannot overflow.
     """
-    return 0.5 + 0.5 * np.tanh((0.5 * r) * (s - V))
+    np.subtract(s, V, out)
+    np.multiply(out, 0.5 * r, out)
+    np.tanh(out, out)
+    np.multiply(out, 0.5, out)
+    np.add(out, 0.5, out)
+    return out
 
 
 def sigmoid_gamma(s, r: float, V: float):
     """Interneuron sigmoid 1/(1 + exp(-r(s - V))), overflow-safe, values in (0, 1)."""
     if not np.all(np.asarray(r) > 0):
         raise ParameterError("r", "sigmoid slope r must be positive")
-    out = _sigmoid(np.asarray(s, dtype=float), r, V)
+    s = np.asarray(s, dtype=float)
+    out = _sigmoid(s, r, V, np.empty(np.broadcast_shapes(s.shape, np.shape(r), np.shape(V))))
     return out if out.ndim else float(out)
 
 
@@ -191,18 +205,33 @@ def _as_array(x, shape: tuple, path: str) -> np.ndarray:
     return arr
 
 
+def _memory_bytes() -> Optional[int]:
+    """The machine's physical memory as ``os.sysconf`` reports it, or None where it cannot."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 class _NetworkParams:
     """What MhnnParams and HebbianParams share; no fields, so each keeps its field order.
 
     A subclass names its vectors and its (field, config path) matrices, which
     __post_init__ coerces (``P`` is left as given), and adds ``_validate_model``
-    and ``assumption_margins``.
+    and ``assumption_margins``. Before it fills anything to length m, it
+    raises MemoryError, naming m, when the vectors (8*m bytes each) and the
+    matrices (8*m^2 bytes each) would not fit in the machine's memory.
     """
 
     _UNHASHED = ("activations",)
 
     def __post_init__(self):
         self.m = as_integer(self.m, "m")
+        m, memory = max(self.m, 0), _memory_bytes()
+        need = 8 * (len(self._VECTORS) * m + len(self._MATRICES) * m * m)
+        if memory is not None and need > memory:
+            raise MemoryError(f"m = {self.m}: the parameters need {need:.3g} bytes, more than "
+                              f"the {memory:.3g} bytes of memory")
         for name in self._VECTORS:
             setattr(self, name, _as_array(getattr(self, name), (self.m,), name))
         for name, path in self._MATRICES:
@@ -405,6 +434,21 @@ def logical(Y: np.ndarray, shape: tuple) -> np.ndarray:
     return Y.T.reshape(shape, order="F")
 
 
+def _evaluator(bind):
+    """The field on node-major blocks from its binder.
+
+    ``bind(Y, dY)`` makes every view of the C-contiguous blocks Y and dY
+    once and returns an evaluator that writes f(Y) into dY on each call,
+    reading Y's current contents, and returns dY. ``field(Y)`` is
+    ``bind(Y, new block)()``: one evaluation path for both.
+    """
+    def field(Y: np.ndarray) -> np.ndarray:
+        return bind(Y, np.empty(Y.shape))()
+
+    field.bind = bind
+    return field
+
+
 def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
@@ -414,19 +458,24 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps the
     state node-major: it tiles J, the model's ``columns``, P (a row in the
     same member order for a lockstep column of P), the u coefficient
-    ``u_coef``, the activation and a scratch block s to rows of one entry per
-    member once, and each call returns a new (dim, members) block. ``rhs``
-    binds it once per batch shape. numpy sums over the nodes of one column in
-    kernels of its own, so a lone member (a lead of (), (1,) or (1, 1)) is
-    bound as a two-member block: each call copies it into both columns and
-    returns column 0, which has the bits of its row in any batch.
+    ``u_coef`` and the activation to rows of one entry per member once.
+    Its ``bind(Y, dY)`` (see ``_evaluator``) is the entry point of a caller
+    that steps in buffers of its own: the views of Y and dY and the scratch
+    rows are made once per buffer pair, and each call is numpy calls with
+    ``out`` alone. ``rhs`` makes the block evaluator once per batch shape,
+    keeping the last, and each call returns a new block. numpy sums over the
+    nodes of one column in kernels of its own, so a lone member (a lead of
+    (), (1,) or (1, 1)) is bound to two-member buffers: each call copies it
+    into both columns and column 0 of the result, which has the bits of its
+    row in any batch, into dY.
 
-    ``terms(s, dY, Y, f, *rows)`` writes the window's share of the u
-    coefficient into s, W f into dY[:m] and any weight derivatives into
-    dY[m+1:]. The block adds du += c*u + J, with c = s + u coefficient (less
-    P*sum_j sigma(u_j) under weak coupling), then under linear coupling
-    P*(sum(u) - m*u), which vanishes exactly on a synchronized state, and sets
-    drho = [gamma, -b].(u, rho). Both branches follow p.coupling_kind alone.
+    ``terms(s, dY, Y, f, *rows)`` binds the model's own terms: its evaluator
+    writes the window's share of the u coefficient into s, W f into dY[:m]
+    and any weight derivatives into dY[m+1:]. The block adds du += c*u + J,
+    with c = s + u coefficient (less P*sum_j sigma(u_j) under weak coupling),
+    then under linear coupling P*(sum(u) - m*u), which vanishes exactly on a
+    synchronized state, and sets drho = [gamma, -b].(u, rho). Both branches
+    follow p.coupling_kind alone.
     """
     m = p.m
     P, r, V, gamma_b = p.P, p.r, p.V, np.append(p.gamma, -p.b)
@@ -437,39 +486,55 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     def block(lead: tuple):
         n = math.prod(lead)
         if n == 1:
-            pair, Y2 = block(lead[:-1] + (2,)), np.empty((p.dim, 2))
-            def lone(Y: np.ndarray) -> np.ndarray:
-                Y2[:] = Y
-                return pair(Y2)[:, :1].copy()
-            return lone
+            pair = block(lead[:-1] + (2,))
+
+            def bind_lone(Y: np.ndarray, dY: np.ndarray):
+                Y2, dY2 = np.empty((p.dim, 2)), np.empty((p.dim, 2))
+                evaluate, column = pair.bind(Y2, dY2), dY2[:, :1]
+
+                def lone() -> np.ndarray:
+                    Y2[:] = Y
+                    evaluate()
+                    dY[:] = column
+                    return dY
+                return lone
+            return _evaluator(bind_lone)
         P_row = np.broadcast_to(P, lead + (1,)).reshape(n, order="F") if np.ndim(P) else P
         coef = np.repeat(u_coef[:, None], n, axis=1)
-        activation = _activation_kernel(p.activations, n)
-        scratch = np.empty((m, n))
+        bind_activation = _activation_kernel(p.activations, n)
         J, *rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in [p.J] + columns]
 
-        def field(Y: np.ndarray) -> np.ndarray:
-            s, u = scratch, Y[:m]
-            f = activation(u)
-            dY = np.empty_like(Y)
-            terms(s, dY, Y, f, *rows)
-            s += coef
-            if weak:
-                s -= P_row * np.add.reduce(_sigmoid(u, r, V), axis=0)
-            s *= u
-            du = dY[:m]
-            du += s
-            du += J
-            if linear:
-                # P*(sum(u) - m*u) in the scratch block, bitwise
-                np.multiply(u, -m, out=s)
-                s += np.add.reduce(u, axis=0)
-                s *= P_row
-                du += s
-            c_einsum("in,i->n", Y[:m + 1], gamma_b, out=dY[m])
-            return dY
+        def bind(Y: np.ndarray, dY: np.ndarray):
+            if not (Y.flags.c_contiguous and dY.flags.c_contiguous):
+                raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
+            u, du, drho, u_rho = Y[:m], dY[:m], dY[m], Y[:m + 1]
+            s, f, total = np.empty((m, n)), np.empty((m, n)), np.empty(n)
+            sig = np.empty((m, n)) if weak else None
+            activation, term = bind_activation(u, f), terms(s, dY, Y, f, *rows)
 
-        return field
+            def evaluate() -> np.ndarray:
+                activation()
+                term()
+                np.add(s, coef, s)
+                if weak:
+                    np.add.reduce(_sigmoid(u, r, V, sig), 0, None, total)
+                    np.multiply(P_row, total, total)
+                    np.subtract(s, total, s)
+                np.multiply(s, u, s)
+                np.add(du, s, du)
+                np.add(du, J, du)
+                if linear:
+                    # P*(sum(u) - m*u) in the scratch block, bitwise
+                    np.multiply(u, -m, s)
+                    np.add.reduce(u, 0, None, total)
+                    np.add(s, total, s)
+                    np.multiply(s, P_row, s)
+                    np.add(du, s, du)
+                c_einsum("in,i->n", u_rho, gamma_b, out=drho)
+                return dY
+            return evaluate
+
+        return _evaluator(bind)
 
     bound = functools.lru_cache(maxsize=1)(block)     # the last batch shape only
 
@@ -492,9 +557,13 @@ def make_mhnn_rhs(p: MhnnParams):
     m, w = p.m, p.w
 
     def terms(s, dY, Y, f, neg_keta):
-        np.multiply(neg_keta, Y[m], out=s)
-        s *= Y[m]
-        c_einsum("ij,jn->in", w, f, out=dY[:m])
+        rho, du = Y[m], dY[:m]
+
+        def evaluate():
+            np.multiply(neg_keta, rho, s)
+            np.multiply(s, rho, s)
+            c_einsum("ij,jn->in", w, f, out=du)
+        return evaluate
 
     return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms)
 
@@ -505,20 +574,26 @@ def make_hebbian_rhs(p: HebbianParams):
     Accepts batched states of shape (..., dim) in either layout and returns
     that shape (see ``_node_major_field``). The weights are read from the
     state: the Strukov-Williams window k*rho*(eta - rho) goes to the scratch
-    block, and dw_ij = -c_ij w_ij + lambda_ij f_i f_j.
+    block, and dw_ij = -c_ij w_ij + lambda_ij f_i f_j, with -c_ij w_ij in a
+    scratch block of its own.
     """
     m = p.m
 
     def terms(s, dY, Y, f, k, eta, lam, negc):
-        rho, W = Y[m], Y[m + 1:]
-        np.subtract(eta, rho, out=s)
-        s *= rho
-        s *= k
-        c_einsum("ijn,jn->in", W.reshape(m, m, -1), f, out=dY[:m])
-        dW = dY[m + 1:]
-        np.multiply(f[:, None], f[None, :], out=dW.reshape(m, m, -1))
-        dW *= lam
-        dW += negc * W
+        rho, W, du, dW = Y[m], Y[m + 1:], dY[:m], dY[m + 1:]
+        W3, dW3, cW = W.reshape(m, m, -1), dW.reshape(m, m, -1), np.empty(W.shape)
+
+        def evaluate():
+            np.subtract(eta, rho, s)
+            np.multiply(s, rho, s)
+            np.multiply(s, k, s)
+            c_einsum("ijn,jn->in", W3, f, out=du)
+            # the outer product f_i f_j, without the broadcast ufunc's buffers
+            c_einsum("in,jn->ijn", f, f, out=dW3)
+            np.multiply(dW, lam, dW)
+            np.multiply(negc, W, cW)
+            np.add(dW, cW, dW)
+        return evaluate
 
     return _node_major_field(p, -p.a, [p.k, p.eta, p.lam, -p.c], terms)
 

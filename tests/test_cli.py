@@ -330,6 +330,22 @@ class TestOutOfMemoryExit:
         assert err.startswith("mhnnsync: out of memory: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("config", [mhnn_config, hebbian_config])
+    def test_huge_m_exit_71(self, tmp_path, capsys, monkeypatch, config):
+        # scalar vectors and matrices, and the Hebbian default w0: m is bounded
+        # by the memory probe before anything is filled to length m
+        monkeypatch.setattr(importlib.import_module("mhnnsync.model"), "_memory_bytes",
+                            lambda: 2**30)
+        cfg = config(m=10**9)
+        for key in ("a", "k", "eta", "w", "c", "lambda", "J", "gamma"):
+            if key in cfg:
+                cfg[key] = 1.0
+        cfg.pop("w0", None)
+        assert run(["constants", "--config", write(tmp_path, cfg)]) == 71
+        err = capsys.readouterr().err
+        assert err.startswith("mhnnsync: out of memory: m = 1000000000: ")
+        assert err.count("\n") == 1
+
     def test_config_load_out_of_memory_exit_71(self, tmp_path, capsys, monkeypatch):
         def load_config(*args, **kwargs):
             raise MemoryError()

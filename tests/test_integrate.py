@@ -21,7 +21,7 @@ from mhnnsync import (
 )
 from mhnnsync.analysis import _initial_states, integrate_ensemble
 from mhnnsync.integrate import (DP5_RECORD_CAPACITY, MAX_ADAPTIVE_ATTEMPTS, MAX_FIXED_STEPS,
-                                _check_finite, _rk4_step)
+                                _check_finite)
 from mhnnsync.model import make_hebbian_rhs, make_mhnn_rhs
 
 from draws import draw_hebbian, draw_mhnn
@@ -32,6 +32,16 @@ integrate_module = importlib.import_module("mhnnsync.integrate")
 
 def linear_decay(y):
     return -y
+
+
+def _rk4_step(rhs, y, h):
+    """The classic RK4 step, every stage a fresh array: the reference that the
+    in-place stepper must reproduce bitwise."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestRk4:
@@ -95,6 +105,40 @@ class TestRk4:
         with pytest.raises(BlowUpError) as exc:
             integrate(lambda y: 5.0 * y, np.array([1.0]), cfg)
         assert 0 < exc.value.t <= 50.0
+
+
+class TestRk4MatchesReference:
+    """The in-place RK4 stepper, which evaluates a field through evaluators
+    bound once per run, against the reference step above looped over the
+    public rhs(y): the same records, bit for bit."""
+
+    @pytest.mark.parametrize("start", ["batch", "lockstep", "single"])
+    @pytest.mark.parametrize("model", ["hebbian", "weak-sigmoidal", "linear"])
+    def test_bitwise_equal(self, model, start):
+        rng = np.random.default_rng(83)
+        if model == "hebbian":
+            p, make = dataclasses.replace(draw_hebbian(rng, 4), P=1.5), make_hebbian_rhs
+        else:
+            p = dataclasses.replace(draw_mhnn(rng, 3, coupling=model), P=1.5)
+            make = make_mhnn_rhs
+        y0 = _initial_states(p, EnsembleSpec(count=10, radius=4.0, seed=5))
+        if start == "lockstep":
+            p = dataclasses.replace(p, P=np.array([0.0, 1.5, 6.0])[:, None, None])
+            y0 = np.stack([y0] * 3)
+        elif start == "single":
+            y0 = y0[3]
+        rhs = make(p)
+        # 48 steps, the last one half as long
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.475, record_stride=4)
+        traj = integrate(rhs, y0, cfg)
+        y, times, states = y0, [0.0], [y0]
+        for i in range(1, 49):
+            y = _rk4_step(rhs, y, cfg.dt if i < 48 else cfg.t_end - 47 * cfg.dt)
+            if i % cfg.record_stride == 0 or i == 48:
+                times.append(i * cfg.dt if i < 48 else cfg.t_end)
+                states.append(y)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, np.stack(states))
 
 
 class TestRk45:

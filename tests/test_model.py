@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -594,6 +595,44 @@ class TestValidation:
         assert back.weights == pytest.approx(s.weights)
 
 
+class TestParameterMemory:
+    """A parameter set whose vectors (8*m bytes each) and matrices (8*m^2
+    bytes each) exceed the machine's memory raises MemoryError, naming m,
+    before anything is filled to length m."""
+
+    SCALARS = {mk_mhnn: dict(a=2.0, eta=1.0, J=0.0, gamma=1.0, w=0.0),
+               mk_hebbian: dict(a=2.0, k=1.0, eta=1.0, J=0.0, gamma=1.0, c=1.0, lam=1.0,
+                                w0=1.0)}
+
+    @pytest.mark.parametrize("make, m", [
+        (mk_mhnn, 10**9),          # the four vectors alone take 32 GB
+        (mk_mhnn, 12_000),         # w takes 1.15 GB, the vectors 0.4 MB
+        (mk_hebbian, 10**9),
+        (mk_hebbian, 7_000),       # c, lambda and w0 take 1.18 GB
+    ])
+    def test_too_large_m_raises_before_allocating(self, make, m, monkeypatch):
+        monkeypatch.setattr(model_module, "_memory_bytes", lambda: 2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=f"^m = {m}: "):
+                make(m=m, **self.SCALARS[make])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("memory", [2**30, None])
+    @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
+    def test_fitting_m_is_built(self, make, memory, monkeypatch):
+        # 240 kB of Hebbian matrices at m = 100; no bound where the probe cannot tell
+        monkeypatch.setattr(model_module, "_memory_bytes", lambda: memory)
+        p = make(m=100, **self.SCALARS[make])
+        assert p.a.shape == (100,) and p.eta.shape == (100,)
+
+    def test_probe_reports_memory(self):
+        assert model_module._memory_bytes() > 0
+
+
 def drawn_field(model, m, seed):
     """The generator, a draw with every activation kind and P = 0.7, and the
     field factory, for the Hebbian model or an mHNN coupling."""
@@ -630,6 +669,45 @@ class TestBlockEvaluator:
         again = field(Y)
         assert np.array_equal(again, got)
         assert not np.shares_memory(again, got) and not np.shares_memory(got, Y)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 10)], ids=["single", "batch", "lockstep"])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_bound_evaluator_writes_its_block(self, model, lead):
+        rng, p, make = drawn_field(model, 4, 250)
+        if len(lead) == 2:
+            p = dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None])
+        field = make(p).block(lead)
+        Y = model_module.node_major(rng.normal(scale=3.0, size=lead + (p.dim,)))
+        dY = np.full(Y.shape, np.nan)
+        given = Y.copy()
+        evaluate = field.bind(Y, dY)
+        assert np.isnan(dY).all()                 # binding evaluates nothing
+        assert evaluate() is dY
+        assert np.array_equal(Y, given)           # only dY is written
+        assert np.array_equal(dY, field(Y))
+        # the views follow Y's buffer: new contents give their own derivative
+        Y[...] = rng.normal(scale=3.0, size=Y.shape)
+        evaluate()
+        assert np.array_equal(dY, field(Y))
+
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_bound_evaluator_allocates_no_block(self, model):
+        # a ufunc over a row broadcast down the block iterates through a buffer
+        # of at most 8192 elements (64 kB), whatever the batch; at 2048 members
+        # an (m, members) block is larger, so a block-sized temporary shows
+        rng, p, make = drawn_field(model, 6, 260)
+        Y = model_module.node_major(rng.normal(scale=3.0, size=(2048, p.dim)))
+        evaluate = make(p).block((2048,)).bind(Y, np.empty(Y.shape))
+        evaluate()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 8 * p.m * 2048
 
 
 class TestLoneMember:
@@ -677,3 +755,13 @@ class TestEinsumBinding:
             got = np.empty_like(want)
             model_module.c_einsum(subscripts, *operands, out=got)
             assert np.array_equal(got, want), subscripts
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_outer_product_is_the_broadcast_product(self, m, n):
+        # the Hebbian f_i f_j: one product per entry, as the broadcast multiply takes it
+        f = np.random.default_rng(310 + 10 * m + n).normal(size=(m, n))
+        got = np.empty((m, m, n))
+        model_module.c_einsum("in,jn->ijn", f, f, out=got)
+        assert np.array_equal(got, np.einsum("in,jn->ijn", f, f))
+        assert np.array_equal(got, f[:, None] * f[None, :])
