@@ -17,7 +17,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import constants as cst
-from .integrate import BlowUpError, IntegratorConfig, Trajectory, integrate
+from .integrate import (SERIES_CHUNK_BYTES, BlowUpError, IntegratorConfig, Trajectory,
+                        integrate)
 from .model import (HebbianParams, MhnnParams, ParameterError, as_integer, make_hebbian_rhs,
                     make_mhnn_rhs)
 
@@ -281,22 +282,7 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     record, checks = None, [None] * len(swept)
     if isinstance(first, HebbianParams):
         checks = [_WeightCheck(q, d) for q in swept]
-        m = first.m
-
-        def record(y):
-            for check, w in zip(checks, y[..., m + 1:].reshape(-1, ens.count, m * m)):
-                check(w)
-            kept = np.empty(y.shape[:-1] + (2,))
-            # the bits of norm_sq_series on the C-ordered record: numpy sums a
-            # contiguous last axis pairwise but the node axis of this
-            # node-major state term by term, which differs from 9 terms on
-            kept[..., 0] = np.sum(np.square(y[..., :m + 1], order="C"), axis=-1)
-            # the values of pairwise_gap_series, whose column loop is slower
-            # here: the nodes are this state's slow axis
-            u = y[..., :m]
-            np.subtract(np.maximum.reduce(u, axis=-1), np.minimum.reduce(u, axis=-1),
-                        out=kept[..., 1])
-            return kept
+        record = _hebbian_record(first.m, y0.shape, checks)
 
     batch = integrate(_make_rhs(first), y0, cfg, m=first.m, record=record)
     blocks = batch.states.reshape((len(batch), len(swept), ens.count, -1))
@@ -310,6 +296,54 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
 
     return [_check_series(q, batch.times, *series(i), ens, epsilon, p_star, d, check)
             for i, (q, check) in enumerate(zip(swept, checks))]
+
+
+def _hebbian_record(m: int, shape: tuple, checks: list):
+    """The record hook of a Hebbian run of (..., dim) ``shape``, one weight check per P block.
+
+    The hook feeds each block's weights to its check and returns ||g||^2 and
+    the pairwise gap of every member, with the bits of ``norm_sq_series`` and
+    ``pairwise_gap_series``, in a (..., 2) buffer of its own that the record
+    copies. Its scratch is allocated once. The stepper hands it the
+    Fortran-ordered logical view of its node-major block, so the transpose
+    gives the weights as node-major rows: they are squared there and compared
+    with the checks' limit, which is the same for every block (only P
+    differs), tiled to those rows. Only a record in which some weight
+    exceeds it is fed to the checks block by block.
+    """
+    lead = shape[:-1]
+    excess = np.empty((m * m,) + lead[::-1])          # the shape of the weight rows
+    limit = np.broadcast_to(checks[0].limit.reshape((-1,) + (1,) * len(lead)), excess.shape)
+    limit = limit.copy()
+    sq, hi, lo = np.empty(lead + (m + 1,)), np.empty(lead), np.empty(lead)
+    series = np.empty((2,) + lead)        # ||g||^2 and the gap, each reduced into a contiguous row
+    norm, gap = series
+    kept = np.moveaxis(series, 0, -1)
+    square, subtract = np.square, np.subtract
+    add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+
+    def record(y):
+        square(y.T[m + 1:], excess)
+        subtract(excess, limit, excess)
+        if max_reduce(excess, None) > 0:
+            for check, w in zip(checks, y[..., m + 1:].reshape(-1, lead[-1], m * m)):
+                check(w)
+        else:
+            for check in checks:
+                check.records += 1
+        # numpy sums a contiguous last axis pairwise but the node axis of
+        # this node-major state term by term, which differs from 9 terms on:
+        # the squares are taken in C order, as in norm_sq_series
+        square(y[..., :m + 1], sq)
+        add_reduce(sq, -1, None, norm)
+        # the values of pairwise_gap_series, whose column loop is slower
+        # here: the nodes are this state's slow axis
+        u = y[..., :m]
+        max_reduce(u, -1, None, hi)
+        min_reduce(u, -1, None, lo)
+        subtract(hi, lo, gap)
+        return kept
+    return record
 
 
 def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
@@ -337,59 +371,69 @@ def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.nd
                   weights: Optional[_WeightCheck]) -> SyncReport:
     """The checks of verify_guarantees on an ensemble's (n, count) series of
     ||g||^2 and pairwise gap at ``times``, plus, when given, the weight check
-    fed with every recorded state."""
+    fed with every recorded state.
+
+    The members are checked a chunk at a time, of about SERIES_CHUNK_BYTES
+    per series, so the check's temporaries stay near a few chunks whatever
+    the ensemble's size. Every check is elementwise or per member, so the
+    report does not depend on the chunking.
+    """
     dc = d.dc
     rate_theory = d.rate(p.P)
     residual = d.residual(p.P)
-
-    gap_sq = gaps**2
-    rows = np.arange(len(times))[:, None]
-    members = np.arange(ens.count)
-
-    # Each check is evaluated for every member at once; only flagged members
-    # are revisited below for their violation records.
-    # (i) dissipative envelope from each member's initial squared norm
-    env = cst.dissipative_envelope(dc, times[:, None], norm_sq[0])
-    dissipative_bad = norm_sq > env + _tolerance(env)
-    # (ii) gap envelope from each member's first recorded sample inside the ball;
-    # rows up to entry are clipped to t = 0 and masked out
-    inside = norm_sq < dc.bound
-    entered = inside.any(axis=0)
-    entry = inside.argmax(axis=0)
-    since = np.maximum(times[:, None] - times[entry], 0.0)
-    genv = cst.envelope_at_rate(rate_theory, residual, since, gap_sq[entry, members])
-    gap_bad = (gap_sq > genv + _tolerance(genv)) & (rows > entry) & entered
-    flagged = dissipative_bad.any(axis=0) | gap_bad.any(axis=0)
-    # (iii) Hebbian weight ultimate bound
+    # (iii) Hebbian weight ultimate bound, already checked record by record
     weight_bad = weights.violations(times) if weights is not None else {}
-    flagged[list(weight_bad)] = True
+    rows = np.arange(len(times))[:, None]
+    tail = times >= (1.0 - ens.tail_fraction) * times[-1]
 
     entry_times: list = []
     violations: list = []
     fitted: list = []
-    for j in range(ens.count):
-        if entered[j]:
-            e = int(entry[j])
-            entry_times.append(float(times[e]))
-            try:
-                fitted.append(fit_decay_rate(times[e:], gaps[e:, j], floor=residual))
-            except UndefinedFitError:
-                pass
-        else:
-            entry_times.append(None)
-        if not flagged[j]:
-            continue
-        for i in np.nonzero(dissipative_bad[:, j])[0]:
-            violations.append(EnvelopeViolation(j, float(times[i]), float(norm_sq[i, j]),
-                                                float(env[i, j]), "dissipative"))
-        for i in np.nonzero(gap_bad[:, j])[0]:
-            violations.append(EnvelopeViolation(j, float(times[i]), float(gap_sq[i, j]),
-                                                float(genv[i, j]), "gap"))
-        violations.extend(weight_bad.get(j, ()))
+    tail_max: list = []
+    width = max(1, SERIES_CHUNK_BYTES // max(1, norm_sq[:, :1].nbytes))     # members per chunk
+    for start in range(0, ens.count, width):
+        norm_c, gaps_c = norm_sq[:, start:start + width], gaps[:, start:start + width]
+        gap_sq = gaps_c**2
+        # Each check is evaluated for every member of the chunk at once; only
+        # flagged members are revisited below for their violation records.
+        # (i) dissipative envelope from each member's initial squared norm
+        env = cst.dissipative_envelope(dc, times[:, None], norm_c[0])
+        dissipative_bad = norm_c > env + _tolerance(env)
+        # (ii) gap envelope from each member's first recorded sample inside
+        # the ball; rows up to entry are clipped to t = 0 and masked out
+        inside = norm_c < dc.bound
+        entered = inside.any(axis=0)
+        entry = inside.argmax(axis=0)
+        since = np.maximum(times[:, None] - times[entry], 0.0)
+        genv = cst.envelope_at_rate(rate_theory, residual, since,
+                                    gap_sq[entry, np.arange(len(entry))])
+        gap_bad = (gap_sq > genv + _tolerance(genv)) & (rows > entry) & entered
+        flagged = dissipative_bad.any(axis=0) | gap_bad.any(axis=0)
 
-    # estimate_sync_degree over the members, from the gaps at hand
-    tail = times >= (1.0 - ens.tail_fraction) * times[-1]
-    deg = float(gaps[tail].max())
+        for c in range(len(entry)):
+            j = start + c
+            if entered[c]:
+                e = int(entry[c])
+                entry_times.append(float(times[e]))
+                try:
+                    fitted.append(fit_decay_rate(times[e:], gaps_c[e:, c], floor=residual))
+                except UndefinedFitError:
+                    pass
+            else:
+                entry_times.append(None)
+            if not (flagged[c] or j in weight_bad):
+                continue
+            for i in np.nonzero(dissipative_bad[:, c])[0]:
+                violations.append(EnvelopeViolation(j, float(times[i]), float(norm_c[i, c]),
+                                                    float(env[i, c]), "dissipative"))
+            for i in np.nonzero(gap_bad[:, c])[0]:
+                violations.append(EnvelopeViolation(j, float(times[i]), float(gap_sq[i, c]),
+                                                    float(genv[i, c]), "gap"))
+            violations.extend(weight_bad.get(j, ()))
+        # estimate_sync_degree over the members, from the gaps at hand
+        tail_max.append(gaps_c[tail].max())
+
+    deg = float(np.max(tail_max))
     fitted_rate = float(np.median(fitted)) if fitted else None
     verdict = "pass" if (deg < epsilon and not violations) else "fail"
     return SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=p.P, p_star=p_star,

@@ -8,7 +8,10 @@ into them through evaluators bound once per (state, derivative) buffer pair:
 a field from ``model`` through ``rhs.block(lead).bind``, which makes its
 views and scratch rows once, and any other right-hand side through an adapter
 that calls it on the state's logical view and copies its result in. A record
-hook is called on the logical view of the state. RK4 takes the same steps for
+hook is called on the logical view of the state, made once per state buffer.
+Each scalar a stepper passes to numpy is a 0-d array made once per run, or
+refreshed in place, because numpy dispatches a Python number more slowly
+than a 0-d array; the ufuncs are bound to locals. RK4 takes the same steps for
 every batch and its stage arithmetic is elementwise, so a member's result
 depends only on how the right-hand side treats it. DP5 sizes its steps from
 the error over the whole batch, squared into a C-ordered buffer and summed in
@@ -17,15 +20,18 @@ the same ensemble stored member-major.
 
 RK4 steps a copy of y0 in place, with four stage blocks, a stage input and
 one scratch block; it keeps the operation order of the textbook step, so its
-bits are those of y + (h/6)*(k1 + 2*k2 + 2*k3 + k4) with fresh arrays.
+bits are those of y + (h/6)*(k1 + 2*k2 + 2*k3 + k4) with fresh arrays. Its
+h/2, h, h/6 and 2 are 0-d arrays, refilled only for a shortened last step.
 
 DP5 (Dormand-Prince 5(4)) is FSAL, "first same as last": its seventh stage is
 evaluated at the new solution and serves as the next step's first stage, also
 after a rejected step. A run calls the RHS once to start and then 6 times per
 attempted step, accepted or rejected. It steps a copy of y0 in two state
 buffers that swap on every accepted step, together with the first and last
-stage blocks and the evaluators bound to them, and its stage arithmetic
-writes into buffers allocated once per run. A run that attempts
+stage blocks, the evaluators bound to them and the state's logical view, and
+its stage arithmetic writes into buffers allocated once per run. Each
+attempt writes h times the 26 nonzero tableau entries into one buffer with
+one multiply, and every stage input reads 0-d views of it. A run that attempts
 MAX_ADAPTIVE_ATTEMPTS steps without reaching t_end ends in AttemptLimitError,
 a BlowUpError: a stiff system can otherwise need some 10^8 attempts, hours of
 work.
@@ -35,7 +41,7 @@ and the last) passes through a record hook, and the trajectory keeps what the
 hook returns: by default the state itself, or a reduction such as the two
 numbers per member that verify_guarantees keeps of a Hebbian ensemble. Both
 steppers copy each kept value into one record, allocated from the first: RK4's
-at its final size, DP5's grown by doubling and trimmed at the end.
+at its final size, DP5's grown by half and trimmed at the end.
 
 Both steppers filter out numpy's overflow and invalid-value warnings: every
 accepted state is checked, so a diverging run ends in BlowUpError or
@@ -61,7 +67,7 @@ MAX_FIXED_STEPS = 10**8
 # The most steps, accepted or rejected, an rk45-adaptive run may attempt.
 MAX_ADAPTIVE_ATTEMPTS = 10**6
 
-# The records a DP5 run has room for before it first doubles them.
+# The records a DP5 run has room for before it first grows them.
 DP5_RECORD_CAPACITY = 64
 
 # The bytes of the squares that Trajectory.norm_sq_series holds at once.
@@ -201,16 +207,6 @@ _DP_A = (
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _combine(out, y, h, coeffs, ks, term):
-    """out = y + (h*c_1)*k_1 + (h*c_2)*k_2 + ..., added left to right; zero c_j are skipped."""
-    base = y
-    for c, k in zip(coeffs, ks):
-        if c:
-            np.multiply(k, h * c, out=term)
-            np.add(base, term, out=out)
-            base = out
-
-
 def _fixed_steps(cfg) -> float:
     """Steps of a fixed-step run, as a float so that a tiny dt cannot overflow it."""
     return max(1.0, float(np.ceil(cfg.t_end / cfg.dt - 1e-12)))
@@ -219,9 +215,10 @@ def _fixed_steps(cfg) -> float:
 class _Record:
     """Times and kept values, copied into arrays allocated from the first kept value.
 
-    A run that outgrows them doubles both in place, and ``arrays`` trims them
-    to length. No view of them exists before then, so ``ndarray.resize`` may
-    skip its reference check.
+    A run that outgrows them grows both in place by half, and at least one
+    row, so that they never hold more than max(capacity, ceil(1.5*n)) rows
+    for n kept values; ``arrays`` trims them to length. No view of them
+    exists before then, so ``ndarray.resize`` may skip its reference check.
     """
 
     def __init__(self, first, capacity: int):
@@ -232,7 +229,7 @@ class _Record:
 
     def add(self, t: float, kept) -> None:
         if self.n == len(self.times):
-            self.resize(2 * self.n)
+            self.resize(self.n + max(1, self.n // 2))
         self.times[self.n], self.states[self.n] = t, kept
         self.n += 1
 
@@ -251,89 +248,125 @@ def _integrate_rk4(bind, y0, shape, cfg, record):
     Each step is the classic RK4 step y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4),
     with stage inputs y + (h/2)*k1, y + (h/2)*k2 and y + h*k3, in that order
     of operations, written into blocks allocated once per run: y (a copy of
-    y0) is updated in place.
+    y0) is updated in place. The scalars h/2, h, h/6 and 2 are 0-d arrays,
+    refilled only for a shortened last step.
     """
     dt, t_end, stride = cfg.dt, cfg.t_end, cfg.record_stride
     n = int(_fixed_steps(cfg))
     y = y0.copy()                    # y0 may view the caller's array
+    view = logical(y, shape)
     k1, k2, k3, k4, stage, term = (np.empty_like(y) for _ in range(6))
     eval_k1, eval_k2, eval_k3, eval_k4 = (bind(y, k1), bind(stage, k2), bind(stage, k3),
                                           bind(stage, k4))
-    rec = _Record(record(logical(y, shape)), 1 + n // stride + (n % stride != 0))
+    half, full, sixth, two = (np.array(c, dtype=float) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+    multiply, add = np.multiply, np.add
+    rec = _Record(record(view), 1 + n // stride + (n % stride != 0))
     for i in range(1, n + 1):
-        t_next = i * dt if i < n else t_end
-        h = dt if i < n else t_end - (n - 1) * dt
-        half = 0.5 * h
+        if i < n:
+            t_next = i * dt
+        else:
+            t_next, h = t_end, t_end - (n - 1) * dt
+            half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
         eval_k1()
-        np.multiply(k1, half, term)
-        np.add(y, term, stage)
+        multiply(k1, half, term)
+        add(y, term, stage)
         eval_k2()
-        np.multiply(k2, half, term)
-        np.add(y, term, stage)
+        multiply(k2, half, term)
+        add(y, term, stage)
         eval_k3()
-        np.multiply(k3, h, term)
-        np.add(y, term, stage)
+        multiply(k3, full, term)
+        add(y, term, stage)
         eval_k4()
-        np.multiply(k2, 2.0, term)
-        np.add(k1, term, k1)
-        np.multiply(k3, 2.0, term)
-        np.add(k1, term, k1)
-        np.add(k1, k4, k1)
-        np.multiply(k1, h / 6.0, k1)
-        np.add(y, k1, y)
+        multiply(k2, two, term)
+        add(k1, term, k1)
+        multiply(k3, two, term)
+        add(k1, term, k1)
+        add(k1, k4, k1)
+        multiply(k1, sixth, k1)
+        add(y, k1, y)
         _check_finite(y, t_next)
         if i % stride == 0 or i == n:
-            rec.add(t_next, record(logical(y, shape)))
+            rec.add(t_next, record(view))
     return rec.arrays()
 
 
 def _integrate_rk45(bind, y0, shape, cfg, record):
+    """Each attempt first writes h*c for the 26 nonzero tableau entries into
+    one buffer, with one multiply. A per-row plan pairs each stage block with
+    a 0-d view of its entry, so each stage input is y + (h*c_1)*k_1 +
+    (h*c_2)*k_2 + ..., added left to right with the zero c_j skipped, and the
+    error block likewise with the 4th-order weights. There is one plan for
+    each of the two buffer arrangements that an accepted step swaps between.
+    """
     t_end, stride = cfg.t_end, cfg.record_stride
     t_stop = t_end - 1e-14 * t_end
-    t, h, y = 0.0, min(cfg.dt, t_end), y0.copy()    # y0 may view the caller's array
-    rec = _Record(record(logical(y, shape)), DP5_RECORD_CAPACITY)
-    y_new, stage, term, abs_new = (np.empty_like(y0) for _ in range(4))
-    ks = [np.empty_like(y0) for _ in range(7)]
-    # stages 2-6 evaluate stage and stage 7 evaluates y_new; an accepted step
-    # swaps y with y_new and k1 with k7, so the stage-7 evaluator swaps with
-    # its twin, which evaluates y into k1 and gives the first stage
-    evals = [None] + [bind(stage, k) for k in ks[1:6]] + [bind(y_new, ks[6])]
-    twin = bind(y, ks[0])
-    twin()
-    sq = np.empty(shape)    # C-ordered: the error sum runs in logical order
-    abs_y = np.abs(y0)
+    t, h = 0.0, min(cfg.dt, t_end)
+    coef = np.array([c for row in (*_DP_A, _DP_B4) for c in row if c])
+    hc = np.empty_like(coef)
+    stage, term, sq = np.empty_like(y0), np.empty_like(y0), np.empty(shape)
+    err, err_view = stage, logical(stage, shape)    # the error is summed in logical order
+    mid = [np.empty_like(y0) for _ in range(5)]     # stages 2-6 evaluate stage
+    mid_evals = [bind(stage, k) for k in mid]
+    rel_tol, abs_tol = np.array(cfg.rel_tol, dtype=float), np.array(cfg.abs_tol, dtype=float)
+
+    def plan(y, y_new, k1, k7, abs_y, abs_new, last):
+        # ``last`` evaluates y_new into k7; an accepted step swaps y with
+        # y_new, k1 with k7 and abs_y with abs_new, that is, the two plans
+        ks, hcs = (k1, *mid, k7), iter(hc[j, ...] for j in range(len(hc)))
+        rows = [[(k, next(hcs)) for k, c in zip(ks, row) if c] for row in (*_DP_A, _DP_B4)]
+        stages = list(zip([stage] * 5 + [y_new], rows, mid_evals + [last]))
+        return y, y_new, abs_y, abs_new, logical(y, shape), stages, rows[-1]
+
+    y_a, y_b = y0.copy(), np.empty_like(y0)     # y0 may view the caller's array
+    k_a, k_b = np.empty_like(y0), np.empty_like(y0)
+    abs_a, abs_b = np.abs(y0), np.empty_like(y0)
+    first = bind(y_a, k_a)            # the other plan's last stage gives the first stage
+    plans = [plan(y_a, y_b, k_a, k_b, abs_a, abs_b, bind(y_b, k_b)),
+             plan(y_b, y_a, k_b, k_a, abs_b, abs_a, first)]
+    first()
+    y, y_new, abs_y, abs_new, view, stages, error = plans[0]
+    rec = _Record(record(view), DP5_RECORD_CAPACITY)
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    absolute, maximum, square = np.absolute, np.maximum, np.square
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
     accepted, attempts, max_attempts = 0, 0, MAX_ADAPTIVE_ATTEMPTS
     while t < t_stop:
         if attempts == max_attempts:
             raise AttemptLimitError(t, h, attempts)
         attempts += 1
         h = min(h, t_end - t)
-        for i, row in enumerate(_DP_A, 1):
-            _combine(y_new if i == 6 else stage, y, h, row, ks, term)
-            evals[i]()
-        err = stage
-        _combine(err, y, h, _DP_B4, ks, term)
-        np.subtract(y_new, err, out=err)
-        np.abs(y_new, out=abs_new)
+        multiply(coef, h, hc)
+        for out, terms, evaluate in stages:
+            base = y
+            for k, c in terms:
+                multiply(k, c, term)
+                add(base, term, out)
+                base = out
+            evaluate()
+        base = y
+        for k, c in error:
+            multiply(k, c, term)
+            add(base, term, err)
+            base = err
+        subtract(y_new, err, err)
+        absolute(y_new, abs_new)
         scale = term
-        np.maximum(abs_y, abs_new, out=scale)
-        np.multiply(scale, cfg.rel_tol, out=scale)
-        np.add(scale, cfg.abs_tol, out=scale)
-        np.divide(err, scale, out=err)
-        np.square(logical(err, shape), out=sq)
-        err_norm = math.sqrt(np.add.reduce(sq, axis=None) / sq.size)
+        maximum(abs_y, abs_new, out=scale)
+        multiply(scale, rel_tol, scale)
+        add(scale, abs_tol, scale)
+        divide(err, scale, err)
+        square(err_view, sq)
+        err_norm = math.sqrt(add_reduce(sq, None) / sq.size)
         if err_norm <= 1.0:
             t += h
-            y, y_new = y_new, y
-            abs_y, abs_new = abs_new, abs_y
-            if not abs_y.max() <= BLOWUP_LIMIT:
+            plans.reverse()
+            y, y_new, abs_y, abs_new, view, stages, error = plans[0]
+            if not max_reduce(abs_y, None) <= BLOWUP_LIMIT:
                 raise BlowUpError(t)
-            ks[0], ks[6] = ks[6], ks[0]
-            evals[6], twin = twin, evals[6]
             accepted += 1
             at_end = t >= t_stop
             if accepted % stride == 0 or at_end:
-                rec.add(t_end if at_end else t, record(logical(y, shape)))
+                rec.add(t_end if at_end else t, record(view))
         factor = 0.9 * (err_norm + 1e-16)**-0.2
         h *= min(5.0, max(0.2, factor))
         if h < 1e-14 * t_end:

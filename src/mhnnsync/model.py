@@ -31,7 +31,11 @@ elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
 and a lone member runs as a two-member block. Per-call numpy overhead, not
 arithmetic, sets the cost, so coefficients are tiled to rows once per batch
 shape, the decay, the window and weak coupling share one u coefficient, and
-einsum is called without numpy's Python wrapper.
+einsum is called without numpy's Python wrapper. Every scalar operand (-m, a
+scalar P, 0.5*r, V, the sigmoid's 0.5) is a 0-d array made once, which numpy
+dispatches faster than a Python number, and a lockstep column of P is tiled
+to an (m, members) block for the linear term, which multiplies it into the
+u block; the ufuncs are bound to locals of each evaluator.
 """
 
 from __future__ import annotations
@@ -140,28 +144,37 @@ def _activation_kernel(activations, members: int):
     any_sine = bool(sine.any())
 
     def bind(u: np.ndarray, out: np.ndarray):
+        multiply, tanh, sin = np.multiply, np.tanh, np.sin
+
         def f():
-            np.multiply(scale, u, out)
-            np.tanh(out, out)
+            multiply(scale, u, out)
+            tanh(out, out)
             if any_sine:
-                np.sin(u, out=out, where=sine)
-            np.multiply(out, betas, out)
+                sin(u, out=out, where=sine)
+            multiply(out, betas, out)
         return f
 
     return bind
 
 
 def _sigmoid(s, r, V, out):
-    """The sigmoid of sigmoid_gamma without its check on r, written into out.
+    """A binder of the sigmoid of sigmoid_gamma, without its check on r.
 
-    1/(1 + e^-z) = (1 + tanh(z/2))/2, which cannot overflow.
+    Returns an evaluator that writes the sigmoid of s's current contents into
+    out and returns out. 1/(1 + e^-z) = (1 + tanh(z/2))/2, which cannot
+    overflow. V, 0.5*r and 0.5 are 0-d arrays made here.
     """
-    np.subtract(s, V, out)
-    np.multiply(out, 0.5 * r, out)
-    np.tanh(out, out)
-    np.multiply(out, 0.5, out)
-    np.add(out, 0.5, out)
-    return out
+    V, half_r, half = (np.array(c, dtype=float) for c in (V, np.multiply(0.5, r), 0.5))
+    subtract, multiply, tanh, add = np.subtract, np.multiply, np.tanh, np.add
+
+    def sigmoid():
+        subtract(s, V, out)
+        multiply(out, half_r, out)
+        tanh(out, out)
+        multiply(out, half, out)
+        add(out, half, out)
+        return out
+    return sigmoid
 
 
 def sigmoid_gamma(s, r: float, V: float):
@@ -169,7 +182,7 @@ def sigmoid_gamma(s, r: float, V: float):
     if not np.all(np.asarray(r) > 0):
         raise ParameterError("r", "sigmoid slope r must be positive")
     s = np.asarray(s, dtype=float)
-    out = _sigmoid(s, r, V, np.empty(np.broadcast_shapes(s.shape, np.shape(r), np.shape(V))))
+    out = _sigmoid(s, r, V, np.empty(np.broadcast_shapes(s.shape, np.shape(r), np.shape(V))))()
     return out if out.ndim else float(out)
 
 
@@ -457,8 +470,10 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     C-ordered copy otherwise. ``rhs.block(lead)`` gives the field on the
     C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps the
     state node-major: it tiles J, the model's ``columns``, P (a row in the
-    same member order for a lockstep column of P), the u coefficient
-    ``u_coef`` and the activation to rows of one entry per member once.
+    same member order for a lockstep column of P, which the linear term
+    takes tiled to an (m, members) block; a scalar P is a 0-d array), the u
+    coefficient ``u_coef`` and the activation to rows of one entry per
+    member once.
     Its ``bind(Y, dY)`` (see ``_evaluator``) is the entry point of a caller
     that steps in buffers of its own: the views of Y and dY and the scratch
     rows are made once per buffer pair, and each call is numpy calls with
@@ -479,6 +494,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     """
     m = p.m
     P, r, V, gamma_b = p.P, p.r, p.V, np.append(p.gamma, -p.b)
+    neg_m = np.array(-m, dtype=float)
     coupled = bool(np.any(P != 0.0))
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
@@ -499,7 +515,15 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
                     return dY
                 return lone
             return _evaluator(bind_lone)
-        P_row = np.broadcast_to(P, lead + (1,)).reshape(n, order="F") if np.ndim(P) else P
+        if np.ndim(P):
+            # a row under weak coupling, where P scales the node sum; linear
+            # coupling multiplies it into the u block, where a row
+            # broadcast down the block costs twice a same-shape call
+            P_n = np.broadcast_to(P, lead + (1,)).reshape(n, order="F")
+            if linear:
+                P_n = np.repeat(P_n[None], m, axis=0)
+        else:
+            P_n = np.array(P, dtype=float)
         coef = np.repeat(u_coef[:, None], n, axis=1)
         bind_activation = _activation_kernel(p.activations, n)
         J, *rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in [p.J] + columns]
@@ -509,28 +533,30 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
                 raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
             u, du, drho, u_rho = Y[:m], dY[:m], dY[m], Y[:m + 1]
             s, f, total = np.empty((m, n)), np.empty((m, n)), np.empty(n)
-            sig = np.empty((m, n)) if weak else None
             activation, term = bind_activation(u, f), terms(s, dY, Y, f, *rows)
+            sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
+            add, multiply, subtract = np.add, np.multiply, np.subtract
+            add_reduce, einsum = np.add.reduce, c_einsum
 
             def evaluate() -> np.ndarray:
                 activation()
                 term()
-                np.add(s, coef, s)
+                add(s, coef, s)
                 if weak:
-                    np.add.reduce(_sigmoid(u, r, V, sig), 0, None, total)
-                    np.multiply(P_row, total, total)
-                    np.subtract(s, total, s)
-                np.multiply(s, u, s)
-                np.add(du, s, du)
-                np.add(du, J, du)
+                    add_reduce(sigmoid(), 0, None, total)
+                    multiply(P_n, total, total)
+                    subtract(s, total, s)
+                multiply(s, u, s)
+                add(du, s, du)
+                add(du, J, du)
                 if linear:
                     # P*(sum(u) - m*u) in the scratch block, bitwise
-                    np.multiply(u, -m, s)
-                    np.add.reduce(u, 0, None, total)
-                    np.add(s, total, s)
-                    np.multiply(s, P_row, s)
-                    np.add(du, s, du)
-                c_einsum("in,i->n", u_rho, gamma_b, out=drho)
+                    multiply(u, neg_m, s)
+                    add_reduce(u, 0, None, total)
+                    add(s, total, s)
+                    multiply(s, P_n, s)
+                    add(du, s, du)
+                einsum("in,i->n", u_rho, gamma_b, out=drho)
                 return dY
             return evaluate
 
@@ -558,11 +584,12 @@ def make_mhnn_rhs(p: MhnnParams):
 
     def terms(s, dY, Y, f, neg_keta):
         rho, du = Y[m], dY[:m]
+        multiply, einsum = np.multiply, c_einsum
 
         def evaluate():
-            np.multiply(neg_keta, rho, s)
-            np.multiply(s, rho, s)
-            c_einsum("ij,jn->in", w, f, out=du)
+            multiply(neg_keta, rho, s)
+            multiply(s, rho, s)
+            einsum("ij,jn->in", w, f, out=du)
         return evaluate
 
     return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms)
@@ -582,17 +609,18 @@ def make_hebbian_rhs(p: HebbianParams):
     def terms(s, dY, Y, f, k, eta, lam, negc):
         rho, W, du, dW = Y[m], Y[m + 1:], dY[:m], dY[m + 1:]
         W3, dW3, cW = W.reshape(m, m, -1), dW.reshape(m, m, -1), np.empty(W.shape)
+        add, multiply, subtract, einsum = np.add, np.multiply, np.subtract, c_einsum
 
         def evaluate():
-            np.subtract(eta, rho, s)
-            np.multiply(s, rho, s)
-            np.multiply(s, k, s)
-            c_einsum("ijn,jn->in", W3, f, out=du)
+            subtract(eta, rho, s)
+            multiply(s, rho, s)
+            multiply(s, k, s)
+            einsum("ijn,jn->in", W3, f, out=du)
             # the outer product f_i f_j, without the broadcast ufunc's buffers
-            c_einsum("in,jn->ijn", f, f, out=dW3)
-            np.multiply(dW, lam, dW)
-            np.multiply(negc, W, cW)
-            np.add(dW, cW, dW)
+            einsum("in,jn->ijn", f, f, out=dW3)
+            multiply(dW, lam, dW)
+            multiply(negc, W, cW)
+            add(dW, cW, dW)
         return evaluate
 
     return _node_major_field(p, -p.a, [p.k, p.eta, p.lam, -p.c], terms)

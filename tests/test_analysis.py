@@ -826,3 +826,58 @@ class TestHebbianVerifyMemory:
         wide = self.peak_doubles_per_record_member(9)
         assert wide < 10
         assert abs(wide - narrow) <= 0.05 * narrow
+
+
+class TestCheckSeriesChunks:
+    """_check_series checks the members a chunk of about SERIES_CHUNK_BYTES per
+    series at a time: the report does not depend on the chunking, and its
+    temporaries do not grow with the ensemble."""
+
+    @pytest.mark.parametrize("model", ["hebbian", "weak-sigmoidal"])
+    def test_report_independent_of_chunking(self, model, monkeypatch):
+        rng = np.random.default_rng(40)
+        p = draw_hebbian(rng, 3) if model == "hebbian" else draw_mhnn(rng, 3)
+        p = dataclasses.replace(p, P=1.0)
+        ens = EnsembleSpec(count=6, radius=3.0, seed=12)
+        d = analysis.cst._derive(p)
+        p_star = d.p_star(0.2)
+        batch = TestVectorizedChecks().perturbed_batch(p, ens, d)
+        want = analysis._check_ensemble(p, batch, ens, 0.2, p_star, d)
+        assert {v.check for v in want.violations} >= {"dissipative", "gap"}
+        for members in (1, 2, 4, 5):
+            monkeypatch.setattr(analysis, "SERIES_CHUNK_BYTES", members * 8 * len(batch))
+            got = analysis._check_ensemble(p, batch, ens, 0.2, p_star, d)
+            assert got.violations == want.violations, members
+            assert got.to_dict() == want.to_dict(), members
+
+    @staticmethod
+    def peak_above_series(count):
+        """Traced peak of one _check_series call on (2001, count) series, and a series' bytes."""
+        rng = np.random.default_rng(61)
+        p = dataclasses.replace(draw_mhnn(rng, 4, coupling="linear"), P=1.0)
+        d = analysis.cst._derive(p)
+        ens = EnsembleSpec(count=count, radius=3.0, seed=1)
+        times = np.linspace(0.0, 10.0, 2001)
+        # every member inside both envelopes, so that no violation is listed
+        decay = np.exp(-d.dc.diss_rate * times[:, None])
+        norm_sq = rng.uniform(0.5, 2.0, count) * d.dc.bound * decay
+        gaps = rng.uniform(0.5, 2.0, count) * np.exp(-0.6 * d.rate(p.P) * times[:, None])
+        check = lambda: analysis._check_series(p, times, norm_sq, gaps, ens, 0.3, 1.0, d, None)
+        check()                               # warm-up: first calls allocate caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = check()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert not rep.violations and None not in rep.entry_times
+        return peak, norm_sq.nbytes
+
+    def test_peak_does_not_grow_with_count(self):
+        # at 1,024 members a series is 15.6 MiB; checked whole, its temporaries
+        # came to about five series
+        narrow, _ = self.peak_above_series(256)
+        wide, series = self.peak_above_series(1024)
+        assert wide < series
+        assert wide <= 1.05 * narrow

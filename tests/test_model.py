@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -708,6 +709,72 @@ class TestBlockEvaluator:
         finally:
             tracemalloc.stop()
         assert peak - start < 8 * p.m * 2048
+
+
+def node_sum(rows):
+    """The sum over nodes, one row after another: the fields' order."""
+    return functools.reduce(np.add, rows)
+
+
+def field_oracle(p, y):
+    """The field of either model at the (..., dim) batch y, transcribed from
+    the operation order that model._node_major_field and the models' terms
+    document, with plain numpy: broadcasting on node-major (dim, members)
+    arrays, np.einsum for the sums over nodes that the fields take with
+    numpy's C einsum, and no bound evaluator."""
+    m, lead = p.m, y.shape[:-1]
+    Y = np.ascontiguousarray(y.reshape(-1, p.dim).T)
+    P = np.broadcast_to(p.P, lead + (1,)).reshape(-1) if np.ndim(p.P) else p.P
+    u, rho = Y[:m], Y[m]
+    # beta*tanh(scale*u), or beta*sin(u) on the sine-clamped nodes
+    scale = np.array([{"tanh-scaled": 1.0, "logistic-centered": 0.5}.get(a.kind, 1.0)
+                      for a in p.activations])[:, None]
+    sine = np.array([a.kind == "sine-clamped" for a in p.activations])[:, None]
+    beta = np.array([a.beta for a in p.activations])[:, None]
+    f = np.where(sine, np.sin(u), np.tanh(scale * u)) * beta
+    if isinstance(p, HebbianParams):
+        W = Y[m + 1:].reshape(m, m, -1)
+        s = (p.eta[:, None] - rho) * rho * p.k[:, None]
+        du = np.einsum("ijn,jn->in", W, f)
+        dW = f[:, None] * f[None, :] * p.lam[..., None] + (-p.c)[..., None] * W
+        u_coef = -p.a
+    else:
+        s = (-p.k * p.eta)[:, None] * rho * rho
+        du = np.einsum("ij,jn->in", p.w, f)
+        dW = np.empty((0, Y.shape[1]))
+        u_coef = p.k - p.a
+    s = s + u_coef[:, None]
+    coupled = np.any(p.P != 0.0)
+    if coupled and p.coupling_kind != "linear":
+        sigmoid = np.tanh((u - p.V) * (0.5 * p.r)) * 0.5 + 0.5
+        s = s - P * node_sum(sigmoid)
+    du = du + s * u + p.J[:, None]
+    if coupled and p.coupling_kind == "linear":
+        du = du + (u * float(-m) + node_sum(u)) * P
+    drho = np.einsum("in,i->n", Y[:m + 1], np.append(p.gamma, -p.b))
+    dY = np.concatenate([du, drho[None], dW.reshape(-1, Y.shape[1])])
+    return dY.T.reshape(y.shape)
+
+
+class TestFieldOracle:
+    """Each field is bitwise the plain-numpy transcription of its documented
+    operation order above. The stepper tests compare steppers that call the
+    same fields, so they cannot see a field whose bits drift; this can."""
+
+    @pytest.mark.parametrize("P_form", ["scalar", "column"])
+    @pytest.mark.parametrize("m", [3, 9])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_field_is_the_oracle_bitwise(self, model, m, P_form):
+        rng, p, make = drawn_field(model, m, 500 + m)
+        lead = (7,)
+        if P_form == "column":
+            p = dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None])
+            lead = (3, 7)
+        for draw in range(3):
+            y = rng.normal(scale=3.0, size=lead + (p.dim,))
+            want = field_oracle(p, y)
+            assert np.array_equal(make(p)(y), want), draw
+            assert np.array_equal(make(p)(np.asfortranarray(y)), want), draw
 
 
 class TestLoneMember:
