@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class SyncReport:
     p_star: float
     entry_times: list
     violations: list
-    fitted_rate: Optional[float]
+    fitted_rate: float | None
     rate_theory: float
     verdict: str     # "pass" | "fail"
 
@@ -203,42 +203,6 @@ def _tolerance(bound) -> np.ndarray:
     return 1e-6 * (1.0 + np.asarray(bound))
 
 
-class _WeightCheck:
-    """The Hebbian weight ultimate bound, checked elementwise as w^2 - limit > 0.
-
-    Called with the recorded weights in time order: a (count, m*m) block for
-    one record or a (n_rec, count, m*m) block for several. Keeps the record
-    index, member, flat weight index wi*m + wj and w^2 of every violation, so
-    the weights themselves need not be kept.
-    """
-
-    def __init__(self, p: HebbianParams, d: cst._Derivation):
-        self.bound = (p.w0**2 + d.weight_margin).ravel()   # row-major, as the state
-        self.limit = self.bound + _tolerance(self.bound)
-        self.records = 0
-        self.found = []
-
-    def __call__(self, w: np.ndarray) -> None:
-        # flat (n_rec, count, m*m): a (..., m, m) view makes numpy's loops
-        # several times slower on these small blocks
-        w = w.reshape(-1, *w.shape[-2:])
-        excess = np.square(w)
-        np.subtract(excess, self.limit, out=excess)
-        if excess.max() > 0:                      # np.nonzero costs more than max
-            rec, member, k = np.nonzero(excess > 0)
-            self.found.append((rec + self.records, member, k, np.square(w[rec, member, k])))
-        self.records += len(w)
-
-    def violations(self, times: np.ndarray) -> dict:
-        """{member: its weight violations, ordered by (t, wi, wj)}."""
-        out: dict = {}
-        for found in self.found:
-            for i, j, k, w_sq in zip(*found):
-                out.setdefault(int(j), []).append(EnvelopeViolation(
-                    int(j), float(times[i]), float(w_sq), float(self.bound[k]), "weight"))
-        return out
-
-
 def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
                       epsilon: float) -> SyncReport:
     """Integrate a seeded ensemble and check every provable bound on it.
@@ -268,10 +232,11 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     block is bitwise its own single run.
 
     Every block is checked from two series per member, ||g||^2 and the
-    pairwise gap. For Hebbian parameters the record hook checks each block's
-    weights and keeps these two series, with the bits of ``norm_sq_series``
-    and ``pairwise_gap_series``. An mHNN state is (u, rho) only, so it is
-    kept whole and reduced by those two after the run, one block at a time.
+    pairwise gap. For Hebbian parameters the record hook checks the weights
+    of every block at once and keeps these two series, with the bits of
+    ``norm_sq_series`` and ``pairwise_gap_series``. An mHNN state is (u, rho)
+    only, so it is kept whole and reduced by those two after the run, one
+    block at a time.
     Returns one report per parameter set, in the order of ``swept``.
     """
     first = swept[0]
@@ -279,10 +244,7 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     if len(swept) > 1:
         y0 = np.stack([y0] * len(swept))
         first = dataclasses.replace(first, P=np.array([q.P for q in swept])[:, None, None])
-    record, checks = None, [None] * len(swept)
-    if isinstance(first, HebbianParams):
-        checks = [_WeightCheck(q, d) for q in swept]
-        record = _hebbian_record(first.m, y0.shape, checks)
+    record = _hebbian_record(first, d, y0.shape) if isinstance(first, HebbianParams) else None
 
     batch = integrate(_make_rhs(first), y0, cfg, m=first.m, record=record)
     blocks = batch.states.reshape((len(batch), len(swept), ens.count, -1))
@@ -294,84 +256,100 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
         block = Trajectory(times=batch.times, states=blocks[:, i], m=first.m)
         return block.norm_sq_series(), pairwise_gap_series(block)
 
-    return [_check_series(q, batch.times, *series(i), ens, epsilon, p_star, d, check)
-            for i, (q, check) in enumerate(zip(swept, checks))]
+    return [_check_series(q, batch.times, *series(i), ens, epsilon, p_star, d,
+                          record.violations(batch.times, i) if record else {})
+            for i, q in enumerate(swept)]
 
 
-def _hebbian_record(m: int, shape: tuple, checks: list):
-    """The record hook of a Hebbian run of (..., dim) ``shape``, one weight check per P block.
+def _hebbian_record(p: HebbianParams, d: cst._Derivation, shape: tuple):
+    """The record hook of a Hebbian run of (..., dim) ``shape``, which checks the weights itself.
 
-    The hook feeds each block's weights to its check and returns ||g||^2 and
-    the pairwise gap of every member, with the bits of ``norm_sq_series`` and
-    ``pairwise_gap_series``, in a (..., 2) buffer of its own that the record
-    copies. Its scratch is allocated once. The stepper hands it the
-    Fortran-ordered logical view of its node-major block, so the transpose
-    gives the weights as node-major rows: they are squared there and compared
-    with the checks' limit, which is the same for every block (only P
-    differs), tiled to those rows. Only a record in which some weight
-    exceeds it is fed to the checks block by block.
+    The hook returns ||g||^2 and the pairwise gap of every member, with the
+    bits of ``norm_sq_series`` and ``pairwise_gap_series``, in a (..., 2)
+    buffer of its own that the record copies. It checks each weight against
+    the ultimate bound w0^2 + margin, elementwise as w^2 - limit > 0. The
+    stepper hands it the Fortran-ordered logical view of its node-major
+    block, so the transpose gives the weights as node-major (m*m, count[,
+    len(P)]) rows: they are squared there against the limit tiled to those
+    rows, which is the same for every P block (only P differs). Its scratch
+    is allocated once. ``record.violations(times, block)`` lists what it
+    found in one P block.
     """
-    lead = shape[:-1]
+    m, lead = p.m, shape[:-1]
+    bound = (p.w0**2 + d.weight_margin).ravel()       # row-major, as the state
     excess = np.empty((m * m,) + lead[::-1])          # the shape of the weight rows
-    limit = np.broadcast_to(checks[0].limit.reshape((-1,) + (1,) * len(lead)), excess.shape)
-    limit = limit.copy()
+    limit = np.broadcast_to((bound + _tolerance(bound)).reshape((-1,) + (1,) * len(lead)),
+                            excess.shape).copy()
+    found = []          # (record, (k, member[, block]), w^2) of each record with a violation
+    records = 0
     sq, hi, lo = np.empty(lead + (m + 1,)), np.empty(lead), np.empty(lead)
     series = np.empty((2,) + lead)        # ||g||^2 and the gap, each reduced into a contiguous row
     norm, gap = series
     kept = np.moveaxis(series, 0, -1)
-    square, subtract = np.square, np.subtract
+    weights, state, nodes = slice(m + 1, None), (..., slice(m + 1)), (..., slice(m))
+    square, subtract, nonzero = np.square, np.subtract, np.nonzero
     add_reduce, max_reduce, min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
     def record(y):
-        square(y.T[m + 1:], excess)
+        nonlocal records
+        w = y.T[weights]
+        square(w, excess)
         subtract(excess, limit, excess)
-        if max_reduce(excess, None) > 0:
-            for check, w in zip(checks, y[..., m + 1:].reshape(-1, lead[-1], m * m)):
-                check(w)
-        else:
-            for check in checks:
-                check.records += 1
+        if max_reduce(excess, None) > 0:              # np.nonzero costs more than max
+            at = nonzero(excess > 0)
+            found.append((records, at, square(w[at])))
+        records += 1
         # numpy sums a contiguous last axis pairwise but the node axis of
         # this node-major state term by term, which differs from 9 terms on:
         # the squares are taken in C order, as in norm_sq_series
-        square(y[..., :m + 1], sq)
+        square(y[state], sq)
         add_reduce(sq, -1, None, norm)
         # the values of pairwise_gap_series, whose column loop is slower
         # here: the nodes are this state's slow axis
-        u = y[..., :m]
+        u = y[nodes]
         max_reduce(u, -1, None, hi)
         min_reduce(u, -1, None, lo)
         subtract(hi, lo, gap)
         return kept
+
+    def violations(times: np.ndarray, block: int) -> dict:
+        """{member: its weight violations in P block ``block``, ordered by (t, wi, wj)}."""
+        out: dict = {}
+        for i, (k, member, *blocks), w_sq in found:
+            mine = blocks[0] == block if blocks else slice(None)
+            for j, kj, wj in zip(member[mine], k[mine], w_sq[mine]):
+                out.setdefault(int(j), []).append(EnvelopeViolation(
+                    int(j), float(times[i]), float(wj), float(bound[kj]), "weight"))
+        return out
+
+    record.violations = violations
     return record
 
 
 def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
-                    p_star: float, d: cst._Derivation,
-                    weights: Optional[_WeightCheck] = None) -> SyncReport:
-    """The checks of verify_guarantees on the recorded ensemble ``batch`` of p, derived as ``d``.
+                    p_star: float, d: cst._Derivation) -> SyncReport:
+    """The checks of verify_guarantees on the full recorded ensemble ``batch`` of p, derived as ``d``.
 
-    For Hebbian p, ``weights`` is a weight check already fed with every
-    recorded state of ``batch``. Without it the weights are read from
-    ``batch``, which must then hold full states. verify does not reach
-    this; the tests use it as the full-record reference.
+    A Hebbian ``batch``'s weights go through the record hook one record at a
+    time, as verify feeds them. verify does not reach this; the tests use it
+    as the full-record reference.
     """
-    if isinstance(p, HebbianParams) and weights is None:
-        # one record at a time, as verify feeds it: a whole-batch call
-        # would build an (n, count, m*m) square beside the record
-        weights = _WeightCheck(p, d)
+    weights = {}
+    if isinstance(p, HebbianParams):
+        record = _hebbian_record(p, d, batch.states.shape[1:])
         for y in batch.states:
-            weights(y[..., p.m + 1:])
+            record(y)
+        weights = record.violations(batch.times, 0)
     return _check_series(p, batch.times, batch.norm_sq_series(), pairwise_gap_series(batch),
                          ens, epsilon, p_star, d, weights)
 
 
 def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.ndarray,
                   ens: EnsembleSpec, epsilon: float, p_star: float, d: cst._Derivation,
-                  weights: Optional[_WeightCheck]) -> SyncReport:
+                  weight_bad: dict) -> SyncReport:
     """The checks of verify_guarantees on an ensemble's (n, count) series of
-    ||g||^2 and pairwise gap at ``times``, plus, when given, the weight check
-    fed with every recorded state.
+    ||g||^2 and pairwise gap at ``times``, with the Hebbian weight violations
+    already found record by record, as {member: its violations}.
 
     The members are checked a chunk at a time, of about SERIES_CHUNK_BYTES
     per series, so the check's temporaries stay near a few chunks whatever
@@ -381,8 +359,6 @@ def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.nd
     dc = d.dc
     rate_theory = d.rate(p.P)
     residual = d.residual(p.P)
-    # (iii) Hebbian weight ultimate bound, already checked record by record
-    weight_bad = weights.violations(times) if weights is not None else {}
     rows = np.arange(len(times))[:, None]
     tail = times >= (1.0 - ens.tail_fraction) * times[-1]
 
@@ -444,10 +420,10 @@ def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.nd
 @dataclass
 class SweepRow:
     P: float
-    deg_estimate: Optional[float]
+    deg_estimate: float | None
     p_star: float
     rate_theory: float
-    rate_fitted: Optional[float]
+    rate_fitted: float | None
     verdict: str     # "pass" | "fail" | "error"
 
 

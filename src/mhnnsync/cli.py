@@ -17,11 +17,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import analysis, constants as cst
 from .integrate import BlowUpError, IntegratorConfig, default_dt, integrate
-from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError, as_integer
+from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError
 
 COMMANDS = ("constants", "threshold", "simulate", "verify", "sweep")
 
@@ -85,10 +85,7 @@ def _activation(spec, path: str) -> ActivationSpec:
 
 
 def _build_params(cfg: dict, model: str):
-    # checked before the parameter object broadcasts scalar fields to length m
-    m = as_integer(_field(cfg, "m"), "m")
-    if m < 2:
-        raise ParameterError("m", "node count must satisfy m >= 2")
+    m = _field(cfg, "m")
     acts = cfg.get("activations")
     if acts is None:
         activations = ()
@@ -119,10 +116,15 @@ def _build_params(cfg: dict, model: str):
 
 def load_config(path: str, *, model_override: Optional[str] = None,
                 seed_override: Optional[int] = None,
-                epsilon_override: Optional[float] = None) -> RunConfig:
+                epsilon_override: Optional[float] = None,
+                p_values: Optional[Sequence[float]] = None) -> RunConfig:
     """Load and fully validate a run configuration, applying defaults.
 
-    A missing, mistyped or out-of-range field raises ParameterError with its path.
+    A missing, mistyped or out-of-range field raises ParameterError with its
+    path. ``p_values`` are the coupling strengths of a sweep. Where the
+    config omits dt or t_end, each is validated, and then the default dt is
+    sized at the largest and the default t_end at the smallest, so that
+    every swept run is resolved and long enough.
     """
     with open(path) as fh:
         cfg = json.load(fh)
@@ -149,16 +151,23 @@ def load_config(path: str, *, model_override: Optional[str] = None,
 
     int_cfg = _block(cfg, "integrator")
     dt = _field(int_cfg, "dt", float, None, "integrator.")
+    defaults = dt is None or "t_end" not in int_cfg
     # One derivation serves both defaults and is skipped when the config gives
     # both, except under weak coupling, where it also rejects an r whose
     # sigmoid term overflows.
-    if dt is None or "t_end" not in int_cfg or params.coupling_kind == "weak-sigmoidal":
+    if defaults or params.coupling_kind == "weak-sigmoidal":
         d = cst._derive(params)
+    # the parameter sets that the defaults are sized at, ordered by P
+    sized = [params]
+    if defaults and p_values:
+        sized = [dataclasses.replace(params, P=float(P)) for P in sorted(p_values)]
+        for q in sized:
+            q.validate()
     t_end = _field(int_cfg, "t_end", float, None, "integrator.")
     integrator = IntegratorConfig(
         method=_field(int_cfg, "method", None, "rk4-fixed", "integrator."),
-        dt=default_dt(params, d.dc) if dt is None else dt,
-        t_end=analysis._horizon(d, params.P, ensemble) if t_end is None else t_end,
+        dt=default_dt(sized[-1], d.dc) if dt is None else dt,
+        t_end=analysis._horizon(d, sized[0].P, ensemble) if t_end is None else t_end,
         record_stride=_field(int_cfg, "record_stride", None, 1, "integrator."),
         abs_tol=_field(int_cfg, "abs_tol", float, 1e-9, "integrator."),
         rel_tol=_field(int_cfg, "rel_tol", float, 1e-9, "integrator."),
@@ -243,13 +252,16 @@ def _cmd_verify(run: RunConfig, args) -> int:
     return EXIT_OK if report.verdict == "pass" else EXIT_VERDICT_FAIL
 
 
-def _cmd_sweep(run: RunConfig, args) -> int:
+def _parse_p_values(text: str) -> list:
     try:
-        p_values = [float(x) for x in args.p_values.split(",") if x.strip() != ""]
+        return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ParameterError("p_values", f"could not parse coupling list {args.p_values!r}")
+        raise ParameterError("p_values", f"could not parse coupling list {text!r}") from None
+
+
+def _cmd_sweep(run: RunConfig, args) -> int:
     rows = analysis.sweep_coupling(run.parameters, run.integrator, run.ensemble,
-                                   p_values, run.epsilon)
+                                   args.p_values, run.epsilon)
     lines = ["P,deg_estimate,p_star,rate_theory,rate_fitted,verdict"]
     for row in rows:
         lines.append(",".join([_fmt(row.P), _fmt(row.deg_estimate), _fmt(row.p_star),
@@ -309,10 +321,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if args.command == "sweep":
+            args.p_values = _parse_p_values(args.p_values)
         run = load_config(args.config,
                           model_override=args.model,
                           seed_override=args.seed,
-                          epsilon_override=getattr(args, "epsilon", None))
+                          epsilon_override=getattr(args, "epsilon", None),
+                          p_values=getattr(args, "p_values", None))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"mhnnsync: config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -417,13 +417,14 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
                       m=m, has_weights=has_weights)
 
 
-def default_dt(p, dc=None) -> float:
-    """Step size scaled to the stiffest linear rate.
+def default_dt(p, dc) -> float:
+    """Step size scaled to the stiffest linear rate of p, whose constants are ``dc``.
 
-    The base rates (decay, memristive term) are resolved at 1e-3/rate; the
-    coupling rate m*P only needs accuracy-level resolution since it is
-    strongly contracting, so it is resolved at 5e-2/rate.
+    The base rates (decay, memristive term at the dissipative bound) are
+    resolved at 1e-3/rate; the coupling rate m*P only needs accuracy-level
+    resolution since it is strongly contracting, so it is resolved at
+    5e-2/rate.
     """
     eta_max = float(np.max(p.eta))
-    base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * (dc.bound if dc else 1.0))
+    base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * dc.bound)
     return min(1e-3 / base, 5e-2 / (base + p.m * p.P))

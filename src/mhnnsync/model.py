@@ -232,15 +232,18 @@ class _NetworkParams:
     A subclass names its vectors and its (field, config path) matrices, which
     __post_init__ coerces (``P`` is left as given), and adds ``_validate_model``
     and ``assumption_margins``. Before it fills anything to length m, it
-    raises MemoryError, naming m, when the vectors (8*m bytes each) and the
-    matrices (8*m^2 bytes each) would not fit in the machine's memory.
+    raises ParameterError, naming m, unless m >= 2, and MemoryError, naming
+    m, when the vectors (8*m bytes each) and the matrices (8*m^2 bytes each)
+    would not fit in the machine's memory.
     """
 
     _UNHASHED = ("activations",)
 
     def __post_init__(self):
         self.m = as_integer(self.m, "m")
-        m, memory = max(self.m, 0), _memory_bytes()
+        if self.m < 2:
+            raise ParameterError("m", "node count must satisfy m >= 2")
+        m, memory = self.m, _memory_bytes()
         need = 8 * (len(self._VECTORS) * m + len(self._MATRICES) * m * m)
         if memory is not None and need > memory:
             raise MemoryError(f"m = {self.m}: the parameters need {need:.3g} bytes, more than "
@@ -262,8 +265,6 @@ class _NetworkParams:
         return float(np.max(self.k))
 
     def validate(self) -> None:
-        if self.m < 2:
-            raise ParameterError("m", "node count must satisfy m >= 2")
         paths = dict(self._MATRICES)
         for name in (*self._VECTORS, *paths, "b", "k", "r", "V"):
             if not np.isfinite(getattr(self, name)).all():

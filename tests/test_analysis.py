@@ -329,30 +329,34 @@ class TestVectorizedChecks:
         assert {v.check for v in got.violations if v.trajectory == 5} == {"dissipative"}
 
     def test_weight_check_fed_record_by_record(self):
-        # verify feeds the weight check one recorded state at a time; the
-        # whole-batch feed of _check_ensemble must find the same violations
+        # verify feeds the record hook one recorded state at a time, every P
+        # block of a lockstep stack at once: each block's violations and kept
+        # series must give the per-member loop's report on that block alone
         rng = np.random.default_rng(40)
         p = dataclasses.replace(draw_hebbian(rng, 3), P=1.0)
         ens = EnsembleSpec(count=6, radius=3.0, seed=12)
         d = analysis.cst._derive(p)
-        batch = self.perturbed_batch(p, ens, d)
-        whole = analysis._WeightCheck(p, d)
-        whole(batch.states[..., p.m + 1:])
-        stream = analysis._WeightCheck(p, d)
-        for y in batch.states:
-            stream(y[:, p.m + 1:])
-        assert stream.records == whole.records == len(batch)
-        got = stream.violations(batch.times)
-        assert sorted(got) == [1, 2, 4]
-        assert got == whole.violations(batch.times)
-        # and a compact record with the fed check gives the full record's report
-        compact = dataclasses.replace(batch, states=batch.states[..., :p.m + 1].copy(),
-                                      has_weights=False)
         p_star = d.p_star(0.2)
-        rep = analysis._check_ensemble(p, compact, ens, 0.2, p_star, d, stream)
-        want = _check_ensemble_per_member(p, batch, ens, 0.2, p_star, d)
-        assert rep.violations == want.violations
-        assert rep.to_dict() == want.to_dict()
+        batch = self.perturbed_batch(p, ens, d)
+        clean = integrate_ensemble(p, IntegratorConfig(dt=2e-3, t_end=3.0, record_stride=5), ens)
+        # perturbed, unperturbed, and perturbed with the members reversed
+        blocks = [batch.states, clean.states, batch.states[:, ::-1]]
+        stack = np.stack(blocks, axis=1)
+        record = analysis._hebbian_record(p, d, stack.shape[1:])
+        kept = np.stack([record(np.asfortranarray(y)).copy() for y in stack])
+        members = []
+        for b, states in enumerate(blocks):
+            want = _check_ensemble_per_member(p, dataclasses.replace(batch, states=states),
+                                              ens, 0.2, p_star, d)
+            got = record.violations(batch.times, b)
+            members.append(sorted(got))
+            assert [v for j in sorted(got) for v in got[j]] == [
+                v for v in want.violations if v.check == "weight"]
+            rep = analysis._check_series(p, batch.times, kept[:, b, :, 0], kept[:, b, :, 1],
+                                         ens, 0.2, p_star, d, got)
+            assert rep.violations == want.violations
+            assert rep.to_dict() == want.to_dict()
+        assert members == [[1, 2, 4], [], [1, 3, 4]]
 
     @pytest.mark.parametrize("model", ["hebbian", "linear"])
     def test_same_report_unperturbed(self, model):
@@ -828,6 +832,33 @@ class TestHebbianVerifyMemory:
         assert abs(wide - narrow) <= 0.05 * narrow
 
 
+class TestRecordHookMemory:
+    """The Hebbian record hook squares the weights into scratch of its own: a record
+    within the weight bound allocates nothing the size of the weights."""
+
+    def test_clean_records_allocate_under_one_weight_block(self):
+        rng = np.random.default_rng(62)
+        p = draw_hebbian(rng, 6)
+        d = analysis.cst._derive(p)
+        # a lockstep stack of 3 P blocks of 128 members, the weights at w0, inside their bound
+        u = rng.uniform(-3.0, 3.0, (3, 128, p.m + 1))
+        y = np.asfortranarray(np.concatenate(
+            [u, np.broadcast_to(p.w0.ravel(), (3, 128, p.m * p.m))], axis=-1))
+        assert y.shape == (3, 128, 43)
+        record = analysis._hebbian_record(p, d, y.shape)
+        record(y)                             # warm-up: first calls allocate caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                record(y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert all(record.violations(np.zeros(101), b) == {} for b in range(3))
+        assert peak < y[..., p.m + 1:].nbytes
+
+
 class TestCheckSeriesChunks:
     """_check_series checks the members a chunk of about SERIES_CHUNK_BYTES per
     series at a time: the report does not depend on the chunking, and its
@@ -862,7 +893,7 @@ class TestCheckSeriesChunks:
         decay = np.exp(-d.dc.diss_rate * times[:, None])
         norm_sq = rng.uniform(0.5, 2.0, count) * d.dc.bound * decay
         gaps = rng.uniform(0.5, 2.0, count) * np.exp(-0.6 * d.rate(p.P) * times[:, None])
-        check = lambda: analysis._check_series(p, times, norm_sq, gaps, ens, 0.3, 1.0, d, None)
+        check = lambda: analysis._check_series(p, times, norm_sq, gaps, ens, 0.3, 1.0, d, {})
         check()                               # warm-up: first calls allocate caches
         tracemalloc.start()
         try:

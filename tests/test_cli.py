@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -117,6 +118,14 @@ class TestValidationExits:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["constants", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_negative_m_exit_3(self, tmp_path, capsys):
+        # named before numpy is asked for a vector of negative length
+        assert run(["constants", "--config", write(tmp_path, mhnn_config(m=-3))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("mhnnsync: config validation error: m: "
+                                "node count must satisfy m >= 2\n")
 
     @pytest.mark.parametrize("overrides, field", [
         ({"m": "two"}, "m"),
@@ -248,6 +257,16 @@ class TestValidationExits:
     def test_infinite_sweep_value_exit_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path, mhnn_config())
         assert run(["sweep", "--config", cfg_path, "--p-values", "0.5,inf"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: P: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_infinite_sweep_value_with_default_dt_exit_3(self, tmp_path, capsys):
+        # validated before the default dt is sized at the largest value
+        cfg = mhnn_config(coupling="linear")
+        del cfg["integrator"]
+        assert run(["sweep", "--config", write(tmp_path, cfg), "--p-values", "0.5,inf"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "validation error: P: " in captured.err
@@ -533,6 +552,35 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert {len(line.split(",")) for line in lines} == {6}
         assert lines[2] == lines[3]
+
+    @staticmethod
+    def linear_m3_config():
+        # a slow network, so that the coupling rate m*P sets the default dt
+        return mhnn_config(m=3, a=[2.0, 2.1, 2.0], k=0.1, eta=[1.0, 1.0, 1.0],
+                           J=[0.1, 0.0, -0.1], gamma=[0.1, 0.1, 0.1],
+                           w=[[0.0, 0.3, 0.0], [0.2, 0.0, 0.1], [0.0, 0.4, 0.0]],
+                           coupling="linear", integrator={"t_end": 0.2})
+
+    def test_default_dt_sized_at_largest_p(self, tmp_path):
+        # sized at the config's P = 0.5, the step (4.76e-4) is unstable at
+        # P = 2000 and that row blew up; sized at P = 2000 (8.33e-6) every row runs
+        cfg_path = write(tmp_path, self.linear_m3_config())
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", cfg_path, "--p-values", "0,2000",
+                    "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(float(row[0]), row[-1] != "error") for row in rows] == [(0.0, True),
+                                                                          (2000.0, True)]
+
+    def test_defaults_sized_at_extreme_p_values(self, tmp_path):
+        cfg = self.linear_m3_config()
+        del cfg["integrator"]
+        run_cfg = cli.load_config(write(tmp_path, cfg), p_values=[3.0, 40.0, 0.5])
+        p, ens = run_cfg.parameters, run_cfg.ensemble
+        d = cli.cst._derive(p)
+        assert run_cfg.integrator.dt == cli.default_dt(dataclasses.replace(p, P=40.0), d.dc)
+        assert run_cfg.integrator.t_end == cli.analysis._horizon(d, 0.5, ens)
+        assert run_cfg.integrator.dt < cli.load_config(write(tmp_path, cfg)).integrator.dt
 
 
 class TestDefaults:

@@ -536,10 +536,19 @@ class TestValidation:
             mk_mhnn(k=2.0).validate()
 
     def test_m_too_small(self):
-        p = MhnnParams(m=1, a=[2.0], b=1.0, k=1.0, eta=[1.0], w=[[0.0]],
-                       J=[0.0], gamma=[0.0])
         with pytest.raises(ParameterError):
+            p = MhnnParams(m=1, a=[2.0], b=1.0, k=1.0, eta=[1.0], w=[[0.0]],
+                           J=[0.0], gamma=[0.0])
             p.validate()
+
+    @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
+    @pytest.mark.parametrize("m", [-2, 0, 1])
+    def test_m_below_two_rejected_at_construction(self, make, m):
+        # named, before numpy is asked for a vector of negative length
+        with pytest.raises(ParameterError) as err:
+            make(m=m)
+        assert err.value.field == "m"
+        assert "m >= 2" in str(err.value)
 
     @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
     @pytest.mark.parametrize("m", [2.7, True])
