@@ -70,6 +70,13 @@ def _field(block: dict, key: str, convert=None, default=_MISSING, prefix: str = 
         raise ParameterError(path, f"malformed value {value!r} ({exc})") from None
 
 
+def _real(value) -> float:
+    """value as a float; a boolean is rejected, as ``model.as_integer`` rejects one."""
+    if isinstance(value, bool):
+        raise TypeError("expected a real number, got a boolean")
+    return float(value)
+
+
 def _block(cfg: dict, key: str) -> dict:
     block = cfg.get(key, {})
     if not isinstance(block, dict):
@@ -81,7 +88,7 @@ def _activation(spec, path: str) -> ActivationSpec:
     if not isinstance(spec, dict):
         raise ParameterError(path, f"expected a JSON object with 'kind' and 'beta', got {spec!r}")
     return ActivationSpec(kind=spec.get("kind", "tanh-scaled"),
-                          beta=_field(spec, "beta", float, 1.0, path + "."))
+                          beta=_field(spec, "beta", _real, 1.0, path + "."))
 
 
 def _build_params(cfg: dict, model: str):
@@ -94,10 +101,10 @@ def _build_params(cfg: dict, model: str):
     else:
         raise ParameterError("activations", f"expected a list of activation specs, got {acts!r}")
     common = dict(
-        m=m, a=_field(cfg, "a"), b=_field(cfg, "b", float),
+        m=m, a=_field(cfg, "a"), b=_field(cfg, "b", _real),
         eta=_field(cfg, "eta"), J=_field(cfg, "J"), gamma=_field(cfg, "gamma"),
-        P=_field(cfg, "P", float, 0.0), r=_field(cfg, "r", float, 1.0),
-        V=_field(cfg, "V", float, 0.0), activations=activations,
+        P=_field(cfg, "P", _real, 0.0), r=_field(cfg, "r", _real, 1.0),
+        V=_field(cfg, "V", _real, 0.0), activations=activations,
     )
     if model == "mhnn":
         coupling = cfg.get("coupling", "weak")
@@ -105,7 +112,7 @@ def _build_params(cfg: dict, model: str):
             raise ParameterError("coupling", f"expected 'weak' or 'linear', got {coupling!r}")
         if isinstance(cfg.get("k"), (list, dict)):
             raise ParameterError("k", "mhnn model takes a scalar memristive strength")
-        return MhnnParams(k=_field(cfg, "k", float), w=_field(cfg, "w"),
+        return MhnnParams(k=_field(cfg, "k", _real), w=_field(cfg, "w"),
                           coupling_kind=_COUPLING_ALIASES[coupling], **common)
     if model == "hebbian":
         return HebbianParams(k=_field(cfg, "k"), c=_field(cfg, "c"),
@@ -135,22 +142,22 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     params.validate()
 
     epsilon = (float(epsilon_override) if epsilon_override is not None
-               else _field(cfg, "epsilon", float, 0.1))
+               else _field(cfg, "epsilon", _real, 0.1))
     if not (0 < epsilon < math.inf):
         raise ParameterError("epsilon", "prescribed gap epsilon must be positive and finite")
 
     ens_cfg = _block(cfg, "ensemble")
     ensemble = analysis.EnsembleSpec(
         count=_field(ens_cfg, "count", None, 10, "ensemble."),
-        radius=_field(ens_cfg, "radius", float, 5.0, "ensemble."),
+        radius=_field(ens_cfg, "radius", _real, 5.0, "ensemble."),
         seed=(int(seed_override) if seed_override is not None
               else _field(ens_cfg, "seed", None, 0, "ensemble.")),
-        tail_fraction=_field(ens_cfg, "tail_fraction", float, 0.2, "ensemble."),
+        tail_fraction=_field(ens_cfg, "tail_fraction", _real, 0.2, "ensemble."),
     )
     ensemble.validate()
 
     int_cfg = _block(cfg, "integrator")
-    dt = _field(int_cfg, "dt", float, None, "integrator.")
+    dt = _field(int_cfg, "dt", _real, None, "integrator.")
     defaults = dt is None or "t_end" not in int_cfg
     # One derivation serves both defaults and is skipped when the config gives
     # both, except under weak coupling, where it also rejects an r whose
@@ -163,14 +170,14 @@ def load_config(path: str, *, model_override: Optional[str] = None,
         sized = [dataclasses.replace(params, P=float(P)) for P in sorted(p_values)]
         for q in sized:
             q.validate()
-    t_end = _field(int_cfg, "t_end", float, None, "integrator.")
+    t_end = _field(int_cfg, "t_end", _real, None, "integrator.")
     integrator = IntegratorConfig(
         method=_field(int_cfg, "method", None, "rk4-fixed", "integrator."),
         dt=default_dt(sized[-1], d.dc) if dt is None else dt,
         t_end=analysis._horizon(d, sized[0].P, ensemble) if t_end is None else t_end,
         record_stride=_field(int_cfg, "record_stride", None, 1, "integrator."),
-        abs_tol=_field(int_cfg, "abs_tol", float, 1e-9, "integrator."),
-        rel_tol=_field(int_cfg, "rel_tol", float, 1e-9, "integrator."),
+        abs_tol=_field(int_cfg, "abs_tol", _real, 1e-9, "integrator."),
+        rel_tol=_field(int_cfg, "rel_tol", _real, 1e-9, "integrator."),
     )
     integrator.validate()
     return RunConfig(model=model, parameters=params, integrator=integrator,

@@ -35,7 +35,10 @@ einsum is called without numpy's Python wrapper. Every scalar operand (-m, a
 scalar P, 0.5*r, V, the sigmoid's 0.5) is a 0-d array made once, which numpy
 dispatches faster than a Python number, and a lockstep column of P is tiled
 to an (m, members) block for the linear term, which multiplies it into the
-u block; the ufuncs are bound to locals of each evaluator.
+u block; the ufuncs are bound to locals of each evaluator. No ufunc takes a
+row broadcast down a block, which costs about twice a same-shape call and
+allocates an iterator buffer: rho and the node sum are copied down blocks of
+their own first.
 """
 
 from __future__ import annotations
@@ -204,8 +207,21 @@ def window_eval(kind: str, rho, eta: float):
     return out if out.ndim else float(out)
 
 
+def _holds_boolean(x) -> bool:
+    """Whether x, a number, an array or nested lists of them, holds a boolean."""
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_boolean, x))
+    return isinstance(x, (bool, np.bool_)) or (isinstance(x, np.ndarray) and x.dtype == bool)
+
+
 def _as_array(x, shape: tuple, path: str) -> np.ndarray:
-    """x as a float array of the given vector or matrix shape; a scalar fills it."""
+    """x as a float array of the given vector or matrix shape; a scalar fills it.
+
+    A boolean anywhere in x is rejected, as ``as_integer`` rejects one, rather
+    than read as 0.0 or 1.0.
+    """
+    if _holds_boolean(x):
+        raise ParameterError(path, f"expected numbers, got a boolean: {x!r}")
     try:
         arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -478,20 +494,26 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     Its ``bind(Y, dY)`` (see ``_evaluator``) is the entry point of a caller
     that steps in buffers of its own: the views of Y and dY and the scratch
     rows are made once per buffer pair, and each call is numpy calls with
-    ``out`` alone. ``rhs`` makes the block evaluator once per batch shape,
-    keeping the last, and each call returns a new block. numpy sums over the
-    nodes of one column in kernels of its own, so a lone member (a lead of
-    (), (1,) or (1, 1)) is bound to two-member buffers: each call copies it
-    into both columns and column 0 of the result, which has the bits of its
-    row in any batch, into dY.
+    ``out`` alone, every operand the shape of its output or a 0-d array. So
+    each call first copies the rho row down an (m, members) block R, and
+    under weak or linear coupling copies the node sum down a second block
+    before subtracting or adding it: a row copied down a block takes a fast
+    path of ``np.copyto``, while a ufunc that broadcasts it costs about twice
+    a same-shape call and allocates an iterator buffer. ``rhs`` makes the
+    block evaluator once per batch shape, keeping the last, and each call
+    returns a new block. numpy sums over the nodes of one column in kernels
+    of its own, so a lone member (a lead of (), (1,) or (1, 1)) is bound to
+    two-member buffers: each call copies it into both columns and column 0
+    of the result, which has the bits of its row in any batch, into dY.
 
-    ``terms(s, dY, Y, f, *rows)`` binds the model's own terms: its evaluator
-    writes the window's share of the u coefficient into s, W f into dY[:m]
-    and any weight derivatives into dY[m+1:]. The block adds du += c*u + J,
-    with c = s + u coefficient (less P*sum_j sigma(u_j) under weak coupling),
-    then under linear coupling P*(sum(u) - m*u), which vanishes exactly on a
-    synchronized state, and sets drho = [gamma, -b].(u, rho). Both branches
-    follow p.coupling_kind alone.
+    ``terms(s, dY, Y, R, f, *rows)`` binds the model's own terms: its
+    evaluator, reading rho from R, writes the window's share of the u
+    coefficient into s, W f into dY[:m] and any weight derivatives into
+    dY[m+1:]. The block adds du += c*u + J, with c = s + u coefficient (less
+    P*sum_j sigma(u_j) under weak coupling), then under linear coupling
+    P*(sum(u) - m*u), which vanishes exactly on a synchronized state, and
+    sets drho = [gamma, -b].(u, rho). Both branches follow p.coupling_kind
+    alone.
     """
     m = p.m
     P, r, V, gamma_b = p.P, p.r, p.V, np.append(p.gamma, -p.b)
@@ -532,21 +554,24 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
         def bind(Y: np.ndarray, dY: np.ndarray):
             if not (Y.flags.c_contiguous and dY.flags.c_contiguous):
                 raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
-            u, du, drho, u_rho = Y[:m], dY[:m], dY[m], Y[:m + 1]
-            s, f, total = np.empty((m, n)), np.empty((m, n)), np.empty(n)
-            activation, term = bind_activation(u, f), terms(s, dY, Y, f, *rows)
+            u, rho, du, drho, u_rho = Y[:m], Y[m], dY[:m], dY[m], Y[:m + 1]
+            s, f, R, total = np.empty((m, n)), np.empty((m, n)), np.empty((m, n)), np.empty(n)
+            tiled = np.empty((m, n)) if coupled else None       # the node sum, tiled
+            activation, term = bind_activation(u, f), terms(s, dY, Y, R, f, *rows)
             sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
-            add, multiply, subtract = np.add, np.multiply, np.subtract
+            add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, np.copyto
             add_reduce, einsum = np.add.reduce, c_einsum
 
             def evaluate() -> np.ndarray:
+                copyto(R, rho)
                 activation()
                 term()
                 add(s, coef, s)
                 if weak:
                     add_reduce(sigmoid(), 0, None, total)
                     multiply(P_n, total, total)
-                    subtract(s, total, s)
+                    copyto(tiled, total)
+                    subtract(s, tiled, s)
                 multiply(s, u, s)
                 add(du, s, du)
                 add(du, J, du)
@@ -554,7 +579,8 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
                     # P*(sum(u) - m*u) in the scratch block, bitwise
                     multiply(u, neg_m, s)
                     add_reduce(u, 0, None, total)
-                    add(s, total, s)
+                    copyto(tiled, total)
+                    add(s, tiled, s)
                     multiply(s, P_n, s)
                     add(du, s, du)
                 einsum("in,i->n", u_rho, gamma_b, out=drho)
@@ -583,13 +609,13 @@ def make_mhnn_rhs(p: MhnnParams):
     """
     m, w = p.m, p.w
 
-    def terms(s, dY, Y, f, neg_keta):
-        rho, du = Y[m], dY[:m]
+    def terms(s, dY, Y, R, f, neg_keta):
+        du = dY[:m]
         multiply, einsum = np.multiply, c_einsum
 
         def evaluate():
-            multiply(neg_keta, rho, s)
-            multiply(s, rho, s)
+            multiply(neg_keta, R, s)
+            multiply(s, R, s)
             einsum("ij,jn->in", w, f, out=du)
         return evaluate
 
@@ -607,14 +633,14 @@ def make_hebbian_rhs(p: HebbianParams):
     """
     m = p.m
 
-    def terms(s, dY, Y, f, k, eta, lam, negc):
-        rho, W, du, dW = Y[m], Y[m + 1:], dY[:m], dY[m + 1:]
+    def terms(s, dY, Y, R, f, k, eta, lam, negc):
+        W, du, dW = Y[m + 1:], dY[:m], dY[m + 1:]
         W3, dW3, cW = W.reshape(m, m, -1), dW.reshape(m, m, -1), np.empty(W.shape)
         add, multiply, subtract, einsum = np.add, np.multiply, np.subtract, c_einsum
 
         def evaluate():
-            subtract(eta, rho, s)
-            multiply(s, rho, s)
+            subtract(eta, R, s)
+            multiply(s, R, s)
             multiply(s, k, s)
             einsum("ijn,jn->in", W3, f, out=du)
             # the outer product f_i f_j, without the broadcast ufunc's buffers

@@ -159,6 +159,30 @@ class TestValidationExits:
         assert f"config validation error: {field}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["threshold", "verify"])
+    @pytest.mark.parametrize("overrides, field", [
+        ({"b": True}, "b"),
+        ({"P": True}, "P"),
+        ({"epsilon": True}, "epsilon"),
+        ({"ensemble": {"count": 2, "radius": True, "seed": 7}}, "ensemble.radius"),
+        ({"a": [True, True]}, "a"),
+        ({"k": False}, "k"),
+        ({"r": True}, "r"),
+        ({"w": [[0.0, True], [0.0, 0.0]]}, "w"),
+        ({"integrator": {"dt": True, "t_end": 6.0}}, "integrator.dt"),
+        ({"activations": [{"kind": "tanh-scaled", "beta": True}, {"kind": "tanh-scaled"}]},
+         "activations[0].beta"),
+    ])
+    def test_boolean_in_real_field_exit_3(self, tmp_path, capsys, command, overrides, field):
+        # a JSON boolean used to be read as 1.0 or 0.0: "b": true exited 0
+        cfg_path = write(tmp_path, mhnn_config(**overrides))
+        assert run([command, "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config validation error: {field}: " in captured.err
+        assert "boolean" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_integral_numbers_accepted_as_integers(self, tmp_path):
         cfg = mhnn_config(m=2.0, ensemble={"count": 10.0, "radius": 2.0, "seed": 7.0},
                           integrator={"dt": 2e-3, "t_end": 6.0, "record_stride": 4.0})
@@ -618,3 +642,18 @@ class TestParserCache:
             proc = subprocess.run([sys.executable, "-m", "mhnnsync.cli"] + args,
                                   capture_output=True, text=True, timeout=60, env=env)
             assert got == (proc.returncode, proc.stdout, proc.stderr), args
+
+
+class TestModuleEntryPoint:
+    def test_python_m_mhnnsync_runs_the_cli(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, mhnn_config())
+        assert run(["threshold", "--config", cfg_path]) == 0
+        want = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "mhnnsync", "threshold", "--config", cfg_path],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == want and "p_star" in json.loads(want)

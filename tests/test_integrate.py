@@ -483,6 +483,53 @@ class TestBlowUpLimit:
             integrate(np.zeros_like, np.array([value, 0.5]), cfg)
 
 
+class SetsState:
+    """y' = 0, except that the first stage of step ``step`` writes ``value``
+    into the state it is given, the stepper's own state block: RK4 then ends
+    that step on exactly that state, the value in ``where`` and 0 elsewhere."""
+
+    def __init__(self, value, step, where=(0, 0)):
+        self.value, self.call, self.first_call, self.where = value, 0, 4 * (step - 1) + 1, where
+
+    def __call__(self, y):
+        self.call += 1
+        if self.call == self.first_call:
+            y[self.where] = self.value
+        return np.zeros_like(y)
+
+
+class TestRk4FiniteCheck:
+    """RK4 checks each state with one dot product and, when the sum of squares
+    exceeds BLOWUP_LIMIT**2/2, with the exact test: the same states pass and
+    BlowUpError is raised at the same step and t as by the exact test alone."""
+
+    CFG = IntegratorConfig(method="rk4-fixed", dt=0.1, t_end=0.5)
+
+    @pytest.mark.parametrize("value", [LIMIT, -LIMIT])
+    def test_state_at_the_limit_passes(self, value):
+        traj = integrate(SetsState(value, step=3), np.zeros((64, 2)), self.CFG)
+        assert traj.times[-1] == 0.5
+        assert np.all(traj.states[3:, 0, 0] == value)
+
+    @pytest.mark.parametrize("value", [BEYOND, -BEYOND, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (63, 1)])
+    def test_state_beyond_the_limit_raises_at_its_step(self, value, where):
+        with pytest.raises(BlowUpError) as exc:
+            integrate(SetsState(value, step=3, where=where), np.zeros((64, 2)), self.CFG)
+        assert type(exc.value) is BlowUpError
+        assert exc.value.t == 3 * 0.1                # the t of step 3, i * dt
+        assert str(exc.value) == str(BlowUpError(3 * 0.1))
+
+    def test_large_state_within_the_limit_runs_on(self):
+        # 128 components at 0.9*LIMIT: a sum of squares of 1.04e26 fails the
+        # dot test, and the exact test passes the state
+        y0 = np.full((64, 2), 0.9 * LIMIT)
+        assert np.dot(y0.ravel(), y0.ravel()) > 0.5 * LIMIT**2
+        traj = integrate(np.zeros_like, y0, self.CFG)
+        assert traj.times[-1] == 0.5
+        assert np.all(traj.states == 0.9 * LIMIT)
+
+
 class TestAttemptLimit:
     def test_stiff_decay_stops_at_the_limit(self, monkeypatch):
         # y' = -1e6 y needs about 3e5 stable DP5 steps to reach t = 1
