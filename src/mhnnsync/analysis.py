@@ -19,8 +19,8 @@ import numpy as np
 from . import constants as cst
 from .integrate import (SERIES_CHUNK_BYTES, BlowUpError, IntegratorConfig, Trajectory,
                         integrate)
-from .model import (HebbianParams, MhnnParams, ParameterError, as_integer, make_hebbian_rhs,
-                    make_mhnn_rhs)
+from .model import (HebbianParams, MhnnParams, ParameterError, as_integer, as_real,
+                    make_hebbian_rhs, make_mhnn_rhs)
 
 Params = Union[MhnnParams, HebbianParams]
 
@@ -39,15 +39,18 @@ class EnsembleSpec:
     tail_fraction: float = 0.2
 
     def validate(self) -> None:
-        """Checks every field; count and seed are kept as ints."""
+        """Checks every field; count and seed are kept as ints, radius and
+        tail_fraction as floats."""
         self.count = as_integer(self.count, "ensemble.count")
         if not (self.count >= 1):
             raise ParameterError("ensemble.count", "ensemble count must be >= 1")
+        self.radius = as_real(self.radius, "ensemble.radius")
         if not (0 < self.radius < math.inf):
             raise ParameterError("ensemble.radius", "sampling radius must be positive and finite")
         self.seed = as_integer(self.seed, "ensemble.seed")
         if not (self.seed >= 0):
             raise ParameterError("ensemble.seed", "seed must be a nonnegative integer")
+        self.tail_fraction = as_real(self.tail_fraction, "ensemble.tail_fraction")
         if not (0 < self.tail_fraction < 1):
             raise ParameterError("ensemble.tail_fraction", "tail_fraction must lie in (0, 1)")
 

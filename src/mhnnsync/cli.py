@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 from . import analysis, constants as cst
 from .integrate import BlowUpError, IntegratorConfig, default_dt, integrate
-from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError
+from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError, as_real
 
 COMMANDS = ("constants", "threshold", "simulate", "verify", "sweep")
 
@@ -47,34 +47,15 @@ class RunConfig:
     epsilon: float
 
 
-_MISSING = object()
+def _required(block: dict, key: str):
+    """block[key], else ParameterError naming the missing field.
 
-
-def _field(block: dict, key: str, convert=None, default=_MISSING, prefix: str = ""):
-    """block[key] passed through convert, or default when the key is absent.
-
-    A missing required field, or a value that convert rejects, raises
-    ParameterError naming the field path prefix + key.
+    Values are passed on as given: the parameter, ensemble and integrator
+    types coerce and check them, naming the field of a value they reject.
     """
-    path = prefix + key
     if key not in block:
-        if default is _MISSING:
-            raise ParameterError(path, "required field is missing")
-        return default
-    value = block[key]
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(path, f"malformed value {value!r} ({exc})") from None
-
-
-def _real(value) -> float:
-    """value as a float; a boolean is rejected, as ``model.as_integer`` rejects one."""
-    if isinstance(value, bool):
-        raise TypeError("expected a real number, got a boolean")
-    return float(value)
+        raise ParameterError(key, "required field is missing")
+    return block[key]
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -88,11 +69,11 @@ def _activation(spec, path: str) -> ActivationSpec:
     if not isinstance(spec, dict):
         raise ParameterError(path, f"expected a JSON object with 'kind' and 'beta', got {spec!r}")
     return ActivationSpec(kind=spec.get("kind", "tanh-scaled"),
-                          beta=_field(spec, "beta", _real, 1.0, path + "."))
+                          beta=spec.get("beta", 1.0))
 
 
 def _build_params(cfg: dict, model: str):
-    m = _field(cfg, "m")
+    m = _required(cfg, "m")
     acts = cfg.get("activations")
     if acts is None:
         activations = ()
@@ -101,10 +82,10 @@ def _build_params(cfg: dict, model: str):
     else:
         raise ParameterError("activations", f"expected a list of activation specs, got {acts!r}")
     common = dict(
-        m=m, a=_field(cfg, "a"), b=_field(cfg, "b", _real),
-        eta=_field(cfg, "eta"), J=_field(cfg, "J"), gamma=_field(cfg, "gamma"),
-        P=_field(cfg, "P", _real, 0.0), r=_field(cfg, "r", _real, 1.0),
-        V=_field(cfg, "V", _real, 0.0), activations=activations,
+        m=m, a=_required(cfg, "a"), b=_required(cfg, "b"),
+        eta=_required(cfg, "eta"), J=_required(cfg, "J"), gamma=_required(cfg, "gamma"),
+        P=cfg.get("P", 0.0), r=cfg.get("r", 1.0), V=cfg.get("V", 0.0),
+        activations=activations,
     )
     if model == "mhnn":
         coupling = cfg.get("coupling", "weak")
@@ -112,11 +93,11 @@ def _build_params(cfg: dict, model: str):
             raise ParameterError("coupling", f"expected 'weak' or 'linear', got {coupling!r}")
         if isinstance(cfg.get("k"), (list, dict)):
             raise ParameterError("k", "mhnn model takes a scalar memristive strength")
-        return MhnnParams(k=_field(cfg, "k", _real), w=_field(cfg, "w"),
+        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"),
                           coupling_kind=_COUPLING_ALIASES[coupling], **common)
     if model == "hebbian":
-        return HebbianParams(k=_field(cfg, "k"), c=_field(cfg, "c"),
-                             lam=_field(cfg, "lambda"),
+        return HebbianParams(k=_required(cfg, "k"), c=_required(cfg, "c"),
+                             lam=_required(cfg, "lambda"),
                              w0=cfg.get("w0", 1.0), **common)
     raise ParameterError("model", f"expected 'mhnn' or 'hebbian', got {model!r}")
 
@@ -129,36 +110,37 @@ def load_config(path: str, *, model_override: Optional[str] = None,
 
     A missing, mistyped or out-of-range field raises ParameterError with its
     path. ``p_values`` are the coupling strengths of a sweep. Where the
-    config omits dt or t_end, each is validated, and then the default dt is
-    sized at the largest and the default t_end at the smallest, so that
-    every swept run is resolved and long enough.
+    config omits dt or t_end, or gives null, each swept parameter set is
+    validated, and then the default dt is sized at the largest and the
+    default t_end at the smallest, so that every swept run is resolved and
+    long enough.
     """
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ParameterError("<root>", "config must be a JSON object")
-    model = model_override or _field(cfg, "model")
+    model = model_override or _required(cfg, "model")
     params = _build_params(cfg, model)
     params.validate()
 
     epsilon = (float(epsilon_override) if epsilon_override is not None
-               else _field(cfg, "epsilon", _real, 0.1))
+               else as_real(cfg.get("epsilon", 0.1), "epsilon"))
     if not (0 < epsilon < math.inf):
         raise ParameterError("epsilon", "prescribed gap epsilon must be positive and finite")
 
     ens_cfg = _block(cfg, "ensemble")
     ensemble = analysis.EnsembleSpec(
-        count=_field(ens_cfg, "count", None, 10, "ensemble."),
-        radius=_field(ens_cfg, "radius", _real, 5.0, "ensemble."),
+        count=ens_cfg.get("count", 10),
+        radius=ens_cfg.get("radius", 5.0),
         seed=(int(seed_override) if seed_override is not None
-              else _field(ens_cfg, "seed", None, 0, "ensemble.")),
-        tail_fraction=_field(ens_cfg, "tail_fraction", _real, 0.2, "ensemble."),
+              else ens_cfg.get("seed", 0)),
+        tail_fraction=ens_cfg.get("tail_fraction", 0.2),
     )
     ensemble.validate()
 
     int_cfg = _block(cfg, "integrator")
-    dt = _field(int_cfg, "dt", _real, None, "integrator.")
-    defaults = dt is None or "t_end" not in int_cfg
+    dt, t_end = int_cfg.get("dt"), int_cfg.get("t_end")
+    defaults = dt is None or t_end is None
     # One derivation serves both defaults and is skipped when the config gives
     # both, except under weak coupling, where it also rejects an r whose
     # sigmoid term overflows.
@@ -170,14 +152,13 @@ def load_config(path: str, *, model_override: Optional[str] = None,
         sized = [dataclasses.replace(params, P=float(P)) for P in sorted(p_values)]
         for q in sized:
             q.validate()
-    t_end = _field(int_cfg, "t_end", _real, None, "integrator.")
     integrator = IntegratorConfig(
-        method=_field(int_cfg, "method", None, "rk4-fixed", "integrator."),
+        method=int_cfg.get("method", "rk4-fixed"),
         dt=default_dt(sized[-1], d.dc) if dt is None else dt,
         t_end=analysis._horizon(d, sized[0].P, ensemble) if t_end is None else t_end,
-        record_stride=_field(int_cfg, "record_stride", None, 1, "integrator."),
-        abs_tol=_field(int_cfg, "abs_tol", _real, 1e-9, "integrator."),
-        rel_tol=_field(int_cfg, "rel_tol", _real, 1e-9, "integrator."),
+        record_stride=int_cfg.get("record_stride", 1),
+        abs_tol=int_cfg.get("abs_tol", 1e-9),
+        rel_tol=int_cfg.get("rel_tol", 1e-9),
     )
     integrator.validate()
     return RunConfig(model=model, parameters=params, integrator=integrator,
@@ -229,6 +210,7 @@ def _cmd_constants(run: RunConfig, args) -> int:
 def _cmd_threshold(run: RunConfig, args) -> int:
     thr = cst.threshold(run.parameters, run.epsilon)
     out = {"model": run.model, "epsilon": run.epsilon, "p_star": thr.p_star,
+           "N": thr.N, "N_terms": thr.N_terms, "B": thr.B,
            "p_used": run.parameters.P,
            "rate_theory": thr.rate_at(run.parameters.P),
            "residual": thr.residual_at(run.parameters.P)}

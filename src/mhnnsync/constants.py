@@ -13,7 +13,9 @@ closed forms in P evaluated from that one derivation.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -144,7 +146,8 @@ class _Derivation:
     rate(P) = decay + gain*P/B and residual(P) = numerator/(decay*B + m*P),
     with numerator = N*B. B is the weak-coupling sigmoid term, else 1.0; gain
     is 1 for linear mHNN coupling, else m. Multiplying or dividing by 1.0 is
-    exact, so each form is bitwise the per-model formula.
+    exact, so each form is bitwise the per-model formula. ``N_terms`` names
+    the terms of the heterogeneity term N, in the order they are added.
     """
 
     dc: DerivedConstants
@@ -153,6 +156,8 @@ class _Derivation:
     decay: float
     gain: int
     B: float
+    N: float
+    N_terms: dict
     numerator: float
 
     def rate(self, P: float) -> float:
@@ -172,6 +177,15 @@ class _Derivation:
         return p_star
 
 
+def _derivation(dc: DerivedConstants, margin: float, m: int, decay: float, gain: int,
+                B: float, N_terms: dict) -> _Derivation:
+    """The derivation whose N adds N_terms left to right, as the expression
+    t1 + t2 + t3 + t4 does, so that p_star keeps its bits."""
+    N = functools.reduce(operator.add, N_terms.values())
+    return _Derivation(dc, margin, m, decay=decay, gain=gain, B=B, N=N, N_terms=N_terms,
+                       numerator=N * B)
+
+
 def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
     """The one derivation for p; ``dc`` stands in for derive_constants(p) when given."""
     ex = derive_extremes(p)
@@ -181,13 +195,17 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
     _, decay = p.assumption_margins()
     if isinstance(p, HebbianParams):
         margin = _hebbian_weight_margin(p)
-        N = (ex.a_star * math.sqrt(bound) + p.k_max * ex.eta_star * bound**1.5
-             + 2.0 * m * beta * math.sqrt(1.0 + margin) + ex.J_star)
-        return _Derivation(dc, margin, m, decay=decay, gain=m, B=1.0, numerator=N)
-    N = (m * ex.W_star * beta + ex.a_star * math.sqrt(bound)
-         + p.k * ex.eta_star * bound**1.5 + ex.J_star)
+        terms = {"a_star*sqrt(G)": ex.a_star * math.sqrt(bound),
+                 "k_max*eta_star*G^1.5": p.k_max * ex.eta_star * bound**1.5,
+                 "2*m*beta_max*sqrt(1+weight_margin)": 2.0 * m * beta * math.sqrt(1.0 + margin),
+                 "J_star": ex.J_star}
+        return _derivation(dc, margin, m, decay, m, 1.0, terms)
+    terms = {"m*W_star*beta_max": m * ex.W_star * beta,
+             "a_star*sqrt(Q)": ex.a_star * math.sqrt(bound),
+             "k*eta_star*Q^1.5": p.k * ex.eta_star * bound**1.5,
+             "J_star": ex.J_star}
     if p.coupling_kind == "linear":
-        return _Derivation(dc, 0.0, m, decay=decay, gain=1, B=1.0, numerator=N)
+        return _derivation(dc, 0.0, m, decay, 1, 1.0, terms)
     # 1 + exp(r(sqrt(Q) + |V|)): worst-case reciprocal of the sigmoid sum / m
     exponent = p.r * (math.sqrt(bound) + abs(p.V))
     try:
@@ -196,7 +214,7 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
         raise ParameterError(
             "r", f"r(sqrt(Q) + |V|) = {exponent:.6g} exceeds the exp range, so the "
                  "weak-coupling threshold overflows; reduce r or |V|") from None
-    return _Derivation(dc, 0.0, m, decay=decay, gain=m, B=B, numerator=N * B)
+    return _derivation(dc, 0.0, m, decay, m, B, terms)
 
 
 def sync_rate(p: Params, dc: DerivedConstants, P: float) -> float:
@@ -211,17 +229,25 @@ def gap_residual(p: Params, dc: DerivedConstants, P: float) -> float:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Coupling threshold for a prescribed gap, with the rate and residual maps."""
+    """Coupling threshold for a prescribed gap, with the rate and residual maps.
+
+    p_star = N*B/(m*epsilon): N is the sum of the named ``N_terms``, added in
+    their order, and B the weak-coupling sigmoid term, 1.0 without it.
+    """
 
     p_star: float
     rate_at: Callable[[float], float]
     residual_at: Callable[[float], float]
+    N: float
+    N_terms: dict
+    B: float
 
 
 def threshold(p: Params, epsilon: float) -> Threshold:
     """Coupling threshold p_star(epsilon): P > p_star guarantees tail gap < epsilon."""
     d = _derive(p)
-    return Threshold(p_star=d.p_star(epsilon), rate_at=d.rate, residual_at=d.residual)
+    return Threshold(p_star=d.p_star(epsilon), rate_at=d.rate, residual_at=d.residual,
+                     N=d.N, N_terms=d.N_terms, B=d.B)
 
 
 def gap_envelope(p: Params, dc: DerivedConstants, P: float,

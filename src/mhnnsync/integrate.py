@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError, as_integer, logical, node_major
+from .model import ParameterError, as_integer, as_real, c_dot, logical, node_major
 
 BLOWUP_LIMIT = 1e12
 
@@ -124,10 +124,13 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
 
     def validate(self) -> None:
-        """Checks every field; record_stride is kept as an int."""
+        """Checks every field; record_stride is kept as an int, dt, t_end and
+        the tolerances as floats."""
         if self.method not in METHODS:
             raise ParameterError("integrator.method",
                                  f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name in ("dt", "t_end", "abs_tol", "rel_tol"):
+            setattr(self, name, as_real(getattr(self, name), f"integrator.{name}"))
         if not (self.dt > 0):
             raise ParameterError("integrator.dt", "step size dt must be positive")
         if not (self.dt < self.t_end < math.inf):
@@ -269,7 +272,7 @@ def _integrate_rk4(bind, y0, shape, cfg, record):
     eval_k1, eval_k2, eval_k3, eval_k4 = (bind(y, k1), bind(stage, k2), bind(stage, k3),
                                           bind(stage, k4))
     half, full, sixth, two = (np.array(c, dtype=float) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
-    multiply, add, dot = np.multiply, np.add, np.dot
+    multiply, add, dot = np.multiply, np.add, c_dot
     rec = _Record(record(view), 1 + n // stride + (n % stride != 0))
     for i in range(1, n + 1):
         if i < n:

@@ -30,15 +30,18 @@ derivative never depends on the batch around it: sums over nodes run
 elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
 and a lone member runs as a two-member block. Per-call numpy overhead, not
 arithmetic, sets the cost, so coefficients are tiled to rows once per batch
-shape, the decay, the window and weak coupling share one u coefficient, and
-einsum is called without numpy's Python wrapper. Every scalar operand (-m, a
-scalar P, 0.5*r, V, the sigmoid's 0.5) is a 0-d array made once, which numpy
-dispatches faster than a Python number, and a lockstep column of P is tiled
-to an (m, members) block for the linear term, which multiplies it into the
-u block; the ufuncs are bound to locals of each evaluator. No ufunc takes a
-row broadcast down a block, which costs about twice a same-shape call and
-allocates an iterator buffer: rho and the node sum are copied down blocks of
-their own first.
+shape, the decay, the window and weak coupling share one u coefficient,
+einsum is called without numpy's Python wrapper and copyto without its
+``__array_function__`` dispatch, and the activation takes the sine-clamped
+rows as slices found once per batch shape, not through a mask. A bound
+linear mHNN call at a (3, 10) lockstep block takes 5.8-6.9 us for m = 2..5
+(2-vCPU x86_64, numpy 2.4). Every scalar operand (-m, a scalar P, 0.5*r, V,
+the sigmoid's 0.5) is a 0-d array made once, which numpy dispatches faster
+than a Python number, and a lockstep column of P is tiled to an (m, members)
+block for the linear term, which multiplies it into the u block; the ufuncs
+are bound to locals of each evaluator. No ufunc takes a row broadcast down a
+block, which costs about twice a same-shape call and allocates an iterator
+buffer: rho and the node sum are copied down blocks of their own first.
 """
 
 from __future__ import annotations
@@ -62,6 +65,18 @@ except ImportError:                # numpy < 2
         from numpy.core.multiarray import c_einsum
     except ImportError:
         c_einsum = np.einsum
+
+# numpy's C copyto and dot, which np.copyto and np.dot call after their
+# __array_function__ dispatch: the same bits, without the dispatcher, which
+# cost 0.13 us per call at (5, 30): copyto 0.15 against 0.29 us, dot 0.30
+# against 0.43 us (2-vCPU x86_64, numpy 2.4).
+try:
+    from numpy._core._multiarray_umath import copyto as c_copyto, dot as c_dot
+except ImportError:                # numpy < 2
+    try:
+        from numpy.core._multiarray_umath import copyto as c_copyto, dot as c_dot
+    except ImportError:
+        c_copyto, c_dot = np.copyto, np.dot
 
 ACTIVATION_KINDS = ("tanh-scaled", "logistic-centered", "sine-clamped")
 WINDOW_KINDS = ("quadratic", "strukov-williams")
@@ -99,6 +114,22 @@ def as_integer(value, path: str) -> int:
         raise ParameterError(path, f"expected an integer, got {value!r} ({exc})") from None
 
 
+def as_real(value, path: str) -> float:
+    """value as a Python float, else ParameterError naming ``path``.
+
+    A boolean is rejected rather than read as 0.0 or 1.0, and so is an array
+    of one or more dimensions, which float() would read if it had one entry.
+    """
+    if _holds_boolean(value):
+        raise ParameterError(path, f"expected a real number, got the boolean {value!r}")
+    if isinstance(value, np.ndarray) and value.ndim:
+        raise ParameterError(path, f"expected a real number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(path, f"expected a real number, got {value!r} ({exc})") from None
+
+
 @dataclass(frozen=True)
 class ActivationSpec:
     """A bounded activation: |f(s)| <= beta for all real s."""
@@ -110,7 +141,7 @@ class ActivationSpec:
         if self.kind not in ACTIVATION_KINDS:
             raise ParameterError(f"{path}.kind",
                                  f"unknown kind {self.kind!r}, expected one of {ACTIVATION_KINDS}")
-        if not (0 < self.beta < math.inf):
+        if not (0 < as_real(self.beta, f"{path}.beta") < math.inf):
             raise ParameterError(f"{path}.beta", "bound beta must be positive and finite")
 
     def __call__(self, s):
@@ -125,35 +156,59 @@ def activation_eval(kind: str, beta: float, s):
     return out.reshape(s.shape) if s.ndim else float(out[0, 0])
 
 
+def _row_slices(rows: list) -> list:
+    """The sorted row indices ``rows`` as few slices: one strided slice when
+    they are evenly spaced (always so for one or two rows), else one slice
+    per contiguous run."""
+    steps = {j - i for i, j in zip(rows, rows[1:])}
+    if len(steps) <= 1:
+        return [slice(rows[0], rows[-1] + 1, steps.pop() if steps else 1)] if rows else []
+    runs, start = [], rows[0]
+    for i, j in zip(rows, rows[1:] + [None]):
+        if j != i + 1:
+            runs.append(slice(start, i + 1))
+            start = j
+    return runs
+
+
 def _activation_kernel(activations, members: int):
     """A binder of f(u) = (beta_j g_j(u_j))_j on node-major (m, members) blocks, one spec per node.
 
     ``bind(u, out)`` returns an evaluator that writes f(u) into out, reading
-    the current contents of u on every call. The per-node scale, beta and
-    sine mask are tiled to rows of ``members`` entries: broadcasting an
-    (m, 1) column against a block with rows this short costs more than the
-    arithmetic. tanh(scale*u) is evaluated in place for all nodes, then one
-    masked ``np.sin`` overwrites the sine-clamped nodes and beta multiplies
-    in place: four numpy calls, no fancy-index gather or scatter. The scale
-    1.0 keeps tanh-scaled bitwise tanh(u), since 1.0*u == u.
+    the current contents of u on every call. The per-node scale and beta are
+    tiled to rows of ``members`` entries: broadcasting an (m, 1) column
+    against a block with rows this short costs more than the arithmetic.
+    tanh(scale*u) is evaluated in place for all nodes, then ``np.sin``
+    overwrites the sine-clamped rows and beta multiplies in place. The
+    sine-clamped rows are found once per batch shape, and ``bind`` views
+    them as (u, out) slice pairs: one strided slice when they are evenly
+    spaced, else one per contiguous run, so each call is a plain sin of a
+    view instead of a masked sin of the block: at (5, 30), 0.33 against
+    0.73 us for one sine row, 0.70 against 0.86 us for two (2-vCPU x86_64,
+    numpy 2.4). With no logistic-centered node every scale is 1.0,
+    and tanh takes u itself: 1.0*u == u, so the bits are the same.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
             raise ParameterError("activation.kind", f"unknown kind {act.kind!r}")
-    scale = np.array([_TANH_SCALE.get(act.kind, 1.0) for act in activations])
-    sine = np.array([act.kind == "sine-clamped" for act in activations])
-    betas = np.array([act.beta for act in activations], dtype=float)
-    scale, sine, betas = (np.repeat(v[:, None], members, axis=1) for v in (scale, sine, betas))
-    any_sine = bool(sine.any())
+    scales = [_TANH_SCALE.get(act.kind, 1.0) for act in activations]
+    sine = _row_slices([i for i, act in enumerate(activations) if act.kind == "sine-clamped"])
+    scaled = any(c != 1.0 for c in scales)
+    scale, betas = (np.repeat(np.array(v, dtype=float)[:, None], members, axis=1)
+                    for v in (scales, [act.beta for act in activations]))
 
     def bind(u: np.ndarray, out: np.ndarray):
         multiply, tanh, sin = np.multiply, np.tanh, np.sin
+        pairs = tuple((u[rows], out[rows]) for rows in sine)
 
         def f():
-            multiply(scale, u, out)
-            tanh(out, out)
-            if any_sine:
-                sin(u, out=out, where=sine)
+            if scaled:
+                multiply(scale, u, out)
+                tanh(out, out)
+            else:
+                tanh(u, out)
+            for u_rows, out_rows in pairs:
+                sin(u_rows, out_rows)
             multiply(out, betas, out)
         return f
 
@@ -214,8 +269,8 @@ def _holds_boolean(x) -> bool:
     return isinstance(x, (bool, np.bool_)) or (isinstance(x, np.ndarray) and x.dtype == bool)
 
 
-def _as_array(x, shape: tuple, path: str) -> np.ndarray:
-    """x as a float array of the given vector or matrix shape; a scalar fills it.
+def _as_floats(x, path: str) -> np.ndarray:
+    """x as a float array of any shape.
 
     A boolean anywhere in x is rejected, as ``as_integer`` rejects one, rather
     than read as 0.0 or 1.0.
@@ -223,9 +278,14 @@ def _as_array(x, shape: tuple, path: str) -> np.ndarray:
     if _holds_boolean(x):
         raise ParameterError(path, f"expected numbers, got a boolean: {x!r}")
     try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(path, f"expected numbers, got {x!r} ({exc})") from None
+
+
+def _as_array(x, shape: tuple, path: str) -> np.ndarray:
+    """x as a float array of the given vector or matrix shape; a scalar fills it."""
+    arr = _as_floats(x, path)
     if arr.ndim == 0:
         arr = np.full(shape, float(arr))
     if arr.shape != shape:
@@ -245,15 +305,19 @@ def _memory_bytes() -> Optional[int]:
 class _NetworkParams:
     """What MhnnParams and HebbianParams share; no fields, so each keeps its field order.
 
-    A subclass names its vectors and its (field, config path) matrices, which
-    __post_init__ coerces (``P`` is left as given), and adds ``_validate_model``
-    and ``assumption_margins``. Before it fills anything to length m, it
-    raises ParameterError, naming m, unless m >= 2, and MemoryError, naming
-    m, when the vectors (8*m bytes each) and the matrices (8*m^2 bytes each)
-    would not fit in the machine's memory.
+    A subclass names its vectors, its (field, config path) matrices and its
+    scalars, which __post_init__ coerces, and adds ``_validate_model`` and
+    ``assumption_margins``. Before it fills anything to length m, it raises
+    ParameterError, naming m, unless m >= 2, and MemoryError, naming m, when
+    the vectors (8*m bytes each) and the matrices (8*m^2 bytes each) would
+    not fit in the machine's memory. Each scalar and each activation's beta
+    becomes a Python float, and P too unless it is a lockstep array, which
+    becomes a float array: 1, 1.0 and np.float64(1.0) give one digest, and a
+    boolean raises ParameterError naming its field.
     """
 
     _UNHASHED = ("activations",)
+    _SCALARS = ("b", "r", "V")
 
     def __post_init__(self):
         self.m = as_integer(self.m, "m")
@@ -268,9 +332,16 @@ class _NetworkParams:
             setattr(self, name, _as_array(getattr(self, name), (self.m,), name))
         for name, path in self._MATRICES:
             setattr(self, name, _as_array(getattr(self, name), (self.m, self.m), path))
+        for name in self._SCALARS:
+            setattr(self, name, as_real(getattr(self, name), name))
+        P = _as_floats(self.P, "P")
+        self.P = P if P.ndim else float(P)
         if not self.activations:
             self.activations = tuple(ActivationSpec("tanh-scaled", 1.0) for _ in range(self.m))
-        self.activations = tuple(self.activations)
+        self.activations = tuple(
+            act if type(act.beta) is float
+            else ActivationSpec(act.kind, as_real(act.beta, f"activations[{i}].beta"))
+            for i, act in enumerate(self.activations))
 
     @property
     def beta_max(self) -> float:
@@ -282,7 +353,7 @@ class _NetworkParams:
 
     def validate(self) -> None:
         paths = dict(self._MATRICES)
-        for name in (*self._VECTORS, *paths, "b", "k", "r", "V"):
+        for name in (*self._VECTORS, *paths, *self._SCALARS):
             if not np.isfinite(getattr(self, name)).all():
                 raise ParameterError(paths.get(name, name), "must be finite, not inf or nan")
         if len(self.activations) != self.m:
@@ -329,6 +400,7 @@ class MhnnParams(_NetworkParams):
 
     _VECTORS = ("a", "eta", "J", "gamma")
     _MATRICES = (("w", "w"),)
+    _SCALARS = ("b", "k", "r", "V")
 
     @property
     def dim(self) -> int:
@@ -559,7 +631,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
             tiled = np.empty((m, n)) if coupled else None       # the node sum, tiled
             activation, term = bind_activation(u, f), terms(s, dY, Y, R, f, *rows)
             sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
-            add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, np.copyto
+            add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, c_copyto
             add_reduce, einsum = np.add.reduce, c_einsum
 
             def evaluate() -> np.ndarray:

@@ -158,6 +158,26 @@ class TestEnsembleIntegerFields:
         assert np.array_equal(got, want)
 
 
+class TestEnsembleRealFields:
+    """radius and tail_fraction are real numbers: a boolean or text that is
+    not a number is rejected with the field's path, not read as 1.0 or left
+    to numpy, and any other number is kept as a Python float."""
+
+    @pytest.mark.parametrize("field", ["radius", "tail_fraction"])
+    @pytest.mark.parametrize("value", [True, np.True_, "x", None, [0.5]])
+    def test_non_real_rejected(self, field, value):
+        with pytest.raises(ParameterError) as err:
+            EnsembleSpec(**{field: value}).validate()
+        assert err.value.field == f"ensemble.{field}"
+
+    def test_numbers_kept_as_floats(self):
+        ens = EnsembleSpec(count=4, radius=2, seed=9, tail_fraction=np.float64(0.25))
+        ens.validate()
+        assert (type(ens.radius), type(ens.tail_fraction)) == (float, float)
+        want = sample_initial_states(EnsembleSpec(count=4, radius=2.0, seed=9), 3)
+        assert np.array_equal(sample_initial_states(ens, 3), want)
+
+
 class TestVerify:
     def test_homogeneous_passes(self):
         rng = np.random.default_rng(2)

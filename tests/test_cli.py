@@ -100,6 +100,25 @@ class TestThresholdCommand:
             outs.append(json.loads(out.read_text())["p_star"])
         assert outs[1] == pytest.approx(2.0 * outs[0], rel=1e-14)
 
+    @pytest.mark.parametrize("config", [mhnn_config(J=[1.0, 0.0], a=[2.0, 2.2]),
+                                        mhnn_config(coupling="linear", J=[1.0, 0.0]),
+                                        hebbian_config(J=[1.0, 0.0], eta=[1.0, 0.8])],
+                             ids=["weak", "linear", "hebbian"])
+    def test_prints_the_breakdown_of_p_star(self, tmp_path, config):
+        out = tmp_path / "thr.json"
+        assert run(["threshold", "--config", write(tmp_path, config), "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert set(data) == {"model", "epsilon", "p_star", "N", "N_terms", "B", "p_used",
+                             "rate_theory", "residual"}
+        bound = "G" if config["model"] == "hebbian" else "Q"
+        assert len(data["N_terms"]) == 4 and f"a_star*sqrt({bound})" in data["N_terms"]
+        total = 0.0
+        for term in data["N_terms"].values():
+            total = total + term
+        assert total == data["N"] > 0.0
+        assert data["B"] > 1.0 if config.get("coupling") == "weak" else data["B"] == 1.0
+        assert data["N"] * data["B"] / (2 * data["epsilon"]) == data["p_star"]
+
 
 class TestValidationExits:
     def test_assumption_boundary_exit_3(self, tmp_path, capsys):

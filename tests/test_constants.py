@@ -239,6 +239,39 @@ class TestThreshold:
         with pytest.raises(ParameterError):
             threshold(mk_mhnn(), 0.0)
 
+    @pytest.mark.parametrize("model, keys", [
+        ("weak-sigmoidal", ["m*W_star*beta_max", "a_star*sqrt(Q)", "k*eta_star*Q^1.5", "J_star"]),
+        ("linear", ["m*W_star*beta_max", "a_star*sqrt(Q)", "k*eta_star*Q^1.5", "J_star"]),
+        ("hebbian", ["a_star*sqrt(G)", "k_max*eta_star*G^1.5",
+                     "2*m*beta_max*sqrt(1+weight_margin)", "J_star"]),
+    ])
+    def test_breakdown_terms_sum_to_N(self, model, keys):
+        # p_star = N*B/(m*epsilon), with N the terms added in their order, bitwise
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            m = int(rng.integers(2, 7))
+            p = draw_hebbian(rng, m) if model == "hebbian" else draw_mhnn(rng, m, coupling=model)
+            thr = threshold(p, 0.1)
+            assert list(thr.N_terms) == keys
+            assert all(v >= 0.0 for v in thr.N_terms.values())
+            total = 0.0
+            for v in thr.N_terms.values():
+                total = total + v
+            assert total == thr.N
+            assert thr.N * thr.B / (m * 0.1) == thr.p_star
+            if model == "weak-sigmoidal":
+                Q = derive_constants(p).bound
+                assert thr.B == 1.0 + math.exp(p.r * (math.sqrt(Q) + abs(p.V)))
+            else:
+                assert thr.B == 1.0
+
+    def test_breakdown_hand_values(self):
+        # test_hand_value_weak's case: J* = 1 is the only heterogeneity, Q = 19
+        thr = threshold(mk_mhnn(J=[1.0, 0.0], r=0.1), 1.0)
+        assert thr.N_terms == {"m*W_star*beta_max": 0.0, "a_star*sqrt(Q)": 0.0,
+                               "k*eta_star*Q^1.5": 0.0, "J_star": 1.0}
+        assert thr.N == 1.0 and thr.B == 1.0 + math.exp(0.1 * math.sqrt(19.0))
+
     @pytest.mark.parametrize("model", ["mhnn", "hebbian"])
     def test_rejects_infinite_epsilon(self, model):
         # p_star = N*B/(m*epsilon) would be 0.0 at epsilon = inf: a vacuous guarantee

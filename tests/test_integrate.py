@@ -669,6 +669,25 @@ class TestIntegerFields:
         assert np.array_equal(got.states, want.states)
 
 
+class TestRealFields:
+    """dt, t_end and the tolerances are real numbers: a boolean, an array or
+    text that is not a number is rejected with the field's path, and any
+    other number is kept as a Python float."""
+
+    @pytest.mark.parametrize("field", ["dt", "t_end", "abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [True, np.False_, "x", None, np.array([0.5])])
+    def test_non_real_rejected(self, field, value):
+        with pytest.raises(ParameterError) as err:
+            IntegratorConfig(**{field: value}).validate()
+        assert err.value.field == f"integrator.{field}"
+
+    def test_numbers_kept_as_floats(self):
+        cfg = IntegratorConfig(dt=np.float64(0.25), t_end=2, abs_tol=np.float32(1e-6))
+        cfg.validate()
+        assert [type(getattr(cfg, f)) for f in ("dt", "t_end", "abs_tol", "rel_tol")] == [float] * 4
+        assert (cfg.dt, cfg.t_end, cfg.abs_tol) == (0.25, 2.0, float(np.float32(1e-6)))
+
+
 class BlockOnly:
     """A field's block evaluator with a (..., dim) entry point that must not be used."""
 

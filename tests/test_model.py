@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,9 @@ from mhnnsync.model import activation_eval, make_hebbian_rhs, make_mhnn_rhs
 from mhnnsync import model as model_module
 
 from draws import draw_hebbian, draw_mhnn
+
+# the module; the package's name ``integrate`` is the function
+integrate_module = importlib.import_module("mhnnsync.integrate")
 
 
 def mk_mhnn(**kw):
@@ -593,6 +597,57 @@ class TestValidation:
             make(**{field: value})
         assert exc.value.field == path
 
+    SCALARS = ([(mk_mhnn, f) for f in ("b", "k", "P", "r", "V")]
+               + [(mk_hebbian, f) for f in ("b", "P", "r", "V")])
+
+    @pytest.mark.parametrize("value", [True, np.False_])
+    @pytest.mark.parametrize("make, field", SCALARS)
+    def test_boolean_scalar_rejected(self, make, field, value):
+        # read as 1.0 or 0.0 before, with a digest of its own
+        with pytest.raises(ParameterError, match="boolean") as exc:
+            make(**{field: value})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("make, field", SCALARS)
+    def test_non_number_scalar_rejected(self, make, field):
+        # an array P is a lockstep column
+        for value in ("x",) if field == "P" else ("x", None, [1.0, 2.0], np.array([1.0])):
+            with pytest.raises(ParameterError) as exc:
+                make(**{field: value})
+            assert exc.value.field == field
+
+    @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
+    def test_scalars_are_floats_with_one_digest(self, make):
+        names = ("b", "P", "r", "V") + (("k",) if make is mk_mhnn else ())
+        want = make(**dict(zip(names, (1.0, 3.0, 2.0, 0.0, 0.5))))
+        for values in [(1, 3, 2, 0, 0.5), (np.float64(1.0), np.array(3.0), np.int64(2),
+                                          np.float32(0.0), np.float64(0.5))]:
+            p = make(**dict(zip(names, values)))
+            assert [type(getattr(p, name)) for name in names] == [float] * len(names)
+            assert p.digest() == want.digest()
+
+    def test_lockstep_P_is_a_float_array(self):
+        p = mk_mhnn(P=np.array([0, 1, 25])[:, None, None])
+        assert p.P.dtype == float and p.P.shape == (3, 1, 1)
+        with pytest.raises(ParameterError, match="boolean") as exc:
+            mk_mhnn(P=np.array([True, False])[:, None, None])
+        assert exc.value.field == "P"
+
+    def test_activation_bound_is_a_float(self):
+        want = mk_mhnn(activations=(ActivationSpec("tanh-scaled", 1.0),
+                                    ActivationSpec("sine-clamped", 2.0)))
+        p = mk_mhnn(activations=(ActivationSpec("tanh-scaled", 1),
+                                 ActivationSpec("sine-clamped", np.float64(2.0))))
+        assert [type(a.beta) for a in p.activations] == [float, float]
+        assert p.digest() == want.digest()
+        with pytest.raises(ParameterError, match="boolean") as exc:
+            mk_mhnn(activations=(ActivationSpec("tanh-scaled", 1.0),
+                                 ActivationSpec("tanh-scaled", True)))
+        assert exc.value.field == "activations[1].beta"
+        with pytest.raises(ParameterError, match="boolean") as exc:
+            ActivationSpec("tanh-scaled", True).validate()
+        assert exc.value.field == "activation.beta"
+
     def test_infinite_activation_bound_rejected(self):
         with pytest.raises(ParameterError) as exc:
             mk_mhnn(activations=(ActivationSpec("tanh-scaled", np.inf),) * 2).validate()
@@ -831,6 +886,59 @@ class TestFieldOracle:
             assert np.array_equal(make(p)(np.asfortranarray(y)), want), draw
 
 
+# sine-clamped rows as s, tanh-scaled as t, logistic-centered as l
+SINE_LAYOUTS = {
+    "none": "tltltlt",
+    "one": "tltsltl",
+    "two-apart": "tsltlst",
+    "run": "tlssslt",
+    "uneven": "stsltls",
+    "all": "sssssss",
+    "all-tanh": "ttttttt",
+    "sine-no-logistic": "ttsttst",
+}
+
+
+class TestSineLayouts:
+    """The activation binds its sine-clamped rows as slices, one strided slice
+    when they are evenly spaced, else one per contiguous run, and takes tanh
+    of u itself when no node is logistic-centered. Every layout gives the
+    oracle's bits, on a batch, a lockstep P and a lone member."""
+
+    KINDS = {"s": "sine-clamped", "t": "tanh-scaled", "l": "logistic-centered"}
+
+    @pytest.mark.parametrize("rows, want", [
+        ([], []),
+        ([3], [slice(3, 4, 1)]),
+        ([1, 5], [slice(1, 6, 4)]),
+        ([2, 3, 4], [slice(2, 5, 1)]),
+        ([0, 3, 6], [slice(0, 7, 3)]),
+        ([0, 2, 6], [slice(0, 1), slice(2, 3), slice(6, 7)]),
+        ([0, 1, 5], [slice(0, 2), slice(5, 6)]),
+        (list(range(7)), [slice(0, 7, 1)]),
+    ])
+    def test_rows_are_few_slices(self, rows, want):
+        assert model_module._row_slices(rows) == want
+
+    @pytest.mark.parametrize("layout", SINE_LAYOUTS)
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_field_is_the_oracle_bitwise(self, model, layout):
+        rng, p, make = drawn_field(model, 7, 600)
+        acts = tuple(ActivationSpec(self.KINDS[c], float(beta))
+                     for c, beta in zip(SINE_LAYOUTS[layout], rng.uniform(0.5, 1.5, p.m)))
+        p = dataclasses.replace(p, activations=acts)
+        lockstep = dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None])
+        rhs, rhs_lockstep = make(p), make(lockstep)
+        for draw in range(2):
+            y = rng.normal(scale=3.0, size=(5, p.dim))
+            want = field_oracle(p, y)
+            assert np.array_equal(rhs(y), want), draw
+            for i in range(5):
+                assert np.array_equal(rhs(y[i]), want[i]), (draw, i)
+            ys = rng.normal(scale=3.0, size=(3, 5, p.dim))
+            assert np.array_equal(rhs_lockstep(ys), field_oracle(lockstep, ys)), draw
+
+
 class TestLoneMember:
     """A lone member runs as a two-member block, so its derivative is bitwise its
     row in a batch of five: as a single state, as a one-member batch and through
@@ -886,3 +994,28 @@ class TestEinsumBinding:
         model_module.c_einsum("in,jn->ijn", f, f, out=got)
         assert np.array_equal(got, np.einsum("in,jn->ijn", f, f))
         assert np.array_equal(got, f[:, None] * f[None, :])
+
+
+class TestCopytoDotBinding:
+    """The fields' copyto and RK4's dot are numpy's C functions, which np.copyto
+    and np.dot call after their __array_function__ dispatch: the same bits."""
+
+    def test_bindings_are_the_c_functions(self):
+        for bound, wrapper in [(model_module.c_copyto, np.copyto), (model_module.c_dot, np.dot)]:
+            assert bound is not wrapper
+            assert type(bound).__name__ == "builtin_function_or_method"
+        assert integrate_module.c_dot is model_module.c_dot
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_same_bits_as_the_wrappers(self, m, n):
+        rng = np.random.default_rng(320 + 10 * m + n)
+        row = rng.normal(size=n)
+        got, want = np.full((m, n), np.nan), np.full((m, n), np.nan)
+        model_module.c_copyto(got, row)
+        np.copyto(want, row)
+        assert np.array_equal(got, want) and np.array_equal(got, np.tile(row, (m, 1)))
+        flat = rng.normal(scale=1e3, size=m * n)
+        assert model_module.c_dot(flat, flat) == np.dot(flat, flat)
+        flat[-1] = np.nan
+        assert np.isnan(model_module.c_dot(flat, flat))
