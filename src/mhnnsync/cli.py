@@ -84,7 +84,7 @@ def _build_params(cfg: dict, model: str):
     common = dict(
         m=m, a=_required(cfg, "a"), b=_required(cfg, "b"),
         eta=_required(cfg, "eta"), J=_required(cfg, "J"), gamma=_required(cfg, "gamma"),
-        P=cfg.get("P", 0.0), r=cfg.get("r", 1.0), V=cfg.get("V", 0.0),
+        P=as_real(cfg.get("P", 0.0), "P"), r=cfg.get("r", 1.0), V=cfg.get("V", 0.0),
         activations=activations,
     )
     if model == "mhnn":
@@ -110,10 +110,9 @@ def load_config(path: str, *, model_override: Optional[str] = None,
 
     A missing, mistyped or out-of-range field raises ParameterError with its
     path. ``p_values`` are the coupling strengths of a sweep. Where the
-    config omits dt or t_end, or gives null, each swept parameter set is
-    validated, and then the default dt is sized at the largest and the
-    default t_end at the smallest, so that every swept run is resolved and
-    long enough.
+    config omits dt or t_end, each swept parameter set is validated, and
+    then the default dt is sized at the largest and the default t_end at the
+    smallest, so that every swept run is resolved and long enough.
     """
     with open(path) as fh:
         cfg = json.load(fh)
@@ -139,8 +138,7 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     ensemble.validate()
 
     int_cfg = _block(cfg, "integrator")
-    dt, t_end = int_cfg.get("dt"), int_cfg.get("t_end")
-    defaults = dt is None or t_end is None
+    defaults = "dt" not in int_cfg or "t_end" not in int_cfg
     # One derivation serves both defaults and is skipped when the config gives
     # both, except under weak coupling, where it also rejects an r whose
     # sigmoid term overflows.
@@ -154,8 +152,9 @@ def load_config(path: str, *, model_override: Optional[str] = None,
             q.validate()
     integrator = IntegratorConfig(
         method=int_cfg.get("method", "rk4-fixed"),
-        dt=default_dt(sized[-1], d.dc) if dt is None else dt,
-        t_end=analysis._horizon(d, sized[0].P, ensemble) if t_end is None else t_end,
+        dt=int_cfg["dt"] if "dt" in int_cfg else default_dt(sized[-1], d.dc),
+        t_end=(int_cfg["t_end"] if "t_end" in int_cfg
+               else analysis._horizon(d, sized[0].P, ensemble)),
         record_stride=int_cfg.get("record_stride", 1),
         abs_tol=int_cfg.get("abs_tol", 1e-9),
         rel_tol=int_cfg.get("rel_tol", 1e-9),

@@ -13,9 +13,7 @@ closed forms in P evaluated from that one derivation.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -177,15 +175,6 @@ class _Derivation:
         return p_star
 
 
-def _derivation(dc: DerivedConstants, margin: float, m: int, decay: float, gain: int,
-                B: float, N_terms: dict) -> _Derivation:
-    """The derivation whose N adds N_terms left to right, as the expression
-    t1 + t2 + t3 + t4 does, so that p_star keeps its bits."""
-    N = functools.reduce(operator.add, N_terms.values())
-    return _Derivation(dc, margin, m, decay=decay, gain=gain, B=B, N=N, N_terms=N_terms,
-                       numerator=N * B)
-
-
 def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
     """The one derivation for p; ``dc`` stands in for derive_constants(p) when given."""
     ex = derive_extremes(p)
@@ -199,13 +188,17 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
                  "k_max*eta_star*G^1.5": p.k_max * ex.eta_star * bound**1.5,
                  "2*m*beta_max*sqrt(1+weight_margin)": 2.0 * m * beta * math.sqrt(1.0 + margin),
                  "J_star": ex.J_star}
-        return _derivation(dc, margin, m, decay, m, 1.0, terms)
+        N = sum(terms.values())
+        return _Derivation(dc, margin, m, decay=decay, gain=m, B=1.0, N=N, N_terms=terms,
+                           numerator=N)
     terms = {"m*W_star*beta_max": m * ex.W_star * beta,
              "a_star*sqrt(Q)": ex.a_star * math.sqrt(bound),
              "k*eta_star*Q^1.5": p.k * ex.eta_star * bound**1.5,
              "J_star": ex.J_star}
+    N = sum(terms.values())
     if p.coupling_kind == "linear":
-        return _derivation(dc, 0.0, m, decay, 1, 1.0, terms)
+        return _Derivation(dc, 0.0, m, decay=decay, gain=1, B=1.0, N=N, N_terms=terms,
+                           numerator=N)
     # 1 + exp(r(sqrt(Q) + |V|)): worst-case reciprocal of the sigmoid sum / m
     exponent = p.r * (math.sqrt(bound) + abs(p.V))
     try:
@@ -214,7 +207,8 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
         raise ParameterError(
             "r", f"r(sqrt(Q) + |V|) = {exponent:.6g} exceeds the exp range, so the "
                  "weak-coupling threshold overflows; reduce r or |V|") from None
-    return _derivation(dc, 0.0, m, decay, m, B, terms)
+    return _Derivation(dc, 0.0, m, decay=decay, gain=m, B=B, N=N, N_terms=terms,
+                       numerator=N * B)
 
 
 def sync_rate(p: Params, dc: DerivedConstants, P: float) -> float:

@@ -157,17 +157,13 @@ def activation_eval(kind: str, beta: float, s):
 
 
 def _row_slices(rows: list) -> list:
-    """The sorted row indices ``rows`` as few slices: one strided slice when
-    they are evenly spaced (always so for one or two rows), else one slice
-    per contiguous run."""
-    steps = {j - i for i, j in zip(rows, rows[1:])}
-    if len(steps) <= 1:
-        return [slice(rows[0], rows[-1] + 1, steps.pop() if steps else 1)] if rows else []
-    runs, start = [], rows[0]
-    for i, j in zip(rows, rows[1:] + [None]):
-        if j != i + 1:
-            runs.append(slice(start, i + 1))
-            start = j
+    """The sorted row indices ``rows`` as one slice per contiguous run."""
+    runs = []
+    for i in rows:
+        if runs and runs[-1].stop == i:
+            runs[-1] = slice(runs[-1].start, i + 1)
+        else:
+            runs.append(slice(i, i + 1))
     return runs
 
 
@@ -181,12 +177,11 @@ def _activation_kernel(activations, members: int):
     tanh(scale*u) is evaluated in place for all nodes, then ``np.sin``
     overwrites the sine-clamped rows and beta multiplies in place. The
     sine-clamped rows are found once per batch shape, and ``bind`` views
-    them as (u, out) slice pairs: one strided slice when they are evenly
-    spaced, else one per contiguous run, so each call is a plain sin of a
-    view instead of a masked sin of the block: at (5, 30), 0.33 against
-    0.73 us for one sine row, 0.70 against 0.86 us for two (2-vCPU x86_64,
-    numpy 2.4). With no logistic-centered node every scale is 1.0,
-    and tanh takes u itself: 1.0*u == u, so the bits are the same.
+    them as (u, out) slice pairs, one per contiguous run, so each call is a
+    plain sin of a view instead of a masked sin of the block: at (5, 30),
+    0.33 against 0.73 us for one sine row (2-vCPU x86_64, numpy 2.4). With
+    no logistic-centered node every scale is 1.0, and tanh takes u itself:
+    1.0*u == u, so the bits are the same.
     """
     for act in activations:
         if act.kind not in ACTIVATION_KINDS:
@@ -338,10 +333,13 @@ class _NetworkParams:
         self.P = P if P.ndim else float(P)
         if not self.activations:
             self.activations = tuple(ActivationSpec("tanh-scaled", 1.0) for _ in range(self.m))
-        self.activations = tuple(
+        # a list, not a generator: with a generator here, the resident set of
+        # 900 in-process linear-sweep ops grew by 0.25-0.4 MiB, with a list it
+        # stayed flat (CPython 3.11)
+        self.activations = tuple([
             act if type(act.beta) is float
             else ActivationSpec(act.kind, as_real(act.beta, f"activations[{i}].beta"))
-            for i, act in enumerate(self.activations))
+            for i, act in enumerate(self.activations)])
 
     @property
     def beta_max(self) -> float:
@@ -594,22 +592,8 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
 
-    def block(lead: tuple):
+    def members(lead: tuple):
         n = math.prod(lead)
-        if n == 1:
-            pair = block(lead[:-1] + (2,))
-
-            def bind_lone(Y: np.ndarray, dY: np.ndarray):
-                Y2, dY2 = np.empty((p.dim, 2)), np.empty((p.dim, 2))
-                evaluate, column = pair.bind(Y2, dY2), dY2[:, :1]
-
-                def lone() -> np.ndarray:
-                    Y2[:] = Y
-                    evaluate()
-                    dY[:] = column
-                    return dY
-                return lone
-            return _evaluator(bind_lone)
         if np.ndim(P):
             # a row under weak coupling, where P scales the node sum; linear
             # coupling multiplies it into the u block, where a row
@@ -660,6 +644,25 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
             return evaluate
 
         return _evaluator(bind)
+
+    # not recursive, so that a field is freed when its last reference goes,
+    # not at the next full collection
+    def block(lead: tuple):
+        if math.prod(lead) != 1:
+            return members(lead)
+        pair = members(lead[:-1] + (2,))
+
+        def bind_lone(Y: np.ndarray, dY: np.ndarray):
+            Y2, dY2 = np.empty((p.dim, 2)), np.empty((p.dim, 2))
+            evaluate, column = pair.bind(Y2, dY2), dY2[:, :1]
+
+            def lone() -> np.ndarray:
+                Y2[:] = Y
+                evaluate()
+                dY[:] = column
+                return dY
+            return lone
+        return _evaluator(bind_lone)
 
     bound = functools.lru_cache(maxsize=1)(block)     # the last batch shape only
 

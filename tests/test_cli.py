@@ -158,6 +158,25 @@ class TestValidationExits:
         assert f"config validation error: {field}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["threshold", "verify"])
+    @pytest.mark.parametrize("overrides, field", [
+        ({"P": [1.0, 2.0]}, "P"),
+        ({"P": [0.5]}, "P"),
+        ({"integrator": {"dt": None, "t_end": 6.0}}, "integrator.dt"),
+        ({"integrator": {"dt": 2e-3, "t_end": None}}, "integrator.t_end"),
+        ({"integrator": {"dt": None}}, "integrator.dt"),
+        ({"integrator": {"t_end": None}}, "integrator.t_end"),
+    ])
+    def test_non_scalar_real_field_exit_3(self, tmp_path, capsys, command, overrides, field):
+        # a config's P is one real number: a list is not read as a lockstep P,
+        # and a null dt or t_end is rejected rather than read as the default
+        cfg_path = write(tmp_path, mhnn_config(**overrides))
+        assert run([command, "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config validation error: {field}: " in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("overrides, field", [
         ({"m": 2.6}, "m"),
         ({"m": True}, "m"),

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import importlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -819,6 +821,22 @@ class TestBoundEvaluatorMemory:
         small, large = self.peak(model, P_form, 128), self.peak(model, P_form, 2048)
         assert large <= small < 2048, (small, large)
 
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_a_field_is_freed_by_its_last_reference(self, model):
+        # no reference cycle keeps a field and its blocks until the next full
+        # collection, which an ensemble run per P would pile up
+        rng, p, make = drawn_field(model, 6, 271)
+        rhs = make(p)
+        y = rng.normal(size=(5, p.dim))
+        rhs(y), rhs(y[0])
+        field = weakref.ref(rhs.block)
+        gc.disable()
+        try:
+            del rhs
+            assert field() is None
+        finally:
+            gc.enable()
+
 
 def node_sum(rows):
     """The sum over nodes, one row after another: the fields' order."""
@@ -900,22 +918,23 @@ SINE_LAYOUTS = {
 
 
 class TestSineLayouts:
-    """The activation binds its sine-clamped rows as slices, one strided slice
-    when they are evenly spaced, else one per contiguous run, and takes tanh
-    of u itself when no node is logistic-centered. Every layout gives the
-    oracle's bits, on a batch, a lockstep P and a lone member."""
+    """The activation binds its sine-clamped rows as slices, one per
+    contiguous run, and takes tanh of u itself when no node is
+    logistic-centered. Every layout gives the oracle's bits, on a batch, a
+    lockstep P and a lone member."""
 
     KINDS = {"s": "sine-clamped", "t": "tanh-scaled", "l": "logistic-centered"}
 
     @pytest.mark.parametrize("rows, want", [
         ([], []),
-        ([3], [slice(3, 4, 1)]),
-        ([1, 5], [slice(1, 6, 4)]),
-        ([2, 3, 4], [slice(2, 5, 1)]),
-        ([0, 3, 6], [slice(0, 7, 3)]),
+        ([3], [slice(3, 4)]),
+        ([1, 5], [slice(1, 2), slice(5, 6)]),
+        ([2, 3, 4], [slice(2, 5)]),
+        ([0, 3, 6], [slice(0, 1), slice(3, 4), slice(6, 7)]),
         ([0, 2, 6], [slice(0, 1), slice(2, 3), slice(6, 7)]),
         ([0, 1, 5], [slice(0, 2), slice(5, 6)]),
-        (list(range(7)), [slice(0, 7, 1)]),
+        ([0, 1, 3, 4], [slice(0, 2), slice(3, 5)]),
+        (list(range(7)), [slice(0, 7)]),
     ])
     def test_rows_are_few_slices(self, rows, want):
         assert model_module._row_slices(rows) == want
