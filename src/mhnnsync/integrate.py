@@ -5,10 +5,11 @@ on the node-major (dim, members) block of y0 (``model.node_major``: a view of
 a Fortran-ordered y0, else a copy), framed once per run. Every buffer a run
 steps in is a block allocated once per run, and the right-hand side writes
 into them through evaluators bound once per (state, derivative) buffer pair:
-a field from ``model`` through ``rhs.block(lead).bind``, which makes its
-views and scratch rows once, and any other right-hand side through an adapter
-that calls it on the state's logical view and copies its result in. A record
-hook is called on the logical view of the state, made once per state buffer.
+a field from ``model`` through its binder ``rhs.block(lead)``, which makes
+its views and scratch rows once, and any other right-hand side through an
+adapter that calls it on the state's logical view and copies its result in. A
+record hook is called on the logical view of the state, made once per state
+buffer.
 Each scalar a stepper passes to numpy is a 0-d array made once per run, or
 refreshed in place, because numpy dispatches a Python number more slowly
 than a 0-d array; the ufuncs are bound to locals. RK4 takes the same steps for
@@ -396,7 +397,7 @@ def _block_field(rhs, shape: tuple):
     callable is called on Y's logical view and its result copied into dY's.
     """
     if hasattr(rhs, "block"):
-        return rhs.block(shape[:-1]).bind
+        return rhs.block(shape[:-1])
 
     def bind(Y: np.ndarray, dY: np.ndarray):
         y, dy = logical(Y, shape), logical(dY, shape)

@@ -18,30 +18,28 @@ weights are contiguous rows of one value per member rather than strided
 columns. ``node_major`` frames a state as that block and ``logical`` undoes
 it: node-major means Fortran-ordered, for a (count, dim) ensemble and a
 (len(P), count, dim) lockstep stack alike, so for such a state the block is
-a view. A field's block evaluator, ``rhs.block(lead)``, is made once per
-batch shape, and its ``bind(Y, dY)`` is the entry point: it makes every view
-of a (state, derivative) pair of blocks and the scratch rows once, and the
-evaluator it returns writes f(Y) into dY with numpy calls on those views
-alone. ``integrate`` holds the state as blocks of its own for a whole run
-and binds each buffer pair before it steps. ``rhs.block(lead)(Y)`` and the
-public ``rhs(y)``, which frames each call's y and its result, still return a
-new block through the same path, with bitwise the same values. A member's
-derivative never depends on the batch around it: sums over nodes run
-elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
-and a lone member runs as a two-member block. Per-call numpy overhead, not
-arithmetic, sets the cost, so coefficients are tiled to rows once per batch
-shape, the decay, the window and weak coupling share one u coefficient,
-einsum is called without numpy's Python wrapper and copyto without its
-``__array_function__`` dispatch, and the activation takes the sine-clamped
-rows as slices found once per batch shape, not through a mask. A bound
-linear mHNN call at a (3, 10) lockstep block takes 5.8-6.9 us for m = 2..5
-(2-vCPU x86_64, numpy 2.4). Every scalar operand (-m, a scalar P, 0.5*r, V,
-the sigmoid's 0.5) is a 0-d array made once, which numpy dispatches faster
-than a Python number, and a lockstep column of P is tiled to an (m, members)
-block for the linear term, which multiplies it into the u block; the ufuncs
-are bound to locals of each evaluator. No ufunc takes a row broadcast down a
-block, which costs about twice a same-shape call and allocates an iterator
-buffer: rho and the node sum are copied down blocks of their own first.
+a view. A field's binder, ``rhs.block(lead)``, is made once per batch shape:
+``rhs.block(lead)(Y, dY)`` makes every view of a (state, derivative) pair of
+blocks and the scratch rows once, and the evaluator it returns writes f(Y)
+into dY with numpy calls on those views alone. ``integrate`` holds the state
+as blocks of its own for a whole run and binds each buffer pair before it
+steps; the public ``rhs(y)`` binds its frame of each call's y and a new block
+through the same binder. A member's derivative never depends on the batch
+around it: sums over nodes run elementwise (numpy's C einsum kernel,
+``np.add.reduce``), not through BLAS, and a lone member runs as a two-member
+block. Per-call numpy overhead, not arithmetic, sets the cost, so
+coefficients are tiled to rows once per batch shape, the decay, the window
+and weak coupling share one u coefficient, linear coupling is one product
+with the network's Laplacian, einsum is called without numpy's Python wrapper
+and copyto without its ``__array_function__`` dispatch, and the activation
+takes the sine-clamped rows as slices found once per batch shape, not through
+a mask. Every scalar operand (a scalar P, 0.5*r, V, the sigmoid's 0.5) is a
+0-d array made once, which numpy dispatches faster than a Python number, and
+a lockstep column of P is tiled to an (m, members) block for the linear term,
+which multiplies it into the Laplacian product; the ufuncs are bound to
+locals of each evaluator. No ufunc takes a row broadcast down a block, which
+costs about twice a same-shape call and allocates an iterator buffer: rho and
+the node sum of weak coupling are copied down blocks of their own first.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import numpy as np
 
 # numpy's C einsum kernel. np.einsum without optimize calls exactly this
 # function, so the bits are the same; calling it directly skips a Python
-# wrapper that cost about 1.1 us per call (2-vCPU x86_64, numpy 2.4).
+# wrapper.
 try:
     from numpy._core.multiarray import c_einsum
 except ImportError:                # numpy < 2
@@ -67,9 +65,7 @@ except ImportError:                # numpy < 2
         c_einsum = np.einsum
 
 # numpy's C copyto and dot, which np.copyto and np.dot call after their
-# __array_function__ dispatch: the same bits, without the dispatcher, which
-# cost 0.13 us per call at (5, 30): copyto 0.15 against 0.29 us, dot 0.30
-# against 0.43 us (2-vCPU x86_64, numpy 2.4).
+# __array_function__ dispatch: the same bits, without the dispatcher.
 try:
     from numpy._core._multiarray_umath import copyto as c_copyto, dot as c_dot
 except ImportError:                # numpy < 2
@@ -101,11 +97,11 @@ class ParameterError(ValueError):
 def as_integer(value, path: str) -> int:
     """value as an int, else ParameterError naming ``path``.
 
-    A boolean or a number with a fractional part is rejected rather than
-    truncated; an integral float such as 10.0 is kept.
+    A boolean, text, None or a number with a fractional part is rejected
+    rather than read or truncated; an integral float such as 10.0 is kept.
     """
-    if isinstance(value, (bool, np.bool_)):
-        raise ParameterError(path, f"expected an integer, got the boolean {value!r}")
+    if what := _not_numbers(value):
+        raise ParameterError(path, f"expected an integer, got {what}")
     if isinstance(value, (float, np.floating)) and not value.is_integer():
         raise ParameterError(path, f"expected an integer, got {value!r}")
     try:
@@ -117,11 +113,12 @@ def as_integer(value, path: str) -> int:
 def as_real(value, path: str) -> float:
     """value as a Python float, else ParameterError naming ``path``.
 
-    A boolean is rejected rather than read as 0.0 or 1.0, and so is an array
-    of one or more dimensions, which float() would read if it had one entry.
+    A boolean, text and None are rejected (see ``_not_numbers``), and so is
+    an array of one or more dimensions, which float() would read if it had
+    one entry.
     """
-    if _holds_boolean(value):
-        raise ParameterError(path, f"expected a real number, got the boolean {value!r}")
+    if what := _not_numbers(value):
+        raise ParameterError(path, f"expected a real number, got {what}")
     if isinstance(value, np.ndarray) and value.ndim:
         raise ParameterError(path, f"expected a real number, got {value!r}")
     try:
@@ -178,9 +175,8 @@ def _activation_kernel(activations, members: int):
     overwrites the sine-clamped rows and beta multiplies in place. The
     sine-clamped rows are found once per batch shape, and ``bind`` views
     them as (u, out) slice pairs, one per contiguous run, so each call is a
-    plain sin of a view instead of a masked sin of the block: at (5, 30),
-    0.33 against 0.73 us for one sine row (2-vCPU x86_64, numpy 2.4). With
-    no logistic-centered node every scale is 1.0, and tanh takes u itself:
+    plain sin of a view instead of a masked sin of the block. With no
+    logistic-centered node every scale is 1.0, and tanh takes u itself:
     1.0*u == u, so the bits are the same.
     """
     for act in activations:
@@ -257,21 +253,35 @@ def window_eval(kind: str, rho, eta: float):
     return out if out.ndim else float(out)
 
 
-def _holds_boolean(x) -> bool:
-    """Whether x, a number, an array or nested lists of them, holds a boolean."""
+def _not_numbers(x) -> Optional[str]:
+    """The first boolean, text or None in x, a number, an array (of objects
+    too) or nested lists of them, as a phrase, or None when there is none.
+
+    numpy and float() would read a boolean as 0.0 or 1.0, parse text such as
+    "1.0" and read None, JSON's null, as NaN; each is refused instead.
+    """
+    kind = x.dtype.kind if isinstance(x, np.ndarray) else None
+    if kind == "O":
+        return _not_numbers(x.tolist())
     if isinstance(x, (list, tuple)):
-        return any(map(_holds_boolean, x))
-    return isinstance(x, (bool, np.bool_)) or (isinstance(x, np.ndarray) and x.dtype == bool)
+        return next(filter(None, map(_not_numbers, x)), None)
+    if x is None:
+        return "null (None), a missing value"
+    if isinstance(x, (bool, np.bool_)) or kind == "b":
+        return f"the boolean {x!r}"
+    if isinstance(x, (str, bytes)) or kind in ("U", "S"):
+        return f"the text {x!r}"
+    return None
 
 
 def _as_floats(x, path: str) -> np.ndarray:
     """x as a float array of any shape.
 
-    A boolean anywhere in x is rejected, as ``as_integer`` rejects one, rather
-    than read as 0.0 or 1.0.
+    A boolean, text or None anywhere in x is rejected, as ``as_real``
+    rejects one (see ``_not_numbers``).
     """
-    if _holds_boolean(x):
-        raise ParameterError(path, f"expected numbers, got a boolean: {x!r}")
+    if what := _not_numbers(x):
+        raise ParameterError(path, f"expected numbers, got {what}")
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -534,44 +544,28 @@ def logical(Y: np.ndarray, shape: tuple) -> np.ndarray:
     return Y.T.reshape(shape, order="F")
 
 
-def _evaluator(bind):
-    """The field on node-major blocks from its binder.
-
-    ``bind(Y, dY)`` makes every view of the C-contiguous blocks Y and dY
-    once and returns an evaluator that writes f(Y) into dY on each call,
-    reading Y's current contents, and returns dY. ``field(Y)`` is
-    ``bind(Y, new block)()``: one evaluation path for both.
-    """
-    def field(Y: np.ndarray) -> np.ndarray:
-        return bind(Y, np.empty(Y.shape))()
-
-    field.bind = bind
-    return field
-
-
 def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
     The returned ``rhs(y)`` frames y as its ``node_major`` block and returns
     the result in y's shape: a view in y's layout for Fortran-ordered y, a
-    C-ordered copy otherwise. ``rhs.block(lead)`` gives the field on the
-    C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps the
-    state node-major: it tiles J, the model's ``columns``, P (a row in the
-    same member order for a lockstep column of P, which the linear term
-    takes tiled to an (m, members) block; a scalar P is a 0-d array), the u
-    coefficient ``u_coef`` and the activation to rows of one entry per
-    member once.
-    Its ``bind(Y, dY)`` (see ``_evaluator``) is the entry point of a caller
-    that steps in buffers of its own: the views of Y and dY and the scratch
-    rows are made once per buffer pair, and each call is numpy calls with
-    ``out`` alone, every operand the shape of its output or a 0-d array. So
-    each call first copies the rho row down an (m, members) block R, and
-    under weak or linear coupling copies the node sum down a second block
-    before subtracting or adding it: a row copied down a block takes a fast
-    path of ``np.copyto``, while a ufunc that broadcasts it costs about twice
-    a same-shape call and allocates an iterator buffer. ``rhs`` makes the
-    block evaluator once per batch shape, keeping the last, and each call
-    returns a new block. numpy sums over the nodes of one column in kernels
+    C-ordered copy otherwise. ``rhs.block(lead)`` is the field's binder on
+    the C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps
+    the state node-major: it tiles J, the model's ``columns``, P (a row in the
+    same member order for a lockstep column of P, which the linear term takes
+    tiled to an (m, members) block; a scalar P is a 0-d array), the u
+    coefficient ``u_coef`` and the activation to rows of one entry per member
+    once. ``rhs.block(lead)(Y, dY)`` makes the views of Y and dY and the
+    scratch rows once per buffer pair, and returns an evaluator that writes
+    f(Y) into dY on each call, reading Y's current contents, and returns dY.
+    Each call is numpy calls with ``out`` alone, every operand the shape of
+    its output or a 0-d array. So each call first copies the rho row down an
+    (m, members) block R, and under weak coupling copies the node sum down a
+    second block before subtracting it: a row copied down a block takes a
+    fast path of ``np.copyto``, while a ufunc that broadcasts it costs about
+    twice a same-shape call and allocates an iterator buffer. ``rhs`` makes
+    the binder once per batch shape, keeping the last, and binds each call's
+    block with a new one. numpy sums over the nodes of one column in kernels
     of its own, so a lone member (a lead of (), (1,) or (1, 1)) is bound to
     two-member buffers: each call copies it into both columns and column 0
     of the result, which has the bits of its row in any batch, into dY.
@@ -581,22 +575,24 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
     coefficient into s, W f into dY[:m] and any weight derivatives into
     dY[m+1:]. The block adds du += c*u + J, with c = s + u coefficient (less
     P*sum_j sigma(u_j) under weak coupling), then under linear coupling
-    P*(sum(u) - m*u), which vanishes exactly on a synchronized state, and
-    sets drho = [gamma, -b].(u, rho). Both branches follow p.coupling_kind
-    alone.
+    P*L u, where L = 11^T - m*I is the Laplacian of the all-to-all network,
+    so (L u)_i = sum_j (u_j - u_i); one einsum takes L u. On a synchronized
+    state L u is exactly zero for m <= 3 and zero up to round-off beyond.
+    It sets drho = [gamma, -b].(u, rho). Both branches follow
+    p.coupling_kind alone.
     """
     m = p.m
     P, r, V, gamma_b = p.P, p.r, p.V, np.append(p.gamma, -p.b)
-    neg_m = np.array(-m, dtype=float)
     coupled = bool(np.any(P != 0.0))
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
+    lap = np.ones((m, m)) - m * np.eye(m)
 
     def members(lead: tuple):
         n = math.prod(lead)
         if np.ndim(P):
             # a row under weak coupling, where P scales the node sum; linear
-            # coupling multiplies it into the u block, where a row
+            # coupling multiplies it into the Laplacian product, where a row
             # broadcast down the block costs twice a same-shape call
             P_n = np.broadcast_to(P, lead + (1,)).reshape(n, order="F")
             if linear:
@@ -611,10 +607,11 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
             if not (Y.flags.c_contiguous and dY.flags.c_contiguous):
                 raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
             u, rho, du, drho, u_rho = Y[:m], Y[m], dY[:m], dY[m], Y[:m + 1]
-            s, f, R, total = np.empty((m, n)), np.empty((m, n)), np.empty((m, n)), np.empty(n)
-            tiled = np.empty((m, n)) if coupled else None       # the node sum, tiled
+            s, f, R = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
             activation, term = bind_activation(u, f), terms(s, dY, Y, R, f, *rows)
             sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
+            # the node sum of sigma(u), and that sum tiled
+            total, tiled = (np.empty(n), np.empty((m, n))) if weak else (None, None)
             add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, c_copyto
             add_reduce, einsum = np.add.reduce, c_einsum
 
@@ -632,18 +629,14 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
                 add(du, s, du)
                 add(du, J, du)
                 if linear:
-                    # P*(sum(u) - m*u) in the scratch block, bitwise
-                    multiply(u, neg_m, s)
-                    add_reduce(u, 0, None, total)
-                    copyto(tiled, total)
-                    add(s, tiled, s)
+                    einsum("ij,jn->in", lap, u, out=s)
                     multiply(s, P_n, s)
                     add(du, s, du)
                 einsum("in,i->n", u_rho, gamma_b, out=drho)
                 return dY
             return evaluate
 
-        return _evaluator(bind)
+        return bind
 
     # not recursive, so that a field is freed when its last reference goes,
     # not at the next full collection
@@ -654,7 +647,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
 
         def bind_lone(Y: np.ndarray, dY: np.ndarray):
             Y2, dY2 = np.empty((p.dim, 2)), np.empty((p.dim, 2))
-            evaluate, column = pair.bind(Y2, dY2), dY2[:, :1]
+            evaluate, column = pair(Y2, dY2), dY2[:, :1]
 
             def lone() -> np.ndarray:
                 Y2[:] = Y
@@ -662,12 +655,13 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
                 dY[:] = column
                 return dY
             return lone
-        return _evaluator(bind_lone)
+        return bind_lone
 
     bound = functools.lru_cache(maxsize=1)(block)     # the last batch shape only
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        dy = logical(bound(y.shape[:-1])(node_major(y)), y.shape)
+        Y = node_major(y)
+        dy = logical(bound(y.shape[:-1])(Y, np.empty(Y.shape))(), y.shape)
         return dy if y.flags.f_contiguous else np.ascontiguousarray(dy)
 
     rhs.block = block

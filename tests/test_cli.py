@@ -150,6 +150,9 @@ class TestValidationExits:
         ({"m": "two"}, "m"),
         ({"ensemble": {"count": "x"}}, "ensemble.count"),
         ({"activations": ["tanh"]}, "activations[0]"),
+        ({"m": "2"}, "m"),
+        ({"ensemble": {"count": "3"}}, "ensemble.count"),
+        ({"a": ["2.0", "2.0"]}, "a"),
     ])
     def test_malformed_field_exit_3(self, tmp_path, capsys, overrides, field):
         cfg_path = write(tmp_path, mhnn_config(**overrides))
@@ -166,6 +169,9 @@ class TestValidationExits:
         ({"integrator": {"dt": 2e-3, "t_end": None}}, "integrator.t_end"),
         ({"integrator": {"dt": None}}, "integrator.dt"),
         ({"integrator": {"t_end": None}}, "integrator.t_end"),
+        ({"b": "1.0"}, "b"),
+        ({"epsilon": "0.5"}, "epsilon"),
+        ({"P": None}, "P"),
     ])
     def test_non_scalar_real_field_exit_3(self, tmp_path, capsys, command, overrides, field):
         # a config's P is one real number: a list is not read as a lockstep P,
@@ -176,6 +182,17 @@ class TestValidationExits:
         assert captured.out == ""
         assert f"config validation error: {field}: " in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["threshold", "verify"])
+    @pytest.mark.parametrize("field", ["a", "w", "gamma"])
+    def test_null_is_a_missing_value_exit_3(self, tmp_path, capsys, command, field):
+        # read as NaN before, and refused as "must be finite, not inf or nan"
+        cfg_path = write(tmp_path, mhnn_config(**{field: None}))
+        assert run([command, "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"mhnnsync: config validation error: {field}: "
+                                "expected numbers, got null (None), a missing value\n")
 
     @pytest.mark.parametrize("overrides, field", [
         ({"m": 2.6}, "m"),

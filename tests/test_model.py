@@ -152,10 +152,12 @@ class TestMhnnRhs:
         assert d.u == pytest.approx([-1.0, 1.0])
         assert d.rho == pytest.approx(0.0)
 
-    def test_linear_coupling_zero_mode(self):
-        p = mk_mhnn(m=3, a=[2, 2, 2], eta=[1, 1, 1], w=np.zeros((3, 3)),
-                    J=[0, 0, 0], gamma=[1, 1, 1], P=4.0, coupling_kind="linear")
-        u = np.full(3, 0.37)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_linear_coupling_zero_mode(self, m):
+        # the Laplacian product is exactly zero on a synchronized state for m <= 3
+        p = mk_mhnn(m=m, a=[2] * m, eta=[1] * m, w=np.zeros((m, m)),
+                    J=[0] * m, gamma=[1] * m, P=4.0, coupling_kind="linear")
+        u = np.full(m, 0.37)
         base = mhnn_rhs(dataclasses.replace(p, P=0.0), NetworkState(u=u, rho=0.1))
         coupled = mhnn_rhs(p, NetworkState(u=u, rho=0.1))
         assert coupled.u == pytest.approx(base.u, abs=0.0)
@@ -557,7 +559,7 @@ class TestValidation:
         assert "m >= 2" in str(err.value)
 
     @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
-    @pytest.mark.parametrize("m", [2.7, True])
+    @pytest.mark.parametrize("m", [2.7, True, "2"])
     def test_non_integer_m_rejected(self, make, m):
         # rejected, not truncated, as the CLI rejects "m": 2.7
         with pytest.raises(ParameterError) as err:
@@ -599,6 +601,25 @@ class TestValidation:
             make(**{field: value})
         assert exc.value.field == path
 
+    @pytest.mark.parametrize("make, field, path, value, want", [
+        (mk_mhnn, "a", "a", ["2.0", "2.0"], "text"),
+        (mk_mhnn, "eta", "eta", "1.0", "text"),
+        (mk_mhnn, "w", "w", [[0.0, "0"], [0.0, 0.0]], "text"),
+        (mk_hebbian, "k", "k", np.array(["1", "1"]), "text"),
+        (mk_mhnn, "a", "a", None, "missing"),
+        (mk_mhnn, "P", "P", None, "missing"),
+        (mk_mhnn, "J", "J", [0.0, None], "missing"),
+        (mk_hebbian, "lam", "lambda", None, "missing"),
+        (mk_mhnn, "a", "a", np.array([None, 2.0], dtype=object), "missing"),
+        (mk_mhnn, "a", "a", np.array(["2.0", 2.0], dtype=object), "text"),
+    ])
+    def test_text_or_null_entry_rejected(self, make, field, path, value, want):
+        # text was parsed, so ["2.0", "2.0"] passed for a vector, and None was
+        # read as NaN, then refused as "must be finite"
+        with pytest.raises(ParameterError, match=want) as exc:
+            make(**{field: value})
+        assert exc.value.field == path
+
     SCALARS = ([(mk_mhnn, f) for f in ("b", "k", "P", "r", "V")]
                + [(mk_hebbian, f) for f in ("b", "P", "r", "V")])
 
@@ -612,8 +633,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("make, field", SCALARS)
     def test_non_number_scalar_rejected(self, make, field):
-        # an array P is a lockstep column
-        for value in ("x",) if field == "P" else ("x", None, [1.0, 2.0], np.array([1.0])):
+        # an array P is a lockstep column; text is not parsed, even "1.0"
+        for value in ("x", "1.0", b"1.0", None) + (
+                () if field == "P" else ([1.0, 2.0], np.array([1.0]))):
             with pytest.raises(ParameterError) as exc:
                 make(**{field: value})
             assert exc.value.field == field
@@ -724,8 +746,8 @@ def drawn_field(model, m, seed):
 
 
 class TestBlockEvaluator:
-    """rhs.block(lead), the field on the node-major blocks that integrate
-    steps, gives bitwise the values of the public rhs(y)."""
+    """rhs.block(lead), the field's binder on the node-major blocks that
+    integrate steps, gives bitwise the values of the public rhs(y)."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 10)],
@@ -741,12 +763,12 @@ class TestBlockEvaluator:
         want = rhs(y)
         Y = model_module.node_major(y)
         assert Y.flags.c_contiguous and Y.shape == (p.dim, max(1, y.size // p.dim))
-        field = rhs.block(lead)
-        got = field(Y)
+        bind = rhs.block(lead)
+        got = bind(Y, np.empty(Y.shape))()
         assert got.shape == Y.shape
         assert np.array_equal(model_module.logical(got, y.shape), want)
-        # the scratch rows are reused, the result is a new array on every call
-        again = field(Y)
+        # a second binding of the same state gives the same bits in its own block
+        again = bind(Y, np.empty(Y.shape))()
         assert np.array_equal(again, got)
         assert not np.shares_memory(again, got) and not np.shares_memory(got, Y)
 
@@ -756,19 +778,19 @@ class TestBlockEvaluator:
         rng, p, make = drawn_field(model, 4, 250)
         if len(lead) == 2:
             p = dataclasses.replace(p, P=np.array([0.0, 0.7, 25.0])[:, None, None])
-        field = make(p).block(lead)
+        bind = make(p).block(lead)
         Y = model_module.node_major(rng.normal(scale=3.0, size=lead + (p.dim,)))
         dY = np.full(Y.shape, np.nan)
         given = Y.copy()
-        evaluate = field.bind(Y, dY)
+        evaluate = bind(Y, dY)
         assert np.isnan(dY).all()                 # binding evaluates nothing
         assert evaluate() is dY
         assert np.array_equal(Y, given)           # only dY is written
-        assert np.array_equal(dY, field(Y))
+        assert np.array_equal(dY, bind(Y, np.empty(Y.shape))())
         # the views follow Y's buffer: new contents give their own derivative
         Y[...] = rng.normal(scale=3.0, size=Y.shape)
         evaluate()
-        assert np.array_equal(dY, field(Y))
+        assert np.array_equal(dY, bind(Y, np.empty(Y.shape))())
 
     @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
     def test_bound_evaluator_allocates_no_block(self, model):
@@ -777,7 +799,7 @@ class TestBlockEvaluator:
         # an (m, members) block is larger, so a block-sized temporary shows
         rng, p, make = drawn_field(model, 6, 260)
         Y = model_module.node_major(rng.normal(scale=3.0, size=(2048, p.dim)))
-        evaluate = make(p).block((2048,)).bind(Y, np.empty(Y.shape))
+        evaluate = make(p).block((2048,))(Y, np.empty(Y.shape))
         evaluate()
         tracemalloc.start()
         try:
@@ -804,7 +826,7 @@ class TestBoundEvaluatorMemory:
             p = dataclasses.replace(p, P=np.array([0.7, 25.0])[:, None, None])
             lead = (2, members // 2)
         Y = model_module.node_major(rng.normal(scale=3.0, size=lead + (p.dim,)))
-        evaluate = make(p).block(lead).bind(Y, np.empty(Y.shape))
+        evaluate = make(p).block(lead)(Y, np.empty(Y.shape))
         evaluate()
         tracemalloc.start()
         try:
@@ -877,7 +899,8 @@ def field_oracle(p, y):
         s = s - P * node_sum(sigmoid)
     du = du + s * u + p.J[:, None]
     if coupled and p.coupling_kind == "linear":
-        du = du + (u * float(-m) + node_sum(u)) * P
+        L = np.ones((m, m)) - m * np.eye(m)      # the all-to-all Laplacian
+        du = du + np.einsum("ij,jn->in", L, u) * P
     drho = np.einsum("in,i->n", Y[:m + 1], np.append(p.gamma, -p.b))
     dY = np.concatenate([du, drho[None], dW.reshape(-1, Y.shape[1])])
     return dY.T.reshape(y.shape)
@@ -961,7 +984,7 @@ class TestSineLayouts:
 class TestLoneMember:
     """A lone member runs as a two-member block, so its derivative is bitwise its
     row in a batch of five: as a single state, as a one-member batch and through
-    the block evaluator on a (1, 1) lockstep lead."""
+    the field's binder on a (1, 1) lockstep lead."""
 
     @pytest.mark.parametrize("m", [2, 3, 6, 8, 9, 12])
     @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
@@ -978,7 +1001,8 @@ class TestLoneMember:
             for i in range(5):
                 assert np.array_equal(rhs(y[i]), want[i]), (draw, i)
                 assert np.array_equal(rhs(y[i:i + 1]), want[i:i + 1]), (draw, i)
-                got = lockstep(model_module.node_major(y[i].reshape(1, 1, -1)))
+                Y = model_module.node_major(y[i].reshape(1, 1, -1))
+                got = lockstep(Y, np.empty(Y.shape))()
                 assert got.shape == (p.dim, 1)
                 assert np.array_equal(got[:, 0], want[i]), (draw, i)
 
