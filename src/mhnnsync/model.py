@@ -27,19 +27,19 @@ steps; the public ``rhs(y)`` binds its frame of each call's y and a new block
 through the same binder. A member's derivative never depends on the batch
 around it: sums over nodes run elementwise (numpy's C einsum kernel,
 ``np.add.reduce``), not through BLAS, and a lone member runs as a two-member
-block. Per-call numpy overhead, not arithmetic, sets the cost, so
-coefficients are tiled to rows once per batch shape, the decay, the window
-and weak coupling share one u coefficient, linear coupling is one product
-with the network's Laplacian, einsum is called without numpy's Python wrapper
-and copyto without its ``__array_function__`` dispatch, and the activation
-takes the sine-clamped rows as slices found once per batch shape, not through
-a mask. Every scalar operand (a scalar P, 0.5*r, V, the sigmoid's 0.5) is a
-0-d array made once, which numpy dispatches faster than a Python number, and
-a lockstep column of P is tiled to an (m, members) block for the linear term,
-which multiplies it into the Laplacian product; the ufuncs are bound to
-locals of each evaluator. No ufunc takes a row broadcast down a block, which
-costs about twice a same-shape call and allocates an iterator buffer: rho and
-the node sum of weak coupling are copied down blocks of their own first.
+block. Per-call numpy overhead, not arithmetic, sets the cost, so the
+field's linear part (P times the network's Laplacian applied to u, the static
+W f, the u decay, J and drho) is one einsum of a constant matrix against a
+stacked block, coefficients are tiled to rows once per batch shape, einsum is
+called without numpy's Python wrapper and copyto without its
+``__array_function__`` dispatch, and the activation takes the sine-clamped
+rows as slices found once per batch shape. Every scalar operand (a scalar P,
+0.5*r, V, the sigmoid's 0.5) is a 0-d array made once, which numpy
+dispatches faster than a Python number, and a lockstep column of P is tiled
+to an (m, members) block for the linear term; the ufuncs are bound to locals
+of each evaluator. No ufunc takes a row broadcast down a block, which costs
+about twice a same-shape call and allocates an iterator buffer: rho and the
+node sum of weak coupling are copied down blocks of their own first.
 """
 
 from __future__ import annotations
@@ -375,7 +375,7 @@ class _NetworkParams:
             raise ParameterError("eta", "all window curvatures eta_i must be positive")
         if not (self.r > 0):
             raise ParameterError("r", "sigmoid slope r must be positive")
-        if not (0 <= self.P < math.inf):
+        if not np.all(np.isfinite(self.P) & (self.P >= 0)):     # every entry of a lockstep P
             raise ParameterError("P", "coupling strength P must be nonnegative and finite")
         self._validate_model()
 
@@ -544,71 +544,76 @@ def logical(Y: np.ndarray, shape: tuple) -> np.ndarray:
     return Y.T.reshape(shape, order="F")
 
 
-def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
+def _node_major_field(p, u_coef: np.ndarray, columns: list, terms, w=None):
     """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
     The returned ``rhs(y)`` frames y as its ``node_major`` block and returns
     the result in y's shape: a view in y's layout for Fortran-ordered y, a
     C-ordered copy otherwise. ``rhs.block(lead)`` is the field's binder on
     the C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps
-    the state node-major: it tiles J, the model's ``columns``, P (a row in the
-    same member order for a lockstep column of P, which the linear term takes
-    tiled to an (m, members) block; a scalar P is a 0-d array), the u
-    coefficient ``u_coef`` and the activation to rows of one entry per member
-    once. ``rhs.block(lead)(Y, dY)`` makes the views of Y and dY and the
-    scratch rows once per buffer pair, and returns an evaluator that writes
-    f(Y) into dY on each call, reading Y's current contents, and returns dY.
-    Each call is numpy calls with ``out`` alone, every operand the shape of
-    its output or a 0-d array. So each call first copies the rho row down an
-    (m, members) block R, and under weak coupling copies the node sum down a
-    second block before subtracting it: a row copied down a block takes a
-    fast path of ``np.copyto``, while a ufunc that broadcasts it costs about
-    twice a same-shape call and allocates an iterator buffer. ``rhs`` makes
-    the binder once per batch shape, keeping the last, and binds each call's
-    block with a new one. numpy sums over the nodes of one column in kernels
-    of its own, so a lone member (a lead of (), (1,) or (1, 1)) is bound to
-    two-member buffers: each call copies it into both columns and column 0
-    of the result, which has the bits of its row in any batch, into dY.
+    the state node-major: it tiles the model's ``columns``, P (a row in the
+    same member order for a lockstep column of P, an (m, members) block under
+    linear coupling; a scalar P is a 0-d array) and the activation to rows of
+    one entry per member once. ``rhs.block(lead)(Y, dY)`` makes the views of
+    Y and dY and the scratch rows once per buffer pair, and returns an
+    evaluator that writes f(Y) into dY on each call, reading Y's current
+    contents, and returns dY. Each call is numpy calls with ``out`` alone,
+    every operand the shape of its output or a 0-d array, so rho is copied
+    down an (m, members) block R, and under weak coupling the node sum down
+    a second block. ``rhs`` makes the binder once per batch shape, keeping
+    the last, and binds each call's block with a new one. numpy sums over
+    the nodes of one column in kernels of its own, so a lone member (a lead
+    of (), (1,) or (1, 1)) is bound to two-member buffers: each call copies
+    it into both columns and column 0 of the result, which has the bits of
+    its row in any batch, into dY.
 
-    ``terms(s, dY, Y, R, f, *rows)`` binds the model's own terms: its
-    evaluator, reading rho from R, writes the window's share of the u
-    coefficient into s, W f into dY[:m] and any weight derivatives into
-    dY[m+1:]. The block adds du += c*u + J, with c = s + u coefficient (less
-    P*sum_j sigma(u_j) under weak coupling), then under linear coupling
-    P*L u, where L = 11^T - m*I is the Laplacian of the all-to-all network,
-    so (L u)_i = sum_j (u_j - u_i); one einsum takes L u. On a synchronized
-    state L u is exactly zero for m <= 3 and zero up to round-off beyond.
-    It sets drho = [gamma, -b].(u, rho). Both branches follow
-    p.coupling_kind alone.
+    All but the activation and the window is one einsum of a constant
+    (m+1, K) matrix M, summed over its columns left to right, against Z =
+    [P*u; f; u; rho; 1], made per buffer pair with its ones row set once.
+    M's columns [L | W | diag(u_coef) | (0; -b) | (J; 0)], gamma below
+    diag(u_coef), give du = P*L u + W f + u_coef*u + J and drho = gamma.u -
+    b*rho. L = 11^T - m*I, the all-to-all Laplacian, is there under linear
+    coupling only, and the static W (f written into Z) only when ``w`` is
+    given. L comes first, so on a synchronized state its partial sum is
+    exactly zero for m <= 3 and the coupled field is the uncoupled one
+    bitwise. An inf component meets M's zeros and gives NaN, which still
+    ends a run in BlowUpError. ``terms(s, wf, dY, Y, R, f, *rows)`` binds
+    the model's terms: reading rho from R, its evaluator writes the window's
+    share of the u coefficient into s, any weight derivatives into dY[m+1:]
+    and, for a W in the state, W f into the block wf. Then du += s*u (s less
+    P*sum_j sigma(u_j) under weak coupling), and du += wf. Both branches
+    follow p.coupling_kind alone.
     """
     m = p.m
-    P, r, V, gamma_b = p.P, p.r, p.V, np.append(p.gamma, -p.b)
+    P, r, V = p.P, p.r, p.V
     coupled = bool(np.any(P != 0.0))
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
-    lap = np.ones((m, m)) - m * np.eye(m)
+    top = [np.ones((m, m)) - m * np.eye(m)] if linear else []
+    top += ([] if w is None else [w]) + [np.diag(u_coef), np.zeros((m, 1)), p.J[:, None]]
+    M = np.pad(np.hstack(top), ((0, 1), (0, 0)))
+    M[m, -m - 2:-1] = np.append(p.gamma, -p.b)
 
     def members(lead: tuple):
         n = math.prod(lead)
         if np.ndim(P):
-            # a row under weak coupling, where P scales the node sum; linear
-            # coupling multiplies it into the Laplacian product, where a row
-            # broadcast down the block costs twice a same-shape call
+            # a row to scale weak coupling's node sum, a block to multiply u
             P_n = np.broadcast_to(P, lead + (1,)).reshape(n, order="F")
             if linear:
                 P_n = np.repeat(P_n[None], m, axis=0)
         else:
             P_n = np.array(P, dtype=float)
-        coef = np.repeat(u_coef[:, None], n, axis=1)
         bind_activation = _activation_kernel(p.activations, n)
-        J, *rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in [p.J] + columns]
+        rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in columns]
 
         def bind(Y: np.ndarray, dY: np.ndarray):
             if not (Y.flags.c_contiguous and dY.flags.c_contiguous):
                 raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
-            u, rho, du, drho, u_rho = Y[:m], Y[m], dY[:m], dY[m], Y[:m + 1]
-            s, f, R = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
-            activation, term = bind_activation(u, f), terms(s, dY, Y, R, f, *rows)
+            u, rho, du, u_rho, du_rho = Y[:m], Y[m], dY[:m], Y[:m + 1], dY[:m + 1]
+            Z, s, R = np.ones((M.shape[1], n)), np.empty((m, n)), np.empty((m, n))
+            Pu, Zu_rho = Z[:m], Z[-m - 2:-1]        # P*u under linear coupling only
+            f, wf = np.empty((2, m, n)) if w is None else (Z[-2 * m - 2:-m - 2], None)
+            activation, term = bind_activation(u, f), terms(s, wf, dY, Y, R, f, *rows)
             sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
             # the node sum of sigma(u), and that sum tiled
             total, tiled = (np.empty(n), np.empty((m, n))) if weak else (None, None)
@@ -617,22 +622,21 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms):
 
             def evaluate() -> np.ndarray:
                 copyto(R, rho)
+                copyto(Zu_rho, u_rho)
+                if linear:
+                    multiply(P_n, u, Pu)
                 activation()
                 term()
-                add(s, coef, s)
                 if weak:
                     add_reduce(sigmoid(), 0, None, total)
                     multiply(P_n, total, total)
                     copyto(tiled, total)
                     subtract(s, tiled, s)
+                einsum("ij,jn->in", M, Z, out=du_rho)
                 multiply(s, u, s)
                 add(du, s, du)
-                add(du, J, du)
-                if linear:
-                    einsum("ij,jn->in", lap, u, out=s)
-                    multiply(s, P_n, s)
-                    add(du, s, du)
-                einsum("in,i->n", u_rho, gamma_b, out=drho)
+                if wf is not None:
+                    add(du, wf, du)
                 return dY
             return evaluate
 
@@ -676,19 +680,15 @@ def make_mhnn_rhs(p: MhnnParams):
     k*(1 - eta*rho^2) enters as -k*eta*rho^2 in the scratch block and k in
     the u coefficient k - a.
     """
-    m, w = p.m, p.w
-
-    def terms(s, dY, Y, R, f, neg_keta):
-        du = dY[:m]
-        multiply, einsum = np.multiply, c_einsum
+    def terms(s, wf, dY, Y, R, f, neg_keta):
+        multiply = np.multiply
 
         def evaluate():
             multiply(neg_keta, R, s)
             multiply(s, R, s)
-            einsum("ij,jn->in", w, f, out=du)
         return evaluate
 
-    return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms)
+    return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms, p.w)
 
 
 def make_hebbian_rhs(p: HebbianParams):
@@ -702,8 +702,8 @@ def make_hebbian_rhs(p: HebbianParams):
     """
     m = p.m
 
-    def terms(s, dY, Y, R, f, k, eta, lam, negc):
-        W, du, dW = Y[m + 1:], dY[:m], dY[m + 1:]
+    def terms(s, wf, dY, Y, R, f, k, eta, lam, negc):
+        W, dW = Y[m + 1:], dY[m + 1:]
         W3, dW3, cW = W.reshape(m, m, -1), dW.reshape(m, m, -1), np.empty(W.shape)
         add, multiply, subtract, einsum = np.add, np.multiply, np.subtract, c_einsum
 
@@ -711,7 +711,7 @@ def make_hebbian_rhs(p: HebbianParams):
             subtract(eta, R, s)
             multiply(s, R, s)
             multiply(s, k, s)
-            einsum("ijn,jn->in", W3, f, out=du)
+            einsum("ijn,jn->in", W3, f, out=wf)
             # the outer product f_i f_j, without the broadcast ufunc's buffers
             einsum("in,jn->ijn", f, f, out=dW3)
             multiply(dW, lam, dW)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mhnnsync import (
     ActivationSpec,
+    EnsembleSpec,
     HebbianParams,
     IntegratorConfig,
     MhnnParams,
@@ -18,6 +19,7 @@ from mhnnsync import (
     ParameterError,
     hebbian_rhs,
     integrate,
+    integrate_ensemble,
     mhnn_rhs,
     sigmoid_gamma,
     window_eval,
@@ -152,15 +154,25 @@ class TestMhnnRhs:
         assert d.u == pytest.approx([-1.0, 1.0])
         assert d.rho == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_linear_coupling_zero_mode(self, m):
-        # the Laplacian product is exactly zero on a synchronized state for m <= 3
-        p = mk_mhnn(m=m, a=[2] * m, eta=[1] * m, w=np.zeros((m, m)),
-                    J=[0] * m, gamma=[1] * m, P=4.0, coupling_kind="linear")
-        u = np.full(m, 0.37)
-        base = mhnn_rhs(dataclasses.replace(p, P=0.0), NetworkState(u=u, rho=0.1))
-        coupled = mhnn_rhs(p, NetworkState(u=u, rho=0.1))
-        assert coupled.u == pytest.approx(base.u, abs=0.0)
+    @pytest.mark.parametrize("m, P", [
+        *(pytest.param(m, 4.0, id=str(m)) for m in (2, 3)),
+        *(pytest.param(m, np.array([0.5, 4.0])[:, None, None], id=f"{m}-lockstep")
+          for m in (2, 3)),
+    ])
+    def test_linear_coupling_zero_mode(self, m, P):
+        # the Laplacian's columns come first in the field's matrix, and their
+        # partial sum is exactly zero on a synchronized state for m <= 3, so
+        # the coupled field is bitwise the uncoupled one
+        p = mk_mhnn(m=m, a=[2] * m, eta=[1] * m, w=np.full((m, m), 0.3),
+                    J=[0.2] * m, gamma=[1] * m, P=P, coupling_kind="linear")
+        y = np.zeros((2, 3, m + 1))
+        y[..., :m] = np.random.default_rng(140 + m).normal(size=(2, 3, 1))
+        y[..., m] = 0.1
+        if np.ndim(P) == 0:
+            base = mhnn_rhs(dataclasses.replace(p, P=0.0), NetworkState(u=y[0, 0, :m], rho=0.1))
+            coupled = mhnn_rhs(p, NetworkState(u=y[0, 0, :m], rho=0.1))
+            assert np.array_equal(coupled.u, base.u)
+        assert np.array_equal(make_mhnn_rhs(p)(y), make_mhnn_rhs(dataclasses.replace(p, P=0.0))(y))
 
     def test_dimension_mismatch(self):
         p = mk_mhnn()
@@ -657,6 +669,22 @@ class TestValidation:
             mk_mhnn(P=np.array([True, False])[:, None, None])
         assert exc.value.field == "P"
 
+    @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
+    def test_lockstep_P_validates_every_entry(self, make):
+        # a lockstep column was compared as one truth value before, so
+        # validate() raised numpy's "truth value ... ambiguous" ValueError
+        make(P=np.array([0.5, 2.0])[:, None, None]).validate()
+        make(P=np.array([0.0, 0.0])[:, None, None]).validate()
+        for bad in (-0.5, np.nan, np.inf):
+            p = make(P=np.array([0.5, bad, 2.0])[:, None, None])
+            with pytest.raises(ParameterError, match="nonnegative and finite") as exc:
+                p.validate()
+            assert exc.value.field == "P"
+            with pytest.raises(ParameterError) as exc:
+                integrate_ensemble(p, IntegratorConfig(method="rk4-fixed", dt=0.01, t_end=0.1),
+                                   EnsembleSpec(count=2, radius=1.0, seed=0))
+            assert exc.value.field == "P"
+
     def test_activation_bound_is_a_float(self):
         want = mk_mhnn(activations=(ActivationSpec("tanh-scaled", 1.0),
                                     ActivationSpec("sine-clamped", 2.0)))
@@ -861,7 +889,8 @@ class TestBoundEvaluatorMemory:
 
 
 def node_sum(rows):
-    """The sum over nodes, one row after another: the fields' order."""
+    """The sum of the rows, one after another: the fields' order over nodes and
+    over the columns of their constant matrix."""
     return functools.reduce(np.add, rows)
 
 
@@ -869,8 +898,10 @@ def field_oracle(p, y):
     """The field of either model at the (..., dim) batch y, transcribed from
     the operation order that model._node_major_field and the models' terms
     document, with plain numpy: broadcasting on node-major (dim, members)
-    arrays, np.einsum for the sums over nodes that the fields take with
-    numpy's C einsum, and no bound evaluator."""
+    arrays, a left-to-right sum over the columns of the constant matrix M
+    against the stacked rows Z = [P*u; f; u; rho; 1], then + s*u, then for
+    the Hebbian field + W f by np.einsum, which the field takes with numpy's
+    C einsum; no bound evaluator."""
     m, lead = p.m, y.shape[:-1]
     Y = np.ascontiguousarray(y.reshape(-1, p.dim).T)
     P = np.broadcast_to(p.P, lead + (1,)).reshape(-1) if np.ndim(p.P) else p.P
@@ -881,28 +912,35 @@ def field_oracle(p, y):
     sine = np.array([a.kind == "sine-clamped" for a in p.activations])[:, None]
     beta = np.array([a.beta for a in p.activations])[:, None]
     f = np.where(sine, np.sin(u), np.tanh(scale * u)) * beta
+    coupled = np.any(p.P != 0.0)
+    linear = coupled and p.coupling_kind == "linear"
+    # (M column, Z row) pairs: the Laplacian L = 11^T - m*I against P*u under
+    # linear coupling, the static W against f, then u's coefficients with
+    # gamma below, -b against rho and J against ones
+    pairs = []
+    if linear:
+        L = np.ones((m, m)) - m * np.eye(m)
+        pairs += [(np.append(L[:, j], 0.0), P * u[j]) for j in range(m)]
     if isinstance(p, HebbianParams):
         W = Y[m + 1:].reshape(m, m, -1)
         s = (p.eta[:, None] - rho) * rho * p.k[:, None]
-        du = np.einsum("ijn,jn->in", W, f)
         dW = f[:, None] * f[None, :] * p.lam[..., None] + (-p.c)[..., None] * W
         u_coef = -p.a
     else:
         s = (-p.k * p.eta)[:, None] * rho * rho
-        du = np.einsum("ij,jn->in", p.w, f)
+        pairs += [(np.append(p.w[:, j], 0.0), f[j]) for j in range(m)]
         dW = np.empty((0, Y.shape[1]))
         u_coef = p.k - p.a
-    s = s + u_coef[:, None]
-    coupled = np.any(p.P != 0.0)
+    pairs += [(np.append(np.diag(u_coef)[:, j], p.gamma[j]), u[j]) for j in range(m)]
+    pairs += [(np.append(np.zeros(m), -p.b), rho), (np.append(p.J, 0.0), np.ones_like(rho))]
+    du_rho = node_sum([column[:, None] * row for column, row in pairs])
     if coupled and p.coupling_kind != "linear":
         sigmoid = np.tanh((u - p.V) * (0.5 * p.r)) * 0.5 + 0.5
         s = s - P * node_sum(sigmoid)
-    du = du + s * u + p.J[:, None]
-    if coupled and p.coupling_kind == "linear":
-        L = np.ones((m, m)) - m * np.eye(m)      # the all-to-all Laplacian
-        du = du + np.einsum("ij,jn->in", L, u) * P
-    drho = np.einsum("in,i->n", Y[:m + 1], np.append(p.gamma, -p.b))
-    dY = np.concatenate([du, drho[None], dW.reshape(-1, Y.shape[1])])
+    du = du_rho[:m] + s * u
+    if isinstance(p, HebbianParams):
+        du = du + np.einsum("ijn,jn->in", W, f)
+    dY = np.concatenate([du, du_rho[m:], dW.reshape(-1, Y.shape[1])])
     return dY.T.reshape(y.shape)
 
 
@@ -1027,6 +1065,21 @@ class TestEinsumBinding:
             got = np.empty_like(want)
             model_module.c_einsum(subscripts, *operands, out=got)
             assert np.array_equal(got, want), subscripts
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 128])
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_wide_product_is_the_column_sum(self, m, n):
+        # the fields' (m+1, K) matrix against K stacked rows, K up to 3m + 2:
+        # one product per entry, summed over the columns left to right; a
+        # one-member block (n = 1) sums in a kernel of its own, and no field
+        # binds one
+        rng = np.random.default_rng(330 + 20 * m + n)
+        for K in range(1, 3 * m + 3):
+            M, Z = rng.normal(size=(m + 1, K)), rng.normal(scale=3.0, size=(K, n))
+            got = np.empty((m + 1, n))
+            model_module.c_einsum("ij,jn->in", M, Z, out=got)
+            assert np.array_equal(got, node_sum([M[:, j:j + 1] * Z[j] for j in range(K)])), K
+            assert np.array_equal(got, np.einsum("ij,jn->in", M, Z)), K
 
     @pytest.mark.parametrize("n", [1, 2, 7, 128])
     @pytest.mark.parametrize("m", [3, 9])
