@@ -163,6 +163,13 @@ def _make_rhs(p: Params):
     return make_mhnn_rhs(p)
 
 
+def _validate_one(p: Params) -> None:
+    """p.validate(), refusing a P array: only ``sweep_coupling`` stacks the ensemble on its axis."""
+    p.validate()
+    if np.ndim(p.P):
+        raise ParameterError("P", "a P array is for sweep_coupling only; give one coupling strength")
+
+
 def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
     """(count, dim) seeded initial states; Hebbian members all start from the weights p.w0."""
     ball = sample_initial_states(ens, p.m + 1)
@@ -183,7 +190,7 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
     holds the ensemble node-major for the run; the hook and the record see
     the logical (count, dim) shape.
     """
-    p.validate()
+    _validate_one(p)
     ens.validate()
     return integrate(_make_rhs(p), _initial_states(p, ens), cfg,
                      params_digest=p.digest(), m=p.m,
@@ -218,7 +225,7 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     ||g||^2 and its pairwise gap; the weights are checked as each state is
     recorded and then dropped.
     """
-    p.validate()
+    _validate_one(p)
     d = cst._derive(p)
     return _verify_runs([p], cfg, ens, epsilon, d.p_star(epsilon), d)[0]
 

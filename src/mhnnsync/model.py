@@ -14,32 +14,27 @@ All functions here are pure; parameter objects are treated as immutable after
 
 States have shape (..., dim), the components on the last axis. Both fields
 evaluate on a node-major (dim, members) block, where u, rho and the Hebbian
-weights are contiguous rows of one value per member rather than strided
-columns. ``node_major`` frames a state as that block and ``logical`` undoes
-it: node-major means Fortran-ordered, for a (count, dim) ensemble and a
-(len(P), count, dim) lockstep stack alike, so for such a state the block is
-a view. A field's binder, ``rhs.block(lead)``, is made once per batch shape:
-``rhs.block(lead)(Y, dY)`` makes every view of a (state, derivative) pair of
-blocks and the scratch rows once, and the evaluator it returns writes f(Y)
-into dY with numpy calls on those views alone. ``integrate`` holds the state
-as blocks of its own for a whole run and binds each buffer pair before it
-steps; the public ``rhs(y)`` binds its frame of each call's y and a new block
-through the same binder. A member's derivative never depends on the batch
-around it: sums over nodes run elementwise (numpy's C einsum kernel,
-``np.add.reduce``), not through BLAS, and a lone member runs as a two-member
-block. Per-call numpy overhead, not arithmetic, sets the cost, so the
-field's linear part (P times the network's Laplacian applied to u, the static
-W f, the u decay, J and drho) is one einsum of a constant matrix against a
-stacked block, coefficients are tiled to rows once per batch shape, einsum is
-called without numpy's Python wrapper and copyto without its
-``__array_function__`` dispatch, and the activation takes the sine-clamped
-rows as slices found once per batch shape. Every scalar operand (a scalar P,
-0.5*r, V, the sigmoid's 0.5) is a 0-d array made once, which numpy
-dispatches faster than a Python number, and a lockstep column of P is tiled
-to an (m, members) block for the linear term; the ufuncs are bound to locals
-of each evaluator. No ufunc takes a row broadcast down a block, which costs
-about twice a same-shape call and allocates an iterator buffer: rho and the
-node sum of weak coupling are copied down blocks of their own first.
+weights are contiguous rows of one value per member. ``node_major`` frames a
+state as that block and ``logical`` undoes it; for a Fortran-ordered (count,
+dim) ensemble or (len(P), count, dim) lockstep stack the block is a view.
+``rhs.block(lead)``, made once per batch shape, binds a (state, derivative)
+pair of blocks: it makes every view and scratch row once, and the evaluator
+it returns writes f(Y) into dY with numpy calls on those views alone.
+``integrate`` binds each of its buffer pairs once per run; the public
+``rhs(y)`` binds each call's frame of y through the same binder. A member's
+derivative never depends on the batch around it: sums over nodes run
+elementwise (numpy's C einsum kernel, ``np.add.reduce``), not through BLAS,
+and a lone member runs as a two-member block. Per-call numpy overhead, not
+arithmetic, sets the cost. So a field is one einsum of a constant matrix
+against a stacked block, into which the rows that are not linear in the
+state (the activation, rho^2*u, weak coupling's P*S*u) are written first;
+only the Hebbian field's own terms (its window, W f, dW) follow it. einsum
+is called without numpy's Python wrapper and copyto without its
+``__array_function__`` dispatch, every scalar operand is a 0-d array made
+once, coefficients are tiled to rows once per batch shape, and no ufunc
+takes a row broadcast down a block, which costs about twice a same-shape
+call and allocates an iterator buffer: rho and weak coupling's node sum are
+copied down first.
 """
 
 from __future__ import annotations
@@ -150,6 +145,7 @@ def activation_eval(kind: str, beta: float, s):
     s = np.asarray(s, dtype=float)
     out = np.empty((1, s.size))
     _activation_kernel((ActivationSpec(kind, beta),), s.size)(s.reshape(1, -1), out)()
+    np.multiply(out, beta, out)
     return out.reshape(s.shape) if s.ndim else float(out[0, 0])
 
 
@@ -165,18 +161,15 @@ def _row_slices(rows: list) -> list:
 
 
 def _activation_kernel(activations, members: int):
-    """A binder of f(u) = (beta_j g_j(u_j))_j on node-major (m, members) blocks, one spec per node.
+    """A binder of g(u) = (g_j(u_j))_j, each activation without its beta, on
+    node-major (m, members) blocks, one spec per node; the caller applies beta.
 
-    ``bind(u, out)`` returns an evaluator that writes f(u) into out, reading
-    the current contents of u on every call. The per-node scale and beta are
-    tiled to rows of ``members`` entries: broadcasting an (m, 1) column
-    against a block with rows this short costs more than the arithmetic.
-    tanh(scale*u) is evaluated in place for all nodes, then ``np.sin``
-    overwrites the sine-clamped rows and beta multiplies in place. The
-    sine-clamped rows are found once per batch shape, and ``bind`` views
-    them as (u, out) slice pairs, one per contiguous run, so each call is a
-    plain sin of a view instead of a masked sin of the block. With no
-    logistic-centered node every scale is 1.0, and tanh takes u itself:
+    ``bind(u, out)`` returns an evaluator that writes g(u) into out, reading
+    u's current contents. The per-node scale is tiled to rows of ``members``
+    entries, cheaper than broadcasting an (m, 1) column against rows this
+    short. tanh(scale*u) fills every row, then ``np.sin`` overwrites the
+    sine-clamped rows, which ``bind`` views as (u, out) slice pairs, one per
+    contiguous run. With no logistic-centered node tanh takes u itself:
     1.0*u == u, so the bits are the same.
     """
     for act in activations:
@@ -185,14 +178,13 @@ def _activation_kernel(activations, members: int):
     scales = [_TANH_SCALE.get(act.kind, 1.0) for act in activations]
     sine = _row_slices([i for i, act in enumerate(activations) if act.kind == "sine-clamped"])
     scaled = any(c != 1.0 for c in scales)
-    scale, betas = (np.repeat(np.array(v, dtype=float)[:, None], members, axis=1)
-                    for v in (scales, [act.beta for act in activations]))
+    scale = np.repeat(np.array(scales)[:, None], members, axis=1)
 
     def bind(u: np.ndarray, out: np.ndarray):
         multiply, tanh, sin = np.multiply, np.tanh, np.sin
         pairs = tuple((u[rows], out[rows]) for rows in sine)
 
-        def f():
+        def g():
             if scaled:
                 multiply(scale, u, out)
                 tanh(out, out)
@@ -200,8 +192,7 @@ def _activation_kernel(activations, members: int):
                 tanh(u, out)
             for u_rows, out_rows in pairs:
                 sin(u_rows, out_rows)
-            multiply(out, betas, out)
-        return f
+        return g
 
     return bind
 
@@ -544,44 +535,41 @@ def logical(Y: np.ndarray, shape: tuple) -> np.ndarray:
     return Y.T.reshape(shape, order="F")
 
 
-def _node_major_field(p, u_coef: np.ndarray, columns: list, terms, w=None):
+def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=None):
     """The vector field of p on (..., dim) batches, evaluated on a (dim, members) block.
 
-    The returned ``rhs(y)`` frames y as its ``node_major`` block and returns
-    the result in y's shape: a view in y's layout for Fortran-ordered y, a
-    C-ordered copy otherwise. ``rhs.block(lead)`` is the field's binder on
-    the C-contiguous blocks of a lead + (dim,) batch, for a caller that keeps
-    the state node-major: it tiles the model's ``columns``, P (a row in the
-    same member order for a lockstep column of P, an (m, members) block under
-    linear coupling; a scalar P is a 0-d array) and the activation to rows of
-    one entry per member once. ``rhs.block(lead)(Y, dY)`` makes the views of
-    Y and dY and the scratch rows once per buffer pair, and returns an
-    evaluator that writes f(Y) into dY on each call, reading Y's current
-    contents, and returns dY. Each call is numpy calls with ``out`` alone,
-    every operand the shape of its output or a 0-d array, so rho is copied
-    down an (m, members) block R, and under weak coupling the node sum down
-    a second block. ``rhs`` makes the binder once per batch shape, keeping
-    the last, and binds each call's block with a new one. numpy sums over
-    the nodes of one column in kernels of its own, so a lone member (a lead
-    of (), (1,) or (1, 1)) is bound to two-member buffers: each call copies
-    it into both columns and column 0 of the result, which has the bits of
-    its row in any batch, into dY.
+    ``rhs(y)`` frames y as its ``node_major`` block and returns the result in
+    y's shape: a view in y's layout for Fortran-ordered y, a C-ordered copy
+    otherwise. It binds each call's block with ``rhs.block(lead)``, the
+    binder on the C-contiguous blocks of a lead + (dim,) batch, made once per
+    batch shape. The binder tiles the model's ``columns``, P (a row in member
+    order for a lockstep column, an (m, members) block under linear coupling;
+    a scalar P is 0-d) and the activation to rows of one entry per member.
+    ``rhs.block(lead)(Y, dY)`` makes the views and scratch rows once and
+    returns an evaluator that writes f(Y) into dY and returns dY: numpy calls
+    with ``out`` alone, each operand the shape of its output or 0-d, so rho
+    is copied down an (m, members) block R first. numpy sums over the nodes
+    of one column in kernels of its own, so a lone member (a lead of (), (1,)
+    or (1, 1)) runs in both columns of a two-member block, and column 0, the
+    bits of its row in any batch, is copied to dY.
 
-    All but the activation and the window is one einsum of a constant
-    (m+1, K) matrix M, summed over its columns left to right, against Z =
-    [P*u; f; u; rho; 1], made per buffer pair with its ones row set once.
-    M's columns [L | W | diag(u_coef) | (0; -b) | (J; 0)], gamma below
-    diag(u_coef), give du = P*L u + W f + u_coef*u + J and drho = gamma.u -
+    du and drho are one einsum of a constant (m+1, K) matrix M, summed over
+    its columns left to right, against Z = [P*u; g; rho^2*u; P*S*u; u; rho;
+    1], whose ones row is set at bind time. M's columns [L | W | diag(c) | -I
+    | diag(u_coef) | (0; -b) | (J; 0)], gamma below diag(u_coef), give du =
+    P*L u + W g + c*rho^2*u - P*S*u + u_coef*u + J and drho = gamma.u -
     b*rho. L = 11^T - m*I, the all-to-all Laplacian, is there under linear
-    coupling only, and the static W (f written into Z) only when ``w`` is
-    given. L comes first, so on a synchronized state its partial sum is
-    exactly zero for m <= 3 and the coupled field is the uncoupled one
-    bitwise. An inf component meets M's zeros and gives NaN, which still
-    ends a run in BlowUpError. ``terms(s, wf, dY, Y, R, f, *rows)`` binds
-    the model's terms: reading rho from R, its evaluator writes the window's
-    share of the u coefficient into s, any weight derivatives into dY[m+1:]
-    and, for a W in the state, W f into the block wf. Then du += s*u (s less
-    P*sum_j sigma(u_j) under weak coupling), and du += wf. Both branches
+    coupling only, -I against P*S*u, S = sum_j sigma(u_j) copied down rows
+    of Z, under weak coupling only, and W and c only for ``static`` = (W, c):
+    the mHNN's static weights with column j scaled by beta_j, against the
+    activation g(u) without beta, and its window's -k*eta against rho^2*u,
+    taken as (rho*u)*rho. L comes first, so on a synchronized state its
+    partial sum is exactly zero for m <= 3 and the coupled field is the
+    uncoupled one bitwise. An inf component meets M's zeros and gives NaN,
+    which still ends a run in BlowUpError. Without ``static``,
+    ``terms(dY, Y, R, *rows)`` returns the block g for the activation and
+    the model's evaluator, which runs after the einsum, adds its own terms
+    to du and writes any weight derivatives into dY[m+1:]. Both couplings
     follow p.coupling_kind alone.
     """
     m = p.m
@@ -590,7 +578,8 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms, w=None):
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
     top = [np.ones((m, m)) - m * np.eye(m)] if linear else []
-    top += ([] if w is None else [w]) + [np.diag(u_coef), np.zeros((m, 1)), p.J[:, None]]
+    top += [static[0], np.diag(static[1])] if static else []
+    top += [-np.eye(m)] * weak + [np.diag(u_coef), np.zeros((m, 1)), p.J[:, None]]
     M = np.pad(np.hstack(top), ((0, 1), (0, 0)))
     M[m, -m - 2:-1] = np.append(p.gamma, -p.b)
 
@@ -609,16 +598,18 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms, w=None):
         def bind(Y: np.ndarray, dY: np.ndarray):
             if not (Y.flags.c_contiguous and dY.flags.c_contiguous):
                 raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
-            u, rho, du, u_rho, du_rho = Y[:m], Y[m], dY[:m], Y[:m + 1], dY[:m + 1]
-            Z, s, R = np.ones((M.shape[1], n)), np.empty((m, n)), np.empty((m, n))
-            Pu, Zu_rho = Z[:m], Z[-m - 2:-1]        # P*u under linear coupling only
-            f, wf = np.empty((2, m, n)) if w is None else (Z[-2 * m - 2:-m - 2], None)
-            activation, term = bind_activation(u, f), terms(s, wf, dY, Y, R, f, *rows)
+            u, rho, u_rho, du_rho = Y[:m], Y[m], Y[:m + 1], dY[:m + 1]
+            Z, R = np.ones((M.shape[1], n)), np.empty((m, n))
+            # P*u under linear coupling only, P*S*u under weak coupling only
+            Pu, PSu, Zu_rho = Z[:m], Z[-2 * m - 2:-m - 2], Z[-m - 2:-1]
+            if static:          # g(u) and rho^2*u are rows of Z
+                (g, q), term = Z[m * linear:][:2 * m].reshape(2, m, n), None
+            else:
+                (g, term), q = terms(dY, Y, R, *rows), None
+            activation = bind_activation(u, g)
             sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
-            # the node sum of sigma(u), and that sum tiled
-            total, tiled = (np.empty(n), np.empty((m, n))) if weak else (None, None)
-            add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, c_copyto
-            add_reduce, einsum = np.add.reduce, c_einsum
+            total = np.empty(n) if weak else None        # the node sum S of sigma(u)
+            multiply, copyto, add_reduce, einsum = np.multiply, c_copyto, np.add.reduce, c_einsum
 
             def evaluate() -> np.ndarray:
                 copyto(R, rho)
@@ -626,17 +617,17 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms, w=None):
                 if linear:
                     multiply(P_n, u, Pu)
                 activation()
-                term()
+                if q is not None:
+                    multiply(R, u, q)
+                    multiply(q, R, q)
                 if weak:
                     add_reduce(sigmoid(), 0, None, total)
                     multiply(P_n, total, total)
-                    copyto(tiled, total)
-                    subtract(s, tiled, s)
+                    copyto(PSu, total)
+                    multiply(PSu, u, PSu)
                 einsum("ij,jn->in", M, Z, out=du_rho)
-                multiply(s, u, s)
-                add(du, s, du)
-                if wf is not None:
-                    add(du, wf, du)
+                if term is not None:
+                    term()
                 return dY
             return evaluate
 
@@ -676,38 +667,33 @@ def make_mhnn_rhs(p: MhnnParams):
     """Vector-field closure for the mHNN; flat state y = (u, rho).
 
     Accepts batched states of shape (..., m+1) in either layout and returns
-    that shape (see ``_node_major_field``). The quadratic window
-    k*(1 - eta*rho^2) enters as -k*eta*rho^2 in the scratch block and k in
-    the u coefficient k - a.
+    that shape (see ``_node_major_field``). All of it is the einsum: W with
+    column j scaled by beta_j against g(u), and the window k*(1 - eta*rho^2)
+    as k in the u coefficient k - a and -k*eta against rho^2*u.
     """
-    def terms(s, wf, dY, Y, R, f, neg_keta):
-        multiply = np.multiply
-
-        def evaluate():
-            multiply(neg_keta, R, s)
-            multiply(s, R, s)
-        return evaluate
-
-    return _node_major_field(p, p.k - p.a, [-p.k * p.eta], terms, p.w)
+    W = p.w * [act.beta for act in p.activations]
+    return _node_major_field(p, p.k - p.a, [], static=(W, -p.k * p.eta))
 
 
 def make_hebbian_rhs(p: HebbianParams):
     """Vector-field closure for the Hebbian model; flat state y = (u, rho, w row-major).
 
     Accepts batched states of shape (..., dim) in either layout and returns
-    that shape (see ``_node_major_field``). The weights are read from the
-    state: the Strukov-Williams window k*rho*(eta - rho) goes to the scratch
-    block, and dw_ij = -c_ij w_ij + lambda_ij f_i f_j, with -c_ij w_ij in a
-    scratch block of its own.
+    that shape (see ``_node_major_field``). W is read from the state, so
+    after the einsum du adds the Strukov-Williams window k*rho*(eta - rho),
+    in a block s, times u, and W f per member, f being g times beta in place.
+    dw_ij = -c_ij w_ij + lambda_ij f_i f_j, -c_ij w_ij in a block of its own.
     """
     m = p.m
 
-    def terms(s, wf, dY, Y, R, f, k, eta, lam, negc):
-        W, dW = Y[m + 1:], dY[m + 1:]
+    def terms(dY, Y, R, k, eta, lam, negc, beta):
+        u, du, W, dW = Y[:m], dY[:m], Y[m + 1:], dY[m + 1:]
+        s, (f, wf) = np.empty(u.shape), np.empty((2,) + u.shape)
         W3, dW3, cW = W.reshape(m, m, -1), dW.reshape(m, m, -1), np.empty(W.shape)
         add, multiply, subtract, einsum = np.add, np.multiply, np.subtract, c_einsum
 
         def evaluate():
+            multiply(f, beta, f)
             subtract(eta, R, s)
             multiply(s, R, s)
             multiply(s, k, s)
@@ -717,9 +703,13 @@ def make_hebbian_rhs(p: HebbianParams):
             multiply(dW, lam, dW)
             multiply(negc, W, cW)
             add(dW, cW, dW)
-        return evaluate
+            multiply(s, u, s)
+            add(du, s, du)
+            add(du, wf, du)
+        return f, evaluate
 
-    return _node_major_field(p, -p.a, [p.k, p.eta, p.lam, -p.c], terms)
+    beta = [act.beta for act in p.activations]
+    return _node_major_field(p, -p.a, [p.k, p.eta, p.lam, -p.c, beta], terms)
 
 
 def mhnn_rhs(p: MhnnParams, s: NetworkState) -> NetworkState:

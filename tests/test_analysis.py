@@ -616,6 +616,22 @@ class TestLockstepLayout:
         assert len(seen) == 4 * 50                  # four calls per step, one lockstep run
         assert set(seen) == {((3, ens.count, p.dim), True, True)}
 
+    @pytest.mark.parametrize("model", ["weak-sigmoidal", "linear", "hebbian"])
+    def test_a_P_array_is_for_the_sweep_only(self, model):
+        # the single-run entry points do not stack the ensemble on a P axis;
+        # they failed inside the field with numpy's "more dimensions than
+        # allowed by the axis remapping" before
+        rng = np.random.default_rng(52)
+        p = draw_hebbian(rng, 2) if model == "hebbian" else draw_mhnn(rng, 2, coupling=model)
+        p = dataclasses.replace(p, P=np.array([0.5, 2.0])[:, None, None])
+        cfg = IntegratorConfig(method="rk4-fixed", dt=1e-2, t_end=0.1)
+        ens = EnsembleSpec(count=3, radius=1.0, seed=0)
+        for run in (lambda: analysis.integrate_ensemble(p, cfg, ens),
+                    lambda: verify_guarantees(p, cfg, ens, 0.3)):
+            with pytest.raises(ParameterError, match="sweep_coupling only") as exc:
+                run()
+            assert exc.value.field == "P"
+
 
 class TestSweep:
     def test_rows_and_determinism(self):

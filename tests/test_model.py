@@ -899,9 +899,11 @@ def field_oracle(p, y):
     the operation order that model._node_major_field and the models' terms
     document, with plain numpy: broadcasting on node-major (dim, members)
     arrays, a left-to-right sum over the columns of the constant matrix M
-    against the stacked rows Z = [P*u; f; u; rho; 1], then + s*u, then for
-    the Hebbian field + W f by np.einsum, which the field takes with numpy's
-    C einsum; no bound evaluator."""
+    against the stacked rows Z = [P*u; g; (rho*u)*rho; (P*S)*u; u; rho; 1]
+    for the mHNN, with W's column j scaled by beta_j, and Z = [P*u; (P*S)*u;
+    u; rho; 1] for the Hebbian field, which then adds s*u and W f by
+    np.einsum, which the field takes with numpy's C einsum; no bound
+    evaluator."""
     m, lead = p.m, y.shape[:-1]
     Y = np.ascontiguousarray(y.reshape(-1, p.dim).T)
     P = np.broadcast_to(p.P, lead + (1,)).reshape(-1) if np.ndim(p.P) else p.P
@@ -911,12 +913,14 @@ def field_oracle(p, y):
                       for a in p.activations])[:, None]
     sine = np.array([a.kind == "sine-clamped" for a in p.activations])[:, None]
     beta = np.array([a.beta for a in p.activations])[:, None]
-    f = np.where(sine, np.sin(u), np.tanh(scale * u)) * beta
+    g = np.where(sine, np.sin(u), np.tanh(scale * u))
+    f = g * beta
     coupled = np.any(p.P != 0.0)
     linear = coupled and p.coupling_kind == "linear"
     # (M column, Z row) pairs: the Laplacian L = 11^T - m*I against P*u under
-    # linear coupling, the static W against f, then u's coefficients with
-    # gamma below, -b against rho and J against ones
+    # linear coupling, the mHNN's W*beta against g and -k*eta against
+    # rho^2*u, -1 against P*S*u under weak coupling, then u's coefficients
+    # with gamma below, -b against rho and J against ones
     pairs = []
     if linear:
         L = np.ones((m, m)) - m * np.eye(m)
@@ -927,19 +931,21 @@ def field_oracle(p, y):
         dW = f[:, None] * f[None, :] * p.lam[..., None] + (-p.c)[..., None] * W
         u_coef = -p.a
     else:
-        s = (-p.k * p.eta)[:, None] * rho * rho
-        pairs += [(np.append(p.w[:, j], 0.0), f[j]) for j in range(m)]
+        pairs += [(np.append(p.w[:, j] * beta[j], 0.0), g[j]) for j in range(m)]
+        window = np.diag(-p.k * p.eta)
+        pairs += [(np.append(window[:, j], 0.0), rho * u[j] * rho) for j in range(m)]
         dW = np.empty((0, Y.shape[1]))
         u_coef = p.k - p.a
+    if coupled and p.coupling_kind != "linear":
+        sigmoid = np.tanh((u - p.V) * (0.5 * p.r)) * 0.5 + 0.5
+        PS = P * node_sum(sigmoid)
+        pairs += [(np.append(-np.eye(m)[:, j], 0.0), PS * u[j]) for j in range(m)]
     pairs += [(np.append(np.diag(u_coef)[:, j], p.gamma[j]), u[j]) for j in range(m)]
     pairs += [(np.append(np.zeros(m), -p.b), rho), (np.append(p.J, 0.0), np.ones_like(rho))]
     du_rho = node_sum([column[:, None] * row for column, row in pairs])
-    if coupled and p.coupling_kind != "linear":
-        sigmoid = np.tanh((u - p.V) * (0.5 * p.r)) * 0.5 + 0.5
-        s = s - P * node_sum(sigmoid)
-    du = du_rho[:m] + s * u
+    du = du_rho[:m]
     if isinstance(p, HebbianParams):
-        du = du + np.einsum("ijn,jn->in", W, f)
+        du = du + s * u + np.einsum("ijn,jn->in", W, f)
     dY = np.concatenate([du, du_rho[m:], dW.reshape(-1, Y.shape[1])])
     return dY.T.reshape(y.shape)
 
@@ -1069,12 +1075,12 @@ class TestEinsumBinding:
     @pytest.mark.parametrize("n", [2, 3, 7, 30, 128])
     @pytest.mark.parametrize("m", range(2, 13))
     def test_wide_product_is_the_column_sum(self, m, n):
-        # the fields' (m+1, K) matrix against K stacked rows, K up to 3m + 2:
+        # the fields' (m+1, K) matrix against K stacked rows, K up to 4m + 2:
         # one product per entry, summed over the columns left to right; a
         # one-member block (n = 1) sums in a kernel of its own, and no field
         # binds one
         rng = np.random.default_rng(330 + 20 * m + n)
-        for K in range(1, 3 * m + 3):
+        for K in range(1, 4 * m + 3):
             M, Z = rng.normal(size=(m + 1, K)), rng.normal(scale=3.0, size=(K, n))
             got = np.empty((m + 1, n))
             model_module.c_einsum("ij,jn->in", M, Z, out=got)
