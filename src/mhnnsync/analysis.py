@@ -77,17 +77,7 @@ class SyncReport:
     verdict: str     # "pass" | "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "deg_estimate": self.deg_estimate,
-            "epsilon": self.epsilon,
-            "p_used": self.p_used,
-            "p_star": self.p_star,
-            "entry_times": self.entry_times,
-            "violations": [dataclasses.asdict(v) for v in self.violations],
-            "fitted_rate": self.fitted_rate,
-            "rate_theory": self.rate_theory,
-            "verdict": self.verdict,
-        }
+        return dataclasses.asdict(self)
 
 
 def sample_initial_states(ens: EnsembleSpec, dim: int) -> np.ndarray:
@@ -170,6 +160,14 @@ def _validate_one(p: Params) -> None:
         raise ParameterError("P", "a P array is for sweep_coupling only; give one coupling strength")
 
 
+def _p_column(p: Params, p_values: Sequence[float]) -> Params:
+    """p with P the sorted ``p_values`` as a (len(p_values), 1, 1) lockstep column.
+
+    Not validated here: ``p.validate()`` checks every entry of the column.
+    """
+    return dataclasses.replace(p, P=np.array([float(P) for P in sorted(p_values)])[:, None, None])
+
+
 def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
     """(count, dim) seeded initial states; Hebbian members all start from the weights p.w0."""
     ball = sample_initial_states(ens, p.m + 1)
@@ -186,27 +184,25 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
     For the Hebbian model the (u, rho) block is sampled in the ball and every
     member starts from the same initial weight matrix p.w0. ``record`` is
     passed on to ``integrate``; a run with a record hook keeps what the hook
-    returns, so its trajectory is marked as holding no weights. ``integrate``
-    holds the ensemble node-major for the run; the hook and the record see
-    the logical (count, dim) shape.
+    returns. ``integrate`` holds the ensemble node-major for the run; the
+    hook and the record see the logical (count, dim) shape.
     """
     _validate_one(p)
     ens.validate()
     return integrate(_make_rhs(p), _initial_states(p, ens), cfg,
-                     params_digest=p.digest(), m=p.m,
-                     has_weights=isinstance(p, HebbianParams) and record is None,
-                     record=record)
+                     params_digest=p.digest(), m=p.m, record=record)
 
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
     """max(5*T_B(radius^2), 20/rate(P)): transient decayed by at least e^-20."""
+    _validate_one(p)
     return _horizon(cst._derive(p), p.P, ens)
 
 
-def _horizon(d: cst._Derivation, P: float, ens: EnsembleSpec) -> float:
-    """default_horizon at coupling P of the parameter set derived as ``d``."""
+def _horizon(d: cst._Derivation, P, ens: EnsembleSpec) -> float:
+    """default_horizon of the parameter set derived as ``d``, at the smallest entry of P."""
     t_absorb = cst.absorb_time(d.dc, ens.radius**2) if ens.radius > 0 else 0.0
-    return max(5.0 * t_absorb, 20.0 / d.rate(P), 1.0)
+    return max(5.0 * t_absorb, 20.0 / d.rate(float(np.min(P))), 1.0)
 
 
 def _tolerance(bound) -> np.ndarray:
@@ -223,23 +219,22 @@ def verify_guarantees(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
 
     A Hebbian run keeps two numbers per member of each recorded state, its
     ||g||^2 and its pairwise gap; the weights are checked as each state is
-    recorded and then dropped.
+    recorded and then dropped. This is the lockstep run of a column of one P
+    (see ``_verify_runs``).
     """
     _validate_one(p)
     d = cst._derive(p)
-    return _verify_runs([p], cfg, ens, epsilon, d.p_star(epsilon), d)[0]
+    return _verify_runs(_p_column(p, [p.P]), cfg, ens, epsilon, d.p_star(epsilon), d)[0]
 
 
-def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
+def _verify_runs(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
                  epsilon: float, p_star: float, d: cst._Derivation) -> list:
-    """verify_guarantees for parameter sets that differ only in P, from one run.
+    """verify_guarantees at every P of p's (len(P), 1, 1) lockstep column, from one run.
 
-    One parameter set runs as a (count, dim) ensemble. Several run in
-    lockstep: the ensemble is stacked on a leading P axis, a (len(swept),
-    count, dim) state, and the RHS takes a (len(swept), 1, 1) column of P.
-    ``integrate`` holds either node-major, so the hook sees Fortran-ordered
-    states. The field computes each member from its own state alone, so each
-    block is bitwise its own single run.
+    The ensemble is stacked on a leading P axis, a (len(P), count, dim)
+    state, which ``integrate`` holds node-major, so the hook sees
+    Fortran-ordered states. The field computes each member from its own
+    state alone, so each P block is bitwise its own single run.
 
     Every block is checked from two series per member, ||g||^2 and the
     pairwise gap. For Hebbian parameters the record hook checks the weights
@@ -247,40 +242,36 @@ def _verify_runs(swept: list, cfg: IntegratorConfig, ens: EnsembleSpec,
     ``norm_sq_series`` and ``pairwise_gap_series``. An mHNN state is (u, rho)
     only, so it is kept whole and reduced by those two after the run, one
     block at a time.
-    Returns one report per parameter set, in the order of ``swept``.
+    Returns one report per P, in the column's order.
     """
-    first = swept[0]
-    y0 = _initial_states(first, ens)
-    if len(swept) > 1:
-        y0 = np.stack([y0] * len(swept))
-        first = dataclasses.replace(first, P=np.array([q.P for q in swept])[:, None, None])
-    record = _hebbian_record(first, d, y0.shape) if isinstance(first, HebbianParams) else None
-
-    batch = integrate(_make_rhs(first), y0, cfg, m=first.m, record=record)
-    blocks = batch.states.reshape((len(batch), len(swept), ens.count, -1))
+    P = p.P.ravel().tolist()
+    y0 = np.stack([_initial_states(p, ens)] * len(P))
+    record = _hebbian_record(p, d, y0.shape) if isinstance(p, HebbianParams) else None
+    batch = integrate(_make_rhs(p), y0, cfg, m=p.m, record=record)
 
     def series(i: int) -> tuple:
         # one P block at a time: only that block's series are held beside the record
         if record is not None:
-            return blocks[:, i, :, 0], blocks[:, i, :, 1]
-        block = Trajectory(times=batch.times, states=blocks[:, i], m=first.m)
+            return batch.states[:, i, :, 0], batch.states[:, i, :, 1]
+        block = Trajectory(times=batch.times, states=batch.states[:, i], m=p.m)
         return block.norm_sq_series(), pairwise_gap_series(block)
 
-    return [_check_series(q, batch.times, *series(i), ens, epsilon, p_star, d,
+    return [_check_series(P_i, batch.times, *series(i), ens, epsilon, p_star, d,
                           record.violations(batch.times, i) if record else {})
-            for i, q in enumerate(swept)]
+            for i, P_i in enumerate(P)]
 
 
 def _hebbian_record(p: HebbianParams, d: cst._Derivation, shape: tuple):
-    """The record hook of a Hebbian run of (..., dim) ``shape``, which checks the weights itself.
+    """The record hook of a Hebbian lockstep run of (len(P), count, dim) ``shape``,
+    which checks the weights itself.
 
     The hook returns ||g||^2 and the pairwise gap of every member, with the
-    bits of ``norm_sq_series`` and ``pairwise_gap_series``, in a (..., 2)
-    buffer of its own that the record copies. It checks each weight against
-    the ultimate bound w0^2 + margin, elementwise as w^2 - limit > 0. The
-    stepper hands it the Fortran-ordered logical view of its node-major
-    block, so the transpose gives the weights as node-major (m*m, count[,
-    len(P)]) rows: they are squared there against the limit tiled to those
+    bits of ``norm_sq_series`` and ``pairwise_gap_series``, in a (len(P),
+    count, 2) buffer of its own that the record copies. It checks each weight
+    against the ultimate bound w0^2 + margin, elementwise as w^2 - limit > 0.
+    The stepper hands it the Fortran-ordered logical view of its node-major
+    block, so the transpose gives the weights as node-major (m*m, count,
+    len(P)) rows: they are squared there against the limit tiled to those
     rows, which is the same for every P block (only P differs). Its scratch
     is allocated once. ``record.violations(times, block)`` lists what it
     found in one P block.
@@ -288,9 +279,8 @@ def _hebbian_record(p: HebbianParams, d: cst._Derivation, shape: tuple):
     m, lead = p.m, shape[:-1]
     bound = (p.w0**2 + d.weight_margin).ravel()       # row-major, as the state
     excess = np.empty((m * m,) + lead[::-1])          # the shape of the weight rows
-    limit = np.broadcast_to((bound + _tolerance(bound)).reshape((-1,) + (1,) * len(lead)),
-                            excess.shape).copy()
-    found = []          # (record, (k, member[, block]), w^2) of each record with a violation
+    limit = np.broadcast_to((bound + _tolerance(bound))[:, None, None], excess.shape).copy()
+    found = []          # (record, (k, member, block), w^2) of each record with a violation
     records = 0
     sq, hi, lo = np.empty(lead + (m + 1,)), np.empty(lead), np.empty(lead)
     series = np.empty((2,) + lead)        # ||g||^2 and the gap, each reduced into a contiguous row
@@ -325,8 +315,8 @@ def _hebbian_record(p: HebbianParams, d: cst._Derivation, shape: tuple):
     def violations(times: np.ndarray, block: int) -> dict:
         """{member: its weight violations in P block ``block``, ordered by (t, wi, wj)}."""
         out: dict = {}
-        for i, (k, member, *blocks), w_sq in found:
-            mine = blocks[0] == block if blocks else slice(None)
+        for i, (k, member, blocks), w_sq in found:
+            mine = blocks == block
             for j, kj, wj in zip(member[mine], k[mine], w_sq[mine]):
                 out.setdefault(int(j), []).append(EnvelopeViolation(
                     int(j), float(times[i]), float(wj), float(bound[kj]), "weight"))
@@ -341,25 +331,25 @@ def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: fl
     """The checks of verify_guarantees on the full recorded ensemble ``batch`` of p, derived as ``d``.
 
     A Hebbian ``batch``'s weights go through the record hook one record at a
-    time, as verify feeds them. verify does not reach this; the tests use it
-    as the full-record reference.
+    time, as verify feeds them, each as the block of a column of one P.
+    verify does not reach this; the tests use it as the full-record reference.
     """
     weights = {}
     if isinstance(p, HebbianParams):
-        record = _hebbian_record(p, d, batch.states.shape[1:])
+        record = _hebbian_record(p, d, (1,) + batch.states.shape[1:])
         for y in batch.states:
-            record(y)
+            record(y[None])
         weights = record.violations(batch.times, 0)
-    return _check_series(p, batch.times, batch.norm_sq_series(), pairwise_gap_series(batch),
+    return _check_series(p.P, batch.times, batch.norm_sq_series(), pairwise_gap_series(batch),
                          ens, epsilon, p_star, d, weights)
 
 
-def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.ndarray,
+def _check_series(P: float, times: np.ndarray, norm_sq: np.ndarray, gaps: np.ndarray,
                   ens: EnsembleSpec, epsilon: float, p_star: float, d: cst._Derivation,
                   weight_bad: dict) -> SyncReport:
-    """The checks of verify_guarantees on an ensemble's (n, count) series of
-    ||g||^2 and pairwise gap at ``times``, with the Hebbian weight violations
-    already found record by record, as {member: its violations}.
+    """The checks of verify_guarantees at coupling P on an ensemble's (n, count)
+    series of ||g||^2 and pairwise gap at ``times``, with the Hebbian weight
+    violations already found record by record, as {member: its violations}.
 
     The members are checked a chunk at a time, of about SERIES_CHUNK_BYTES
     per series, so the check's temporaries stay near a few chunks whatever
@@ -367,8 +357,8 @@ def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.nd
     report does not depend on the chunking.
     """
     dc = d.dc
-    rate_theory = d.rate(p.P)
-    residual = d.residual(p.P)
+    rate_theory = d.rate(P)
+    residual = d.residual(P)
     rows = np.arange(len(times))[:, None]
     tail = times >= (1.0 - ens.tail_fraction) * times[-1]
 
@@ -422,7 +412,7 @@ def _check_series(p: Params, times: np.ndarray, norm_sq: np.ndarray, gaps: np.nd
     deg = float(np.max(tail_max))
     fitted_rate = float(np.median(fitted)) if fitted else None
     verdict = "pass" if (deg < epsilon and not violations) else "fail"
-    return SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=p.P, p_star=p_star,
+    return SyncReport(deg_estimate=deg, epsilon=epsilon, p_used=P, p_star=p_star,
                       entry_times=entry_times, violations=violations,
                       fitted_rate=fitted_rate, rate_theory=rate_theory, verdict=verdict)
 
@@ -441,31 +431,33 @@ def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
                    p_values: Sequence[float], epsilon: float) -> list:
     """verify_guarantees per coupling value with a shared seed, rows ordered by P.
 
-    Every coupling value is validated before anything is integrated. A
-    fixed-step sweep integrates all of them in one lockstep run (see
-    ``_verify_runs``). If that run blows up, and for the adaptive method,
-    whose step sizes depend on the whole batch, each value runs on its own and
-    one that blows up gets an "error" row.
+    Every coupling value is validated, as one lockstep column, before
+    anything is integrated. A fixed-step sweep integrates all of them in one
+    lockstep run (see ``_verify_runs``). If that run blows up, and for the
+    adaptive method, whose step sizes depend on the whole batch, each value
+    runs on its own, as a column of one P, and one that blows up gets an
+    "error" row.
     """
     if len(p_values) == 0:
         raise ParameterError("p_values", "sweep requires at least one coupling value")
-    swept = [dataclasses.replace(p, P=float(P)) for P in sorted(p_values)]
-    for q in swept:
-        q.validate()
-    d = cst._derive(swept[0])
+    swept = _p_column(p, p_values)
+    swept.validate()
+    d = cst._derive(swept)
     p_star = d.p_star(epsilon)
-    if cfg.method == "rk4-fixed" and len(swept) > 1:
+    P = swept.P.ravel().tolist()
+    if cfg.method == "rk4-fixed" and len(P) > 1:
         try:
             return [_sweep_row(rep) for rep in _verify_runs(swept, cfg, ens, epsilon, p_star, d)]
         except BlowUpError:
             pass
     rows = []
-    for q in swept:
+    for P_i in P:
         try:
-            rows.append(_sweep_row(_verify_runs([q], cfg, ens, epsilon, p_star, d)[0]))
+            rows.append(_sweep_row(_verify_runs(_p_column(p, [P_i]), cfg, ens, epsilon,
+                                                p_star, d)[0]))
         except BlowUpError:
-            rows.append(SweepRow(P=q.P, deg_estimate=None, p_star=p_star,
-                                 rate_theory=d.rate(q.P), rate_fitted=None, verdict="error"))
+            rows.append(SweepRow(P=P_i, deg_estimate=None, p_star=p_star,
+                                 rate_theory=d.rate(P_i), rate_fitted=None, verdict="error"))
     return rows
 
 

@@ -34,8 +34,10 @@ EXIT_USAGE = 64
 EXIT_OSERR = 71
 EXIT_CANTCREAT = 73
 
-_COUPLING_ALIASES = {"weak": "weak-sigmoidal", "weak-sigmoidal": "weak-sigmoidal",
-                     "linear": "linear"}
+# the values of "coupling" that each model takes, its default first, and the kind each names
+_COUPLINGS = {"mhnn": {"weak": "weak-sigmoidal", "weak-sigmoidal": "weak-sigmoidal",
+                       "linear": "linear"},
+              "hebbian": {"linear": "linear"}}
 
 
 @dataclass
@@ -74,6 +76,12 @@ def _activation(spec, path: str) -> ActivationSpec:
 
 def _build_params(cfg: dict, model: str):
     m = _required(cfg, "m")
+    if model not in _COUPLINGS:
+        raise ParameterError("model", f"expected 'mhnn' or 'hebbian', got {model!r}")
+    couplings = _COUPLINGS[model]
+    coupling = cfg.get("coupling", next(iter(couplings)))
+    if not isinstance(coupling, str) or coupling not in couplings:
+        raise ParameterError("coupling", f"expected one of {tuple(couplings)}, got {coupling!r}")
     acts = cfg.get("activations")
     if acts is None:
         activations = ()
@@ -85,21 +93,14 @@ def _build_params(cfg: dict, model: str):
         m=m, a=_required(cfg, "a"), b=_required(cfg, "b"),
         eta=_required(cfg, "eta"), J=_required(cfg, "J"), gamma=_required(cfg, "gamma"),
         P=as_real(cfg.get("P", 0.0), "P"), r=cfg.get("r", 1.0), V=cfg.get("V", 0.0),
-        activations=activations,
+        activations=activations, coupling_kind=couplings[coupling],
     )
     if model == "mhnn":
-        coupling = cfg.get("coupling", "weak")
-        if not isinstance(coupling, str) or coupling not in _COUPLING_ALIASES:
-            raise ParameterError("coupling", f"expected 'weak' or 'linear', got {coupling!r}")
         if isinstance(cfg.get("k"), (list, dict)):
             raise ParameterError("k", "mhnn model takes a scalar memristive strength")
-        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"),
-                          coupling_kind=_COUPLING_ALIASES[coupling], **common)
-    if model == "hebbian":
-        return HebbianParams(k=_required(cfg, "k"), c=_required(cfg, "c"),
-                             lam=_required(cfg, "lambda"),
-                             w0=cfg.get("w0", 1.0), **common)
-    raise ParameterError("model", f"expected 'mhnn' or 'hebbian', got {model!r}")
+        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"), **common)
+    return HebbianParams(k=_required(cfg, "k"), c=_required(cfg, "c"),
+                         lam=_required(cfg, "lambda"), w0=cfg.get("w0", 1.0), **common)
 
 
 def load_config(path: str, *, model_override: Optional[str] = None,
@@ -110,7 +111,7 @@ def load_config(path: str, *, model_override: Optional[str] = None,
 
     A missing, mistyped or out-of-range field raises ParameterError with its
     path. ``p_values`` are the coupling strengths of a sweep. Where the
-    config omits dt or t_end, each swept parameter set is validated, and
+    config omits dt or t_end, they are validated as one lockstep column, and
     then the default dt is sized at the largest and the default t_end at the
     smallest, so that every swept run is resolved and long enough.
     """
@@ -144,17 +145,16 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     # sigmoid term overflows.
     if defaults or params.coupling_kind == "weak-sigmoidal":
         d = cst._derive(params)
-    # the parameter sets that the defaults are sized at, ordered by P
-    sized = [params]
+    # the defaults are sized at the swept P column: dt at its largest, t_end at its smallest
+    sized = params
     if defaults and p_values:
-        sized = [dataclasses.replace(params, P=float(P)) for P in sorted(p_values)]
-        for q in sized:
-            q.validate()
+        sized = analysis._p_column(params, p_values)
+        sized.validate()
     integrator = IntegratorConfig(
         method=int_cfg.get("method", "rk4-fixed"),
-        dt=int_cfg["dt"] if "dt" in int_cfg else default_dt(sized[-1], d.dc),
+        dt=int_cfg["dt"] if "dt" in int_cfg else default_dt(sized, d.dc),
         t_end=(int_cfg["t_end"] if "t_end" in int_cfg
-               else analysis._horizon(d, sized[0].P, ensemble)),
+               else analysis._horizon(d, sized.P, ensemble)),
         record_stride=int_cfg.get("record_stride", 1),
         abs_tol=int_cfg.get("abs_tol", 1e-9),
         rel_tol=int_cfg.get("rel_tol", 1e-9),
@@ -220,11 +220,10 @@ def _cmd_threshold(run: RunConfig, args) -> int:
 def _cmd_simulate(run: RunConfig, args) -> int:
     p = run.parameters
     y0 = analysis._initial_states(p, run.ensemble)[0]
-    hebbian = run.model == "hebbian"
     traj = integrate(analysis._make_rhs(p), y0, run.integrator,
-                     params_digest=p.digest(), m=p.m, has_weights=hebbian)
+                     params_digest=p.digest(), m=p.m)
     header = ["t"] + [f"u{i + 1}" for i in range(p.m)] + ["rho"]
-    if hebbian:
+    if run.model == "hebbian":
         header += [f"w{i + 1}{j + 1}" for i in range(p.m) for j in range(p.m)]
     lines = [",".join(header)]
     for t, row in zip(traj.times, traj.states):

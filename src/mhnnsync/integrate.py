@@ -164,7 +164,6 @@ class Trajectory:
     states: np.ndarray
     params_digest: str = ""
     m: int = 0
-    has_weights: bool = False
 
     def __len__(self) -> int:
         return len(self.times)
@@ -178,7 +177,7 @@ class Trajectory:
         """Single-trajectory view of member j of a batched run, its batch axes flattened."""
         states = self.states.reshape((len(self.times), self.batch_size, -1))[:, j]
         return Trajectory(times=self.times, states=states, params_digest=self.params_digest,
-                          m=self.m, has_weights=self.has_weights)
+                          m=self.m)
 
     def norm_sq_series(self) -> np.ndarray:
         """||g(t)||^2 over the recorded samples (weights excluded).
@@ -409,7 +408,7 @@ def _block_field(rhs, shape: tuple):
 
 
 def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
-              m: int = 0, has_weights: bool = False, record=None) -> Trajectory:
+              m: int = 0, record=None) -> Trajectory:
     """Integrate y' = rhs(y) from the flat or batched state array s0 up to cfg.t_end.
 
     Records the initial state, every record_stride-th accepted step, and the
@@ -428,8 +427,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
         times, states = stepper(_block_field(rhs, y0.shape), node_major(y0), y0.shape, cfg,
                                 record)
-    return Trajectory(times=times, states=states, params_digest=params_digest,
-                      m=m, has_weights=has_weights)
+    return Trajectory(times=times, states=states, params_digest=params_digest, m=m)
 
 
 def default_dt(p, dc) -> float:
@@ -438,8 +436,8 @@ def default_dt(p, dc) -> float:
     The base rates (decay, memristive term at the dissipative bound) are
     resolved at 1e-3/rate; the coupling rate m*P only needs accuracy-level
     resolution since it is strongly contracting, so it is resolved at
-    5e-2/rate.
+    5e-2/rate, at the largest P of a lockstep column.
     """
     eta_max = float(np.max(p.eta))
     base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * dc.bound)
-    return min(1e-3 / base, 5e-2 / (base + p.m * p.P))
+    return min(1e-3 / base, 5e-2 / (base + p.m * float(np.max(p.P))))

@@ -34,7 +34,8 @@ is called without numpy's Python wrapper and copyto without its
 once, coefficients are tiled to rows once per batch shape, and no ufunc
 takes a row broadcast down a block, which costs about twice a same-shape
 call and allocates an iterator buffer: rho and weak coupling's node sum are
-copied down first.
+copied down first. P is one rule for one value and a lockstep column alike:
+each member's P copied down an (m, members) block.
 """
 
 from __future__ import annotations
@@ -542,9 +543,10 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
     y's shape: a view in y's layout for Fortran-ordered y, a C-ordered copy
     otherwise. It binds each call's block with ``rhs.block(lead)``, the
     binder on the C-contiguous blocks of a lead + (dim,) batch, made once per
-    batch shape. The binder tiles the model's ``columns``, P (a row in member
-    order for a lockstep column, an (m, members) block under linear coupling;
-    a scalar P is 0-d) and the activation to rows of one entry per member.
+    batch shape. The binder tiles the model's ``columns`` and the activation
+    to rows of one entry per member, and P, a float or a (len(P), 1, 1)
+    lockstep column alike, to an (m, members) block, each member's P in
+    member order copied down its column.
     ``rhs.block(lead)(Y, dY)`` makes the views and scratch rows once and
     returns an evaluator that writes f(Y) into dY and returns dY: numpy calls
     with ``out`` alone, each operand the shape of its output or 0-d, so rho
@@ -559,14 +561,15 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
     | diag(u_coef) | (0; -b) | (J; 0)], gamma below diag(u_coef), give du =
     P*L u + W g + c*rho^2*u - P*S*u + u_coef*u + J and drho = gamma.u -
     b*rho. L = 11^T - m*I, the all-to-all Laplacian, is there under linear
-    coupling only, -I against P*S*u, S = sum_j sigma(u_j) copied down rows
-    of Z, under weak coupling only, and W and c only for ``static`` = (W, c):
-    the mHNN's static weights with column j scaled by beta_j, against the
-    activation g(u) without beta, and its window's -k*eta against rho^2*u,
-    taken as (rho*u)*rho. L comes first, so on a synchronized state its
-    partial sum is exactly zero for m <= 3 and the coupled field is the
-    uncoupled one bitwise. An inf component meets M's zeros and gives NaN,
-    which still ends a run in BlowUpError. Without ``static``,
+    coupling only, -I against P*S*u under weak coupling only, and W and c
+    only for ``static`` = (W, c): the mHNN's static weights with column j
+    scaled by beta_j, against the activation g(u) without beta, and its
+    window's -k*eta against rho^2*u, taken as (rho*u)*rho. L comes first, so
+    on a synchronized state its partial sum is exactly zero for m <= 3 and
+    the coupled field is the uncoupled one bitwise. Weak coupling copies S =
+    sum_j sigma(u_j) down its rows of Z, multiplies them by the P block and
+    then by u: S*P equals P*S exactly. An inf component meets M's zeros and
+    gives NaN, which still ends a run in BlowUpError. Without ``static``,
     ``terms(dY, Y, R, *rows)`` returns the block g for the activation and
     the model's evaluator, which runs after the einsum, adds its own terms
     to du and writes any weight derivatives into dY[m+1:]. Both couplings
@@ -585,13 +588,8 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
 
     def members(lead: tuple):
         n = math.prod(lead)
-        if np.ndim(P):
-            # a row to scale weak coupling's node sum, a block to multiply u
-            P_n = np.broadcast_to(P, lead + (1,)).reshape(n, order="F")
-            if linear:
-                P_n = np.repeat(P_n[None], m, axis=0)
-        else:
-            P_n = np.array(P, dtype=float)
+        # each member's P, in member order, copied down an (m, members) block
+        P_n = np.repeat(np.broadcast_to(P, lead + (1,)).reshape((1, n), order="F"), m, axis=0)
         bind_activation = _activation_kernel(p.activations, n)
         rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in columns]
 
@@ -622,8 +620,8 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
                     multiply(q, R, q)
                 if weak:
                     add_reduce(sigmoid(), 0, None, total)
-                    multiply(P_n, total, total)
                     copyto(PSu, total)
+                    multiply(PSu, P_n, PSu)
                     multiply(PSu, u, PSu)
                 einsum("ij,jn->in", M, Z, out=du_rho)
                 if term is not None:

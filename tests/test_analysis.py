@@ -178,6 +178,17 @@ class TestEnsembleRealFields:
         assert np.array_equal(sample_initial_states(ens, 3), want)
 
 
+class TestEnsembleOutOfRange:
+    @pytest.mark.parametrize("fields, field", [
+        ({"count": 0}, "ensemble.count"),
+        ({"tail_fraction": 1.0}, "ensemble.tail_fraction"),
+    ])
+    def test_named_in_the_error(self, fields, field):
+        with pytest.raises(ParameterError) as err:
+            EnsembleSpec(**fields).validate()
+        assert err.value.field == field
+
+
 class TestVerify:
     def test_homogeneous_passes(self):
         rng = np.random.default_rng(2)
@@ -372,7 +383,7 @@ class TestVectorizedChecks:
             members.append(sorted(got))
             assert [v for j in sorted(got) for v in got[j]] == [
                 v for v in want.violations if v.check == "weight"]
-            rep = analysis._check_series(p, batch.times, kept[:, b, :, 0], kept[:, b, :, 1],
+            rep = analysis._check_series(p.P, batch.times, kept[:, b, :, 0], kept[:, b, :, 1],
                                          ens, 0.2, p_star, d, got)
             assert rep.violations == want.violations
             assert rep.to_dict() == want.to_dict()
@@ -428,7 +439,7 @@ class TestCompactRecord:
         runs = TestSweep.record_integrations(monkeypatch)
         rep = verify_guarantees(p, cfg, ens, 0.3)
         assert len(runs) == 1
-        self.assert_series_kept(runs[0].states, full)
+        self.assert_series_kept(runs[0].states[:, 0], full)
         assert np.array_equal(runs[0].times, full.times)
         d = analysis.cst._derive(p)
         want = analysis._check_ensemble(p, full, ens, 0.3, d.p_star(0.3), d)
@@ -440,7 +451,7 @@ class TestCompactRecord:
         p = dataclasses.replace(draw_mhnn(rng, 3), P=1.0)
         runs = TestSweep.record_integrations(monkeypatch)
         verify_guarantees(p, IntegratorConfig(dt=5e-3, t_end=1.0), EnsembleSpec(count=2), 0.3)
-        assert runs[0].states.shape[1:] == (2, p.dim)
+        assert runs[0].states.shape[1:] == (1, 2, p.dim)
 
 
 class TestNodeMajorEnsemble:
@@ -459,7 +470,7 @@ class TestNodeMajorEnsemble:
     def member_major(p, ens, cfg):
         """The same ensemble integrated from the C-ordered initial block."""
         return analysis.integrate(analysis.make_hebbian_rhs(p), analysis._initial_states(p, ens),
-                                  cfg, m=p.m, has_weights=True)
+                                  cfg, m=p.m)
 
     def test_rk4_bitwise_the_member_major_run(self, monkeypatch):
         p, ens = self.case()
@@ -620,14 +631,16 @@ class TestLockstepLayout:
     def test_a_P_array_is_for_the_sweep_only(self, model):
         # the single-run entry points do not stack the ensemble on a P axis;
         # they failed inside the field with numpy's "more dimensions than
-        # allowed by the axis remapping" before
+        # allowed by the axis remapping" before, and default_horizon with
+        # numpy's "truth value of an array ... is ambiguous"
         rng = np.random.default_rng(52)
         p = draw_hebbian(rng, 2) if model == "hebbian" else draw_mhnn(rng, 2, coupling=model)
         p = dataclasses.replace(p, P=np.array([0.5, 2.0])[:, None, None])
         cfg = IntegratorConfig(method="rk4-fixed", dt=1e-2, t_end=0.1)
         ens = EnsembleSpec(count=3, radius=1.0, seed=0)
         for run in (lambda: analysis.integrate_ensemble(p, cfg, ens),
-                    lambda: verify_guarantees(p, cfg, ens, 0.3)):
+                    lambda: verify_guarantees(p, cfg, ens, 0.3),
+                    lambda: analysis.default_horizon(p, ens)):
             with pytest.raises(ParameterError, match="sweep_coupling only") as exc:
                 run()
             assert exc.value.field == "P"
@@ -747,7 +760,7 @@ class TestSweep:
         ens = EnsembleSpec(count=3, radius=2.0, seed=6)
         runs = self.record_integrations(monkeypatch)
         rows = sweep_coupling(p, cfg, ens, p_values, eps)
-        assert [run.states.shape[1:] for run in runs] == [(ens.count, p.dim)] * len(p_values)
+        assert [run.states.shape[1:] for run in runs] == [(1, ens.count, p.dim)] * len(p_values)
         self.assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps)
 
 
@@ -772,10 +785,9 @@ class TestVerifyRuns:
             kept = [runs[0].states[:, i] for i in range(len(p_values))]
         else:
             assert len(runs) == len(p_values)
-            kept = [run.states for run in runs]
+            kept = [run.states[:, 0] for run in runs]
         for series, run in zip(kept, full):
             TestCompactRecord.assert_series_kept(series, run)
-        assert not any(run.has_weights for run in runs)
 
     def test_lockstep_blocks_equal_verifies_with_weight_violations(self, monkeypatch):
         rng = np.random.default_rng(53)
@@ -788,7 +800,8 @@ class TestVerifyRuns:
             monkeypatch, p, np.stack([run.states[..., p.m + 1:] for run in full]))
         d = analysis.cst._derive(p)
         p_star = d.p_star(0.3)
-        reps = analysis._verify_runs(swept, cfg, ens, 0.3, p_star, d)
+        reps = analysis._verify_runs(analysis._p_column(p, [q.P for q in swept]), cfg, ens,
+                                     0.3, p_star, d)
         assert len(reps) == len(swept)
         with_weights = 0
         for q, run, rep in zip(swept, full, reps):
@@ -824,7 +837,8 @@ class TestWideHebbianRecord:
         full = {(cfg.method, q.P): integrate_ensemble(q, cfg, ens)
                 for cfg in (rk4, rk45) for q in swept}
         runs = TestSweep.record_integrations(monkeypatch)
-        lockstep = analysis._verify_runs(swept, rk4, ens, self.EPS, p_star, d)
+        lockstep = analysis._verify_runs(analysis._p_column(p, [q.P for q in swept]), rk4, ens,
+                                         self.EPS, p_star, d)
         TestCompactRecord.assert_series_kept(runs[0].states[:, 1], full["rk4-fixed", 2 * p_star])
         for i, q in enumerate(swept):
             want = analysis._check_ensemble(q, full["rk4-fixed", q.P], ens, self.EPS,
@@ -835,7 +849,7 @@ class TestWideHebbianRecord:
             for q in swept:
                 runs.clear()
                 rep = verify_guarantees(q, cfg, ens, self.EPS)
-                TestCompactRecord.assert_series_kept(runs[0].states, full[cfg.method, q.P])
+                TestCompactRecord.assert_series_kept(runs[0].states[:, 0], full[cfg.method, q.P])
                 want = analysis._check_ensemble(q, full[cfg.method, q.P], ens, self.EPS,
                                                 p_star, d)
                 assert rep.to_dict() == want.to_dict()
@@ -929,7 +943,7 @@ class TestCheckSeriesChunks:
         decay = np.exp(-d.dc.diss_rate * times[:, None])
         norm_sq = rng.uniform(0.5, 2.0, count) * d.dc.bound * decay
         gaps = rng.uniform(0.5, 2.0, count) * np.exp(-0.6 * d.rate(p.P) * times[:, None])
-        check = lambda: analysis._check_series(p, times, norm_sq, gaps, ens, 0.3, 1.0, d, {})
+        check = lambda: analysis._check_series(p.P, times, norm_sq, gaps, ens, 0.3, 1.0, d, {})
         check()                               # warm-up: first calls allocate caches
         tracemalloc.start()
         try:

@@ -153,6 +153,11 @@ class TestValidationExits:
         ({"m": "2"}, "m"),
         ({"ensemble": {"count": "3"}}, "ensemble.count"),
         ({"a": ["2.0", "2.0"]}, "a"),
+        ({"integrator": []}, "integrator"),
+        ({"activations": {}}, "activations"),
+        ({"coupling": "diffusive"}, "coupling"),
+        ({"k": [1.0, 1.0]}, "k"),
+        ({"model": "hopfield"}, "model"),
     ])
     def test_malformed_field_exit_3(self, tmp_path, capsys, overrides, field):
         cfg_path = write(tmp_path, mhnn_config(**overrides))
@@ -373,6 +378,41 @@ class TestValidationExits:
 
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run(["frobnicate", "--config", "x.json"]) == 64
+
+    def test_no_subcommand_exit_64(self, capsys):
+        assert run([]) == 64
+        assert "usage: mhnnsync" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, extra, field", [
+        ({key: value for key, value in mhnn_config().items() if key != "b"}, [], "b"),
+        ([mhnn_config()], [], "<root>"),
+        (mhnn_config(), ["--p-values", "1,x"], "p_values"),
+        (mhnn_config(), ["--p-values", ""], "p_values"),
+    ], ids=["missing-b", "root-list", "p-values-text", "p-values-empty"])
+    def test_documented_error_exit_3(self, tmp_path, capsys, config, extra, field):
+        command = "sweep" if extra else "verify"
+        assert run([command, "--config", write(tmp_path, config)] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"validation error: {field}: " in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("coupling", ["weak", "weak-sigmoidal", "bogus", ["linear"]],
+                             ids=["weak", "weak-sigmoidal", "bogus", "list"])
+    def test_hebbian_coupling_other_than_linear_exit_3(self, tmp_path, capsys, coupling):
+        # read for the mHNN only before: a Hebbian config ran linear coupling and exited 0
+        cfg_path = write(tmp_path, hebbian_config(coupling=coupling))
+        assert run(["threshold", "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config validation error: coupling: " in captured.err
+
+    def test_hebbian_linear_coupling_as_without_coupling(self, tmp_path, capsys):
+        outputs = []
+        for cfg in (hebbian_config(), hebbian_config(coupling="linear")):
+            assert run(["threshold", "--config", write(tmp_path, cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
 
 
 class TestBlowUpExit:

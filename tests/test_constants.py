@@ -191,6 +191,12 @@ class TestAbsorbTime:
         assert absorb_time(dc, 1.0) == 0.0
 
 
+    def test_nonpositive_bound_rejected(self):
+        with pytest.raises(ParameterError) as err:
+            absorb_time(derive_constants(mk_mhnn()), 0.0)
+        assert err.value.field == "L"
+
+
 class TestThreshold:
     def test_homogeneous_network_needs_no_coupling(self):
         for eps in (1.0, 0.01):

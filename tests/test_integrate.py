@@ -631,6 +631,16 @@ class TestConfigValidation:
         IntegratorConfig(method="rk45-adaptive", dt=1e-9, t_end=1.0).validate()
 
 
+    @pytest.mark.parametrize("fields, field", [
+        ({"dt": 0.0}, "integrator.dt"),
+        ({"record_stride": 0}, "integrator.record_stride"),
+    ])
+    def test_out_of_range_field_named(self, fields, field):
+        with pytest.raises(ParameterError) as err:
+            IntegratorConfig(**fields).validate()
+        assert err.value.field == field
+
+
 class TestDissipativeEnvelopeHolds:
     def test_trajectory_below_envelope(self):
         # operationalizes the solution bound: recorded norm never exceeds the

@@ -551,6 +551,27 @@ class TestMhnnFieldProperty:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("call, field", [
+        (lambda: mk_mhnn(b=0.0).validate(), "b"),
+        (lambda: mk_mhnn(eta=[1.0, 0.0]).validate(), "eta"),
+        (lambda: mk_mhnn(r=0.0).validate(), "r"),
+        (lambda: mk_mhnn(k=0.0).validate(), "k"),
+        (lambda: mk_mhnn(coupling_kind="diffusive").validate(), "coupling_kind"),
+        (lambda: mk_hebbian(k=[1.0, 0.0]).validate(), "k"),
+        (lambda: mk_hebbian(c=[[1.0, 0.0], [1.0, 1.0]]).validate(), "c"),
+        (lambda: mk_hebbian(coupling_kind="weak-sigmoidal").validate(), "coupling_kind"),
+        (lambda: mk_mhnn(activations=(ActivationSpec("tanh-scaled"),)).validate(),
+         "activations"),
+        (lambda: window_eval("quadratic", 0.5, 0.0), "eta"),
+        (lambda: hebbian_rhs(mk_hebbian(), NetworkState(u=np.zeros(3), rho=0.0,
+                                                        weights=np.zeros((2, 2)))), "state"),
+    ], ids=["b", "eta", "r", "mhnn-k", "mhnn-coupling", "hebbian-k", "hebbian-c",
+            "hebbian-coupling", "activation-count", "window-eta", "hebbian-state"])
+    def test_documented_error_names_its_field(self, call, field):
+        with pytest.raises(ParameterError) as err:
+            call()
+        assert err.value.field == field
+
     def test_assumption_boundary(self):
         with pytest.raises(ParameterError, match="a_i > k"):
             mk_mhnn(k=2.0).validate()
