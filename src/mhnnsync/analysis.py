@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import constants as cst
 from .integrate import (SERIES_CHUNK_BYTES, BlowUpError, IntegratorConfig, Trajectory,
                         integrate)
-from .model import (HebbianParams, MhnnParams, ParameterError, as_integer, as_real,
+from .model import (HebbianParams, MhnnParams, ParameterError, as_integer, as_real, in_range,
                     make_hebbian_rhs, make_mhnn_rhs)
 
 Params = Union[MhnnParams, HebbianParams]
@@ -189,20 +189,33 @@ def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
     """
     _validate_one(p)
     ens.validate()
-    return integrate(_make_rhs(p), _initial_states(p, ens), cfg,
-                     params_digest=p.digest(), m=p.m, record=record)
+    return integrate(_make_rhs(p), _initial_states(p, ens), cfg, m=p.m, record=record)
 
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
     """max(5*T_B(radius^2), 20/rate(P)): transient decayed by at least e^-20."""
     _validate_one(p)
+    ens.validate()
     return _horizon(cst._derive(p), p.P, ens)
 
 
 def _horizon(d: cst._Derivation, P, ens: EnsembleSpec) -> float:
     """default_horizon of the parameter set derived as ``d``, at the smallest entry of P."""
-    t_absorb = cst.absorb_time(d.dc, ens.radius**2) if ens.radius > 0 else 0.0
-    return max(5.0 * t_absorb, 20.0 / d.rate(float(np.min(P))), 1.0)
+    L = in_range("ensemble.radius", lambda: ens.radius**2, "radius^2")
+    return max(5.0 * cst.absorb_time(d.dc, L), 20.0 / d.rate(float(np.min(P))), 1.0)
+
+
+def default_dt(p: Params, dc: cst.DerivedConstants) -> float:
+    """Step size scaled to the stiffest linear rate of p, whose constants are ``dc``.
+
+    The base rates (decay, memristive term at the dissipative bound) are
+    resolved at 1e-3/rate; the coupling rate m*P only needs accuracy-level
+    resolution since it is strongly contracting, so it is resolved at
+    5e-2/rate, at the largest P of a lockstep column.
+    """
+    eta_max = float(np.max(p.eta))
+    base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * dc.bound)
+    return min(1e-3 / base, 5e-2 / (base + p.m * float(np.max(p.P))))
 
 
 def _tolerance(bound) -> np.ndarray:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import analysis, constants as cst
-from .integrate import BlowUpError, IntegratorConfig, default_dt, integrate
+from .analysis import default_dt
+from .integrate import BlowUpError, IntegratorConfig, integrate
 from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError, as_real
 
 COMMANDS = ("constants", "threshold", "simulate", "verify", "sweep")
@@ -92,13 +93,13 @@ def _build_params(cfg: dict, model: str):
     common = dict(
         m=m, a=_required(cfg, "a"), b=_required(cfg, "b"),
         eta=_required(cfg, "eta"), J=_required(cfg, "J"), gamma=_required(cfg, "gamma"),
-        P=as_real(cfg.get("P", 0.0), "P"), r=cfg.get("r", 1.0), V=cfg.get("V", 0.0),
-        activations=activations, coupling_kind=couplings[coupling],
+        P=as_real(cfg.get("P", 0.0), "P"), activations=activations, coupling_kind=couplings[coupling],
     )
     if model == "mhnn":
         if isinstance(cfg.get("k"), (list, dict)):
             raise ParameterError("k", "mhnn model takes a scalar memristive strength")
-        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"), **common)
+        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"), r=cfg.get("r", 1.0),
+                          V=cfg.get("V", 0.0), **common)
     return HebbianParams(k=_required(cfg, "k"), c=_required(cfg, "c"),
                          lam=_required(cfg, "lambda"), w0=cfg.get("w0", 1.0), **common)
 
@@ -220,8 +221,7 @@ def _cmd_threshold(run: RunConfig, args) -> int:
 def _cmd_simulate(run: RunConfig, args) -> int:
     p = run.parameters
     y0 = analysis._initial_states(p, run.ensemble)[0]
-    traj = integrate(analysis._make_rhs(p), y0, run.integrator,
-                     params_digest=p.digest(), m=p.m)
+    traj = integrate(analysis._make_rhs(p), y0, run.integrator, m=p.m)
     header = ["t"] + [f"u{i + 1}" for i in range(p.m)] + ["rho"]
     if run.model == "hebbian":
         header += [f"w{i + 1}{j + 1}" for i in range(p.m) for j in range(p.m)]

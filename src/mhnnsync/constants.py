@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .model import HebbianParams, MhnnParams, ParameterError
+from .model import HebbianParams, MhnnParams, ParameterError, in_range
 
 Params = Union[MhnnParams, HebbianParams]
 
@@ -57,12 +57,11 @@ class DerivedConstants:
     forcing: float        # C2 or C4
     diss_rate: float      # mu or sigma
     bound: float          # Q or G
-    b: float              # memristor decay, kept for envelope/absorb-time evaluation
+
+    _NAMES = {"mhnn": ("C1", "C2", "mu", "Q"), "hebbian": ("C3", "C4", "sigma", "G")}
 
     def names(self) -> tuple[str, str, str, str]:
-        if self.model == "mhnn":
-            return ("C1", "C2", "mu", "Q")
-        return ("C3", "C4", "sigma", "G")
+        return self._NAMES[self.model]
 
 
 def derive_extremes(p: Params) -> Extremes:
@@ -90,10 +89,8 @@ def derive_extremes(p: Params) -> Extremes:
 
 def _hebbian_weight_margin(p: HebbianParams) -> float:
     """lambda_max^2 beta^4 / c_min^2 — additive part of the weight ultimate bound."""
-    lam_max = float(np.max(np.abs(p.lam)))
-    c_min = float(p.c.min())
-    beta = p.beta_max
-    return lam_max**2 * beta**4 / c_min**2
+    lam_max, c_min, beta = float(np.max(np.abs(p.lam))), float(p.c.min()), p.beta_max
+    return in_range("weight_margin", lambda: lam_max**2 * beta**4 / c_min**2)
 
 
 def derive_constants(p: Params) -> DerivedConstants:
@@ -102,25 +99,26 @@ def derive_constants(p: Params) -> DerivedConstants:
 
 
 def _dissipation(p: Params, ex: Extremes) -> DerivedConstants:
+    """The constants of p; ParameterError naming one that leaves the double range."""
     m, b, beta = p.m, p.b, p.beta_max
     gap, _ = p.assumption_margins()
-    if isinstance(p, MhnnParams):
-        weight = m * ex.gamma_max**2 / b + b
-        forcing = weight * m * (m * ex.W_max * beta + ex.J_max)**2 / gap**2
-        model = "mhnn"
+    model = "mhnn" if isinstance(p, MhnnParams) else "hebbian"
+    C1, C2, _, Q = DerivedConstants._NAMES[model]
+    if model == "mhnn":
+        weight = in_range(C1, lambda: m * ex.gamma_max**2 / b + b)
+        forcing = in_range(C2, lambda: weight * m * (m * ex.W_max * beta + ex.J_max)**2 / gap**2)
     else:
-        weight = m * ex.gamma_max**2 / b + 0.5 * b
+        weight = in_range(C1, lambda: m * ex.gamma_max**2 / b + 0.5 * b)
         S = math.sqrt(1.0 + _hebbian_weight_margin(p))
-        forcing = weight * (ex.J_max + m * beta * S)**2 / gap**2
-        model = "hebbian"
+        forcing = in_range(C2, lambda: weight * (ex.J_max + m * beta * S)**2 / gap**2)
     scale = weight / gap
     # mu = b*min(1/scale, 1) written as b/max(scale, 1): same value, and the
     # Q = 1 + forcing*max(scale,1)/(b*min(scale,1)) form avoids a rounding
     # detour through 1/scale
     diss_rate = b / max(scale, 1.0)
-    bound = 1.0 + forcing * max(scale, 1.0) / (b * min(scale, 1.0))
+    bound = in_range(Q, lambda: 1.0 + forcing * max(scale, 1.0) / (b * min(scale, 1.0)))
     return DerivedConstants(model=model, scale=scale, forcing=forcing,
-                            diss_rate=diss_rate, bound=bound, b=b)
+                            diss_rate=diss_rate, bound=bound)
 
 
 def absorb_time(dc: DerivedConstants, L: float) -> float:
@@ -128,7 +126,7 @@ def absorb_time(dc: DerivedConstants, L: float) -> float:
     if not (L > 0):
         raise ParameterError("L", "initial squared-norm bound L must be positive")
     ratio = L * max(dc.scale, 1.0) / min(dc.scale, 1.0)
-    return max(0.0, math.log(ratio)) / dc.diss_rate
+    return in_range(dc.names()[2], lambda: max(0.0, math.log(ratio)) / dc.diss_rate, "T_B")
 
 
 def dissipative_envelope(dc: DerivedConstants, t: float, g0_norm_sq: float):
@@ -180,12 +178,13 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
     ex = derive_extremes(p)
     if dc is None:
         dc = _dissipation(p, ex)
-    m, beta, bound = p.m, p.beta_max, dc.bound
+    m, beta, bound, Q = p.m, p.beta_max, dc.bound, dc.names()[3]
     _, decay = p.assumption_margins()
+    bound15 = in_range(Q, lambda: bound**1.5, f"{Q}^1.5")
     if isinstance(p, HebbianParams):
         margin = _hebbian_weight_margin(p)
         terms = {"a_star*sqrt(G)": ex.a_star * math.sqrt(bound),
-                 "k_max*eta_star*G^1.5": p.k_max * ex.eta_star * bound**1.5,
+                 "k_max*eta_star*G^1.5": p.k_max * ex.eta_star * bound15,
                  "2*m*beta_max*sqrt(1+weight_margin)": 2.0 * m * beta * math.sqrt(1.0 + margin),
                  "J_star": ex.J_star}
         N = sum(terms.values())
@@ -193,7 +192,7 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
                            numerator=N)
     terms = {"m*W_star*beta_max": m * ex.W_star * beta,
              "a_star*sqrt(Q)": ex.a_star * math.sqrt(bound),
-             "k*eta_star*Q^1.5": p.k * ex.eta_star * bound**1.5,
+             "k*eta_star*Q^1.5": p.k * ex.eta_star * bound15,
              "J_star": ex.J_star}
     N = sum(terms.values())
     if p.coupling_kind == "linear":

@@ -162,7 +162,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    params_digest: str = ""
     m: int = 0
 
     def __len__(self) -> int:
@@ -176,8 +175,7 @@ class Trajectory:
     def member(self, j: int) -> "Trajectory":
         """Single-trajectory view of member j of a batched run, its batch axes flattened."""
         states = self.states.reshape((len(self.times), self.batch_size, -1))[:, j]
-        return Trajectory(times=self.times, states=states, params_digest=self.params_digest,
-                          m=self.m)
+        return Trajectory(times=self.times, states=states, m=self.m)
 
     def norm_sq_series(self) -> np.ndarray:
         """||g(t)||^2 over the recorded samples (weights excluded).
@@ -407,8 +405,7 @@ def _block_field(rhs, shape: tuple):
     return bind
 
 
-def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
-              m: int = 0, record=None) -> Trajectory:
+def integrate(rhs, s0, cfg: IntegratorConfig, *, m: int = 0, record=None) -> Trajectory:
     """Integrate y' = rhs(y) from the flat or batched state array s0 up to cfg.t_end.
 
     Records the initial state, every record_stride-th accepted step, and the
@@ -427,17 +424,5 @@ def integrate(rhs, s0, cfg: IntegratorConfig, *, params_digest: str = "",
         warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
         times, states = stepper(_block_field(rhs, y0.shape), node_major(y0), y0.shape, cfg,
                                 record)
-    return Trajectory(times=times, states=states, params_digest=params_digest, m=m)
+    return Trajectory(times=times, states=states, m=m)
 
-
-def default_dt(p, dc) -> float:
-    """Step size scaled to the stiffest linear rate of p, whose constants are ``dc``.
-
-    The base rates (decay, memristive term at the dissipative bound) are
-    resolved at 1e-3/rate; the coupling rate m*P only needs accuracy-level
-    resolution since it is strongly contracting, so it is resolved at
-    5e-2/rate, at the largest P of a lockstep column.
-    """
-    eta_max = float(np.max(p.eta))
-    base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * dc.bound)
-    return min(1e-3 / base, 5e-2 / (base + p.m * float(np.max(p.P))))

@@ -55,20 +55,14 @@ import numpy as np
 try:
     from numpy._core.multiarray import c_einsum
 except ImportError:                # numpy < 2
-    try:
-        from numpy.core.multiarray import c_einsum
-    except ImportError:
-        c_einsum = np.einsum
+    from numpy.core.multiarray import c_einsum
 
 # numpy's C copyto and dot, which np.copyto and np.dot call after their
 # __array_function__ dispatch: the same bits, without the dispatcher.
 try:
     from numpy._core._multiarray_umath import copyto as c_copyto, dot as c_dot
 except ImportError:                # numpy < 2
-    try:
-        from numpy.core._multiarray_umath import copyto as c_copyto, dot as c_dot
-    except ImportError:
-        c_copyto, c_dot = np.copyto, np.dot
+    from numpy.core._multiarray_umath import copyto as c_copyto, dot as c_dot
 
 ACTIVATION_KINDS = ("tanh-scaled", "logistic-centered", "sine-clamped")
 WINDOW_KINDS = ("quadratic", "strukov-williams")
@@ -121,6 +115,15 @@ def as_real(value, path: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(path, f"expected a real number, got {value!r} ({exc})") from None
+
+
+def in_range(name: str, form, what: str = "") -> float:
+    """form(), else ParameterError naming ``name`` when ``what`` (by default ``name``)
+    leaves the double range: it overflows, or divides by a value that underflowed to 0."""
+    try:
+        return form()
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(name, f"{what or name} leaves the double range") from None
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ class _NetworkParams:
     """
 
     _UNHASHED = ("activations",)
-    _SCALARS = ("b", "r", "V")
+    _SCALARS = ("b",)
 
     def __post_init__(self):
         self.m = as_integer(self.m, "m")
@@ -365,8 +368,6 @@ class _NetworkParams:
             raise ParameterError("b", "memristor decay b must be positive")
         if not np.all(self.eta > 0):
             raise ParameterError("eta", "all window curvatures eta_i must be positive")
-        if not (self.r > 0):
-            raise ParameterError("r", "sigmoid slope r must be positive")
         if not np.all(np.isfinite(self.P) & (self.P >= 0)):     # every entry of a lockstep P
             raise ParameterError("P", "coupling strength P must be nonnegative and finite")
         self._validate_model()
@@ -393,8 +394,8 @@ class MhnnParams(_NetworkParams):
     J: np.ndarray                # input currents
     gamma: np.ndarray            # memristor drive coefficients
     P: float = 0.0               # network coupling strength
-    r: float = 1.0               # sigmoid slope
-    V: float = 0.0               # bursting switch
+    r: float = 1.0               # sigmoid slope, read under weak coupling only
+    V: float = 0.0               # bursting switch, read under weak coupling only
     activations: tuple = ()      # one ActivationSpec per node
     coupling_kind: str = "weak-sigmoidal"
 
@@ -416,6 +417,8 @@ class MhnnParams(_NetworkParams):
         return gap, gap
 
     def _validate_model(self) -> None:
+        if not (self.r > 0):
+            raise ParameterError("r", "sigmoid slope r must be positive")
         if not (self.k > 0):
             raise ParameterError("k", "memristive coupling strength k must be positive")
         self.assumption_margins()
@@ -439,8 +442,6 @@ class HebbianParams(_NetworkParams):
     lam: np.ndarray              # Hebbian coefficient matrix
     w0: np.ndarray               # initial connectivity, entries in {0, 1}
     P: float = 0.0
-    r: float = 1.0
-    V: float = 0.0
     activations: tuple = ()
     coupling_kind: str = "linear"
 
@@ -464,13 +465,14 @@ class HebbianParams(_NetworkParams):
         (eta^2) and the sync rate (eta) stay positive.
         """
         a_min, half_k, eta = float(self.a.min()), 0.5 * self.k_max, self.eta_min
-        gap, decay = a_min - half_k * eta**2, a_min - half_k * eta
+        eta_sq = in_range("eta", lambda: eta**2, "eta_min^2")
+        gap, decay = a_min - half_k * eta_sq, a_min - half_k * eta
         if not (gap > 0 and decay > 0):
             raise ParameterError(
                 "a",
                 "assumption 'a > (1/2) k eta^2' violated: min a_i = "
                 f"{self.a.min()} <= (1/2) k_max max(eta_min, eta_min^2) = "
-                f"{half_k * max(eta, eta**2)}")
+                f"{half_k * max(eta, eta_sq)}")
         return gap, decay
 
     def _validate_model(self) -> None:
@@ -575,8 +577,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
     to du and writes any weight derivatives into dY[m+1:]. Both couplings
     follow p.coupling_kind alone.
     """
-    m = p.m
-    P, r, V = p.P, p.r, p.V
+    m, P = p.m, p.P
     coupled = bool(np.any(P != 0.0))
     weak = coupled and p.coupling_kind != "linear"
     linear = coupled and p.coupling_kind == "linear"
@@ -605,7 +606,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
             else:
                 (g, term), q = terms(dY, Y, R, *rows), None
             activation = bind_activation(u, g)
-            sigmoid = _sigmoid(u, r, V, np.empty((m, n))) if weak else None
+            sigmoid = _sigmoid(u, p.r, p.V, np.empty((m, n))) if weak else None
             total = np.empty(n) if weak else None        # the node sum S of sigma(u)
             multiply, copyto, add_reduce, einsum = np.multiply, c_copyto, np.add.reduce, c_einsum
 

@@ -188,6 +188,14 @@ class TestEnsembleOutOfRange:
             EnsembleSpec(**fields).validate()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, True, np.inf])
+    def test_default_horizon_validates_the_ensemble(self, radius):
+        # default_horizon returned 12.55 for the first four and inf for the last
+        p = draw_mhnn(np.random.default_rng(0), 3, coupling="linear")
+        with pytest.raises(ParameterError) as exc:
+            analysis.default_horizon(p, EnsembleSpec(radius=radius))
+        assert exc.value.field == "ensemble.radius"
+
 
 class TestVerify:
     def test_homogeneous_passes(self):

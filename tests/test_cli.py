@@ -414,6 +414,42 @@ class TestValidationExits:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != ""
 
+    @pytest.mark.parametrize("command", ["constants", "threshold", "simulate", "verify"])
+    def test_hebbian_ignores_the_sigmoid_keys(self, tmp_path, capsys, command):
+        # the Hebbian model has no sigmoid, so, like "w", "r" and "V" are not
+        # read: they were validated before, so these values exited 3
+        outputs = []
+        for cfg in (hebbian_config(), hebbian_config(r=-1, V=True)):
+            assert run([command, "--config", write(tmp_path, cfg)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out != ""
+
+    # closed forms that overflow in double precision, or divide by a square
+    # that underflows, though every parameter is finite
+    OVERFLOWS = {
+        "gamma": (mhnn_config, {"gamma": [1e160, 1.0]}, "C1"),
+        "w": (mhnn_config, {"w": [[1e200, 0.0], [0.0, 0.0]]}, "C2"),
+        "J": (mhnn_config, {"J": [1e200, 1.0]}, "C2"),
+        "a": (mhnn_config, {"a": [1e200, 1e200]}, "C2"),
+        "b": (mhnn_config, {"b": 1e-300}, "mu"),
+        "hebbian-c": (hebbian_config, {"c": [[1e-200, 1.0], [1.0, 1.0]]}, "weight_margin"),
+        "hebbian-eta": (hebbian_config, {"eta": [1e200, 1e200]}, "eta"),
+        "radius": (mhnn_config, {"ensemble": {"count": 2, "radius": 1e200}}, "ensemble.radius"),
+    }
+
+    @pytest.mark.parametrize("command", ["constants", "threshold", "simulate", "verify"])
+    @pytest.mark.parametrize("probe", OVERFLOWS)
+    def test_overflowing_closed_form_exit_3(self, tmp_path, capsys, probe, command):
+        # each raised OverflowError or ZeroDivisionError, a traceback and exit 1
+        make, overrides, field = self.OVERFLOWS[probe]
+        # the default dt and t_end derive the constants and the horizon on loading
+        cfg_path = write(tmp_path, make(integrator={"record_stride": 4}, **overrides))
+        assert run([command, "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mhnnsync: config validation error: {field}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestBlowUpExit:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

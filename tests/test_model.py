@@ -25,6 +25,7 @@ from mhnnsync import (
     window_eval,
 )
 from mhnnsync.model import activation_eval, make_hebbian_rhs, make_mhnn_rhs
+from mhnnsync import analysis as analysis_module, constants as constants_module
 from mhnnsync import model as model_module
 
 from draws import draw_hebbian, draw_mhnn
@@ -654,7 +655,7 @@ class TestValidation:
         assert exc.value.field == path
 
     SCALARS = ([(mk_mhnn, f) for f in ("b", "k", "P", "r", "V")]
-               + [(mk_hebbian, f) for f in ("b", "P", "r", "V")])
+               + [(mk_hebbian, f) for f in ("b", "P")])
 
     @pytest.mark.parametrize("value", [True, np.False_])
     @pytest.mark.parametrize("make, field", SCALARS)
@@ -675,7 +676,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("make", [mk_mhnn, mk_hebbian])
     def test_scalars_are_floats_with_one_digest(self, make):
-        names = ("b", "P", "r", "V") + (("k",) if make is mk_mhnn else ())
+        names = ("b", "P") + (("r", "V", "k") if make is mk_mhnn else ())
         want = make(**dict(zip(names, (1.0, 3.0, 2.0, 0.0, 0.5))))
         for values in [(1, 3, 2, 0, 0.5), (np.float64(1.0), np.array(3.0), np.int64(2),
                                           np.float32(0.0), np.float64(0.5))]:
@@ -744,6 +745,52 @@ class TestValidation:
         assert back.u == pytest.approx(s.u)
         assert back.rho == s.rho
         assert back.weights == pytest.approx(s.weights)
+
+
+def perturbed(p, name: str):
+    """p with field ``name`` moved to another valid value."""
+    value = getattr(p, name)
+    if name == "activations":
+        value = (ActivationSpec(value[0].kind, 0.5 * value[0].beta),) + value[1:]
+    elif name == "coupling_kind":
+        value = "linear"
+    elif name == "w0":
+        value = 1.0 - value
+    else:
+        value = 1.1 * value + 0.01
+    return dataclasses.replace(p, **{name: value})
+
+
+def what_is_read(p) -> list:
+    """Everything computed from p: the field at fixed states, the derivation,
+    the extremes and the initial states, as bytes or reprs."""
+    p.validate()
+    d = constants_module._derive(p)
+    make = make_hebbian_rhs if isinstance(p, HebbianParams) else make_mhnn_rhs
+    y = np.random.default_rng(3).standard_normal((4, p.dim))
+    states = analysis_module._initial_states(p, EnsembleSpec(count=3, radius=2.0, seed=0))
+    return [make(p)(y).tobytes(), repr(d.dc), repr(d.N_terms), repr(d.B),
+            repr(constants_module.derive_extremes(p)), states.tobytes()]
+
+
+READ_FIELDS = ([("mhnn", f.name) for f in dataclasses.fields(MhnnParams) if f.name != "m"]
+               + [("hebbian", f.name) for f in dataclasses.fields(HebbianParams)
+                  if f.name not in ("m", "coupling_kind")])
+
+
+class TestEveryFieldRead:
+    """Every parameter field changes something that is computed from it: a
+    field that nothing reads is a setting that only looks like one. The mHNN
+    is weakly coupled, the only coupling that reads r and V; m is left out,
+    as the shapes follow it, and so is the Hebbian coupling_kind, which has
+    one legal value."""
+
+    @pytest.mark.parametrize("model, name", READ_FIELDS, ids=[f"{m}-{n}" for m, n in READ_FIELDS])
+    def test_perturbing_the_field_changes_a_result(self, model, name):
+        rng = np.random.default_rng(8)
+        p = draw_hebbian(rng, 3) if model == "hebbian" else draw_mhnn(rng, 3)
+        p = dataclasses.replace(p, P=0.7)
+        assert what_is_read(perturbed(p, name)) != what_is_read(p)
 
 
 class TestParameterMemory:
