@@ -4,12 +4,7 @@ from .model import (
     ActivationSpec,
     HebbianParams,
     MhnnParams,
-    NetworkState,
     ParameterError,
-    hebbian_rhs,
-    mhnn_rhs,
-    sigmoid_gamma,
-    window_eval,
 )
 from .constants import (
     DerivedConstants,
@@ -19,8 +14,6 @@ from .constants import (
     derive_constants,
     derive_extremes,
     dissipative_envelope,
-    gap_envelope,
-    gap_residual,
     sync_rate,
     threshold,
 )
@@ -47,11 +40,9 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationSpec", "HebbianParams", "MhnnParams", "NetworkState", "ParameterError",
-    "hebbian_rhs", "mhnn_rhs", "sigmoid_gamma", "window_eval",
+    "ActivationSpec", "HebbianParams", "MhnnParams", "ParameterError",
     "DerivedConstants", "Extremes", "Threshold", "absorb_time", "derive_constants",
-    "derive_extremes", "dissipative_envelope", "gap_envelope", "gap_residual",
-    "sync_rate", "threshold",
+    "derive_extremes", "dissipative_envelope", "sync_rate", "threshold",
     "AttemptLimitError", "BlowUpError", "IntegratorConfig", "StepSizeUnderflowError",
     "Trajectory", "integrate",
     "EnsembleSpec", "SyncReport", "UndefinedFitError", "estimate_sync_degree",

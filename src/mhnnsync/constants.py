@@ -99,11 +99,13 @@ def derive_constants(p: Params) -> DerivedConstants:
 
 
 def _dissipation(p: Params, ex: Extremes) -> DerivedConstants:
-    """The constants of p; ParameterError naming one that leaves the double range."""
+    """The constants of p, each positive and finite (the forcing constant may be
+    0), else ParameterError naming the first that leaves the double range."""
     m, b, beta = p.m, p.b, p.beta_max
     gap, _ = p.assumption_margins()
     model = "mhnn" if isinstance(p, MhnnParams) else "hebbian"
-    C1, C2, _, Q = DerivedConstants._NAMES[model]
+    names = DerivedConstants._NAMES[model]
+    C1, C2, _, Q = names
     if model == "mhnn":
         weight = in_range(C1, lambda: m * ex.gamma_max**2 / b + b)
         forcing = in_range(C2, lambda: weight * m * (m * ex.W_max * beta + ex.J_max)**2 / gap**2)
@@ -117,6 +119,10 @@ def _dissipation(p: Params, ex: Extremes) -> DerivedConstants:
     # detour through 1/scale
     diss_rate = b / max(scale, 1.0)
     bound = in_range(Q, lambda: 1.0 + forcing * max(scale, 1.0) / (b * min(scale, 1.0)))
+    # a float product or quotient overflows to inf, or underflows to 0, without raising
+    for name, value in zip(names, (scale, forcing, diss_rate, bound)):
+        if not (0 < value < math.inf or (name == C2 and value == 0)):
+            raise ParameterError(name, f"{name} leaves the double range")
     return DerivedConstants(model=model, scale=scale, forcing=forcing,
                             diss_rate=diss_rate, bound=bound)
 
@@ -169,7 +175,7 @@ class _Derivation:
         if not math.isfinite(p_star):
             raise ParameterError(
                 "epsilon", f"p_star = N*B/(m*epsilon) overflows at epsilon = {epsilon:g}; "
-                           "raise epsilon or reduce r")
+                           "raise epsilon" + (" or reduce r" if self.B != 1.0 else ""))
         return p_star
 
 
@@ -215,11 +221,6 @@ def sync_rate(p: Params, dc: DerivedConstants, P: float) -> float:
     return _derive(p, dc).rate(P)
 
 
-def gap_residual(p: Params, dc: DerivedConstants, P: float) -> float:
-    """Asymptotic gap bound R at coupling P; R < epsilon whenever P > p_star(epsilon)."""
-    return _derive(p, dc).residual(P)
-
-
 @dataclass(frozen=True)
 class Threshold:
     """Coupling threshold for a prescribed gap, with the rate and residual maps.
@@ -241,13 +242,6 @@ def threshold(p: Params, epsilon: float) -> Threshold:
     d = _derive(p)
     return Threshold(p_star=d.p_star(epsilon), rate_at=d.rate, residual_at=d.residual,
                      N=d.N, N_terms=d.N_terms, B=d.B)
-
-
-def gap_envelope(p: Params, dc: DerivedConstants, P: float,
-                 t_since_entry, gap_at_entry_sq: float):
-    """Upper bound on the squared pairwise gap, t_since_entry after ball entry."""
-    d = _derive(p, dc)
-    return envelope_at_rate(d.rate(P), d.residual(P), t_since_entry, gap_at_entry_sq)
 
 
 def envelope_at_rate(mu: float, R: float, t_since_entry, gap_at_entry_sq: float):

@@ -1,4 +1,4 @@
-"""Network models: parameter/state types, activations, memristor windows, ODE right-hand sides.
+"""Network models: parameter types, activations and the two vector fields, one entry point each.
 
 Two coupled systems are implemented:
 
@@ -65,7 +65,6 @@ except ImportError:                # numpy < 2
     from numpy.core._multiarray_umath import copyto as c_copyto, dot as c_dot
 
 ACTIVATION_KINDS = ("tanh-scaled", "logistic-centered", "sine-clamped")
-WINDOW_KINDS = ("quadratic", "strukov-williams")
 COUPLING_KINDS = ("weak-sigmoidal", "linear")
 
 # Every activation kind is beta*tanh(scale*s) or, for sine-clamped, beta*sin(s).
@@ -140,18 +139,6 @@ class ActivationSpec:
         if not (0 < as_real(self.beta, f"{path}.beta") < math.inf):
             raise ParameterError(f"{path}.beta", "bound beta must be positive and finite")
 
-    def __call__(self, s):
-        return activation_eval(self.kind, self.beta, s)
-
-
-def activation_eval(kind: str, beta: float, s):
-    """Evaluate one activation family at s (scalar or array)."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty((1, s.size))
-    _activation_kernel((ActivationSpec(kind, beta),), s.size)(s.reshape(1, -1), out)()
-    np.multiply(out, beta, out)
-    return out.reshape(s.shape) if s.ndim else float(out[0, 0])
-
 
 def _row_slices(rows: list) -> list:
     """The sorted row indices ``rows`` as one slice per contiguous run."""
@@ -202,11 +189,12 @@ def _activation_kernel(activations, members: int):
 
 
 def _sigmoid(s, r, V, out):
-    """A binder of the sigmoid of sigmoid_gamma, without its check on r.
+    """A binder of weak coupling's sigmoid 1/(1 + exp(-r(s - V))), in (0, 1).
 
     Returns an evaluator that writes the sigmoid of s's current contents into
     out and returns out. 1/(1 + e^-z) = (1 + tanh(z/2))/2, which cannot
-    overflow. V, 0.5*r and 0.5 are 0-d arrays made here.
+    overflow. V, 0.5*r and 0.5 are 0-d arrays made here; r > 0 is checked by
+    ``MhnnParams.validate``, not here.
     """
     V, half_r, half = (np.array(c, dtype=float) for c in (V, np.multiply(0.5, r), 0.5))
     subtract, multiply, tanh, add = np.subtract, np.multiply, np.tanh, np.add
@@ -219,33 +207,6 @@ def _sigmoid(s, r, V, out):
         add(out, half, out)
         return out
     return sigmoid
-
-
-def sigmoid_gamma(s, r: float, V: float):
-    """Interneuron sigmoid 1/(1 + exp(-r(s - V))), overflow-safe, values in (0, 1)."""
-    if not np.all(np.asarray(r) > 0):
-        raise ParameterError("r", "sigmoid slope r must be positive")
-    s = np.asarray(s, dtype=float)
-    out = _sigmoid(s, r, V, np.empty(np.broadcast_shapes(s.shape, np.shape(r), np.shape(V))))()
-    return out if out.ndim else float(out)
-
-
-_WINDOWS = {
-    "quadratic": lambda rho, eta: 1.0 - eta * rho**2,
-    "strukov-williams": lambda rho, eta: rho * (eta - rho),
-}
-
-
-def window_eval(kind: str, rho, eta: float):
-    """Memristor window: 'quadratic' 1 - eta*rho^2 or 'strukov-williams' rho*(eta - rho)."""
-    if not (eta > 0):
-        raise ParameterError("eta", "window curvature eta must be positive")
-    rho = np.asarray(rho, dtype=float)
-    if kind not in _WINDOWS:
-        raise ParameterError("window.kind",
-                             f"unknown kind {kind!r}, expected one of {WINDOW_KINDS}")
-    out = _WINDOWS[kind](rho, eta)
-    return out if out.ndim else float(out)
 
 
 def _not_numbers(x) -> Optional[str]:
@@ -487,39 +448,6 @@ class HebbianParams(_NetworkParams):
             raise ParameterError("coupling_kind", "hebbian model uses linear coupling only")
 
 
-@dataclass
-class NetworkState:
-    """State g = (u_1..u_m, rho), with an optional weight matrix for the Hebbian model.
-
-    The squared norm deliberately excludes the weights: ||g||^2 = sum u_i^2 + rho^2.
-    """
-
-    u: np.ndarray
-    rho: float
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.rho = float(self.rho)
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.u**2) + self.rho**2)
-
-    def to_vector(self) -> np.ndarray:
-        parts = [self.u, [self.rho]]
-        if self.weights is not None:
-            parts.append(self.weights.ravel())
-        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
-
-    @staticmethod
-    def from_vector(y: np.ndarray, m: int, has_weights: bool = False) -> "NetworkState":
-        y = np.asarray(y, dtype=float)
-        w = y[m + 1:].reshape(m, m) if has_weights else None
-        return NetworkState(u=y[:m].copy(), rho=float(y[m]), weights=w)
-
-
 def node_major(y: np.ndarray) -> np.ndarray:
     """The (..., dim) state y as a C-contiguous node-major (dim, members) block.
 
@@ -555,7 +483,9 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
     is copied down an (m, members) block R first. numpy sums over the nodes
     of one column in kernels of its own, so a lone member (a lead of (), (1,)
     or (1, 1)) runs in both columns of a two-member block, and column 0, the
-    bits of its row in any batch, is copied to dY.
+    bits of its row in any batch, is copied to dY. Binding a state block of
+    other than p.dim rows raises ParameterError naming ``state``; a bound
+    call checks nothing.
 
     du and drho are one einsum of a constant (m+1, K) matrix M, summed over
     its columns left to right, against Z = [P*u; g; rho^2*u; P*S*u; u; rho;
@@ -587,6 +517,12 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
     M = np.pad(np.hstack(top), ((0, 1), (0, 0)))
     M[m, -m - 2:-1] = np.append(p.gamma, -p.b)
 
+    def check_width(Y: np.ndarray) -> None:
+        # else rows of dY go unwritten, or a reshape or broadcast fails unnamed
+        if Y.shape[0] != p.dim:
+            raise ParameterError("state", f"expected {p.dim} components per state, "
+                                          f"got {Y.shape[0]}")
+
     def members(lead: tuple):
         n = math.prod(lead)
         # each member's P, in member order, copied down an (m, members) block
@@ -595,6 +531,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
         rows = [np.repeat(np.reshape(v, (-1, 1)), n, axis=1) for v in columns]
 
         def bind(Y: np.ndarray, dY: np.ndarray):
+            check_width(Y)
             if not (Y.flags.c_contiguous and dY.flags.c_contiguous):
                 raise ValueError("a field binds C-contiguous blocks, whose rows reshape to views")
             u, rho, u_rho, du_rho = Y[:m], Y[m], Y[:m + 1], dY[:m + 1]
@@ -640,6 +577,7 @@ def _node_major_field(p, u_coef: np.ndarray, columns: list, terms=None, static=N
         pair = members(lead[:-1] + (2,))
 
         def bind_lone(Y: np.ndarray, dY: np.ndarray):
+            check_width(Y)
             Y2, dY2 = np.empty((p.dim, 2)), np.empty((p.dim, 2))
             evaluate, column = pair(Y2, dY2), dY2[:, :1]
 
@@ -709,21 +647,3 @@ def make_hebbian_rhs(p: HebbianParams):
 
     beta = [act.beta for act in p.activations]
     return _node_major_field(p, -p.a, [p.k, p.eta, p.lam, -p.c, beta], terms)
-
-
-def mhnn_rhs(p: MhnnParams, s: NetworkState) -> NetworkState:
-    """Time derivative of the mHNN at state s."""
-    if s.weights is not None:
-        raise ParameterError("state.weights", "mHNN state carries no weight matrix")
-    if s.u.shape != (p.m,):
-        raise ParameterError("state.u", f"expected {p.m} potentials, got shape {s.u.shape}")
-    return NetworkState.from_vector(make_mhnn_rhs(p)(s.to_vector()), p.m)
-
-
-def hebbian_rhs(p: HebbianParams, s: NetworkState) -> NetworkState:
-    """Time derivative of the Hebbian model at state s (weights required)."""
-    if s.weights is None:
-        raise ParameterError("state.weights", "hebbian state requires a weight matrix")
-    if s.u.shape != (p.m,) or s.weights.shape != (p.m, p.m):
-        raise ParameterError("state", f"state dimensions do not match m = {p.m}")
-    return NetworkState.from_vector(make_hebbian_rhs(p)(s.to_vector()), p.m, has_weights=True)

@@ -273,8 +273,18 @@ class TestValidationExits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "validation error: epsilon: p_star = " in captured.err
+        assert captured.err.endswith("; raise epsilon or reduce r\n")
         assert "Traceback" not in captured.err
         assert run(["threshold", "--config", cfg_path, "--epsilon", "1e3"]) == 0
+        # under linear coupling B = 1 and r is not read, so r is not named
+        linear = write(tmp_path, mhnn_config(coupling="linear", J=[1.0, 0.0]), "linear.json")
+        capsys.readouterr()
+        assert run(["threshold", "--config", linear, "--epsilon", "1e-320"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mhnnsync: validation error: epsilon: p_star = ")
+        assert captured.err.endswith("; raise epsilon\n")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["verify", "simulate", "sweep"])
     @pytest.mark.parametrize("ensemble, override, field", [
@@ -449,6 +459,23 @@ class TestValidationExits:
         assert captured.out == ""
         assert captured.err.startswith(f"mhnnsync: config validation error: {field}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["constants", "threshold", "verify"])
+    @pytest.mark.parametrize("overrides, field", [
+        ({"gamma": [1e100, 1.0]}, "Q"),
+        ({"b": 1e-300}, "mu"),
+    ], ids=["gamma", "b"])
+    def test_constant_out_of_range_exit_3(self, tmp_path, capsys, command, overrides, field):
+        # a float product overflowed to inf, or the rate underflowed to 0,
+        # without raising: constants printed "Q": Infinity and exited 0, and
+        # threshold and verify blamed epsilon. Linear coupling with dt and
+        # t_end given derives nothing on loading
+        cfg_path = write(tmp_path, mhnn_config(coupling="linear", **overrides))
+        assert run([command, "--config", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mhnnsync: validation error: {field}: {field} leaves the double range\n"
+        assert "Traceback" not in captured.err
 
 
 class TestBlowUpExit:

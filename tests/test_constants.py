@@ -13,11 +13,10 @@ from mhnnsync import (
     derive_constants,
     derive_extremes,
     dissipative_envelope,
-    gap_envelope,
-    gap_residual,
     sync_rate,
     threshold,
 )
+from mhnnsync.constants import envelope_at_rate
 
 from draws import draw_hebbian, draw_mhnn
 
@@ -311,11 +310,13 @@ class TestEnvelopes:
         dc = derive_constants(p)
         mu = sync_rate(p, dc, 1.0)
         t = 0.7
-        assert gap_residual(p, dc, 1.0) == 0.0
-        assert gap_envelope(p, dc, 1.0, t, 4.0) == pytest.approx(math.exp(-mu * t) * 4.0)
+        thr = threshold(p, 0.1)
+        assert thr.residual_at(1.0) == 0.0
+        assert envelope_at_rate(thr.rate_at(1.0), thr.residual_at(1.0), t, 4.0) == pytest.approx(
+            math.exp(-mu * t) * 4.0)
 
     def test_gap_envelope_at_zero(self):
         p = mk_mhnn(J=[1.0, 0.0], P=2.0)
-        dc = derive_constants(p)
-        R = gap_residual(p, dc, 2.0)
-        assert gap_envelope(p, dc, 2.0, 0.0, 9.0) == pytest.approx(9.0 + R**2)
+        thr = threshold(p, 0.1)
+        R = thr.residual_at(2.0)
+        assert envelope_at_rate(thr.rate_at(2.0), R, 0.0, 9.0) == pytest.approx(9.0 + R**2)

@@ -15,16 +15,12 @@ from mhnnsync import (
     HebbianParams,
     IntegratorConfig,
     MhnnParams,
-    NetworkState,
     ParameterError,
-    hebbian_rhs,
+    Trajectory,
     integrate,
     integrate_ensemble,
-    mhnn_rhs,
-    sigmoid_gamma,
-    window_eval,
 )
-from mhnnsync.model import activation_eval, make_hebbian_rhs, make_mhnn_rhs
+from mhnnsync.model import _activation_kernel, _sigmoid, make_hebbian_rhs, make_mhnn_rhs
 from mhnnsync import analysis as analysis_module, constants as constants_module
 from mhnnsync import model as model_module
 
@@ -50,22 +46,24 @@ def mk_hebbian(**kw):
 
 
 class TestSigmoidGamma:
+    """Weak coupling's sigmoid, through the binder that the field evaluates."""
+
     def test_half_at_switch_point(self):
         for r, V in [(1.0, 0.0), (5.0, -2.0), (0.3, 7.5)]:
-            assert sigmoid_gamma(V, r, V) == 0.5
+            assert _sigmoid(np.float64(V), r, V, np.empty(()))() == 0.5
 
     def test_saturation(self):
-        assert sigmoid_gamma(1000.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert sigmoid_gamma(-1000.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        s = np.array([1000.0, -1000.0])
+        assert _sigmoid(s, 1.0, 0.0, np.empty(2))() == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_hand_value_ln3(self):
         # 1/(1 + e^{-ln 3}) = 3/4
-        assert sigmoid_gamma(np.log(3.0), 1.0, 0.0) == pytest.approx(0.75, rel=1e-14)
+        assert _sigmoid(np.log(3.0), 1.0, 0.0, np.empty(()))() == pytest.approx(0.75, rel=1e-14)
 
     def test_overflow_safe(self):
         with np.errstate(over="raise"):
-            assert sigmoid_gamma(1e8, 50.0, 0.0) == 1.0
-            assert sigmoid_gamma(-1e8, 50.0, 0.0) == 0.0
+            assert np.array_equal(_sigmoid(np.array([1e8, -1e8]), 50.0, 0.0, np.empty(2))(),
+                                  [1.0, 0.0])
 
     def test_range_and_monotone_large_sample(self):
         # [0,1] range on 10^6 random triples (exact 0/1 only from saturation);
@@ -74,65 +72,48 @@ class TestSigmoidGamma:
         s = rng.uniform(-1e3, 1e3, 10**6)
         r = rng.uniform(1e-3, 10.0, 10**6)
         V = rng.uniform(-1e2, 1e2, 10**6)
-        vals = sigmoid_gamma(s, r, V)
+        vals = _sigmoid(s, r, V, np.empty(10**6))()
         assert np.all(vals >= 0) and np.all(vals <= 1)
         moderate = np.abs(r * (s - V)) < 30
         assert np.all(vals[moderate] > 0) and np.all(vals[moderate] < 1)
         s_sorted = np.sort(rng.uniform(-20, 20, 10**4))
-        mono = sigmoid_gamma(s_sorted, 0.7, 1.3)
+        mono = _sigmoid(s_sorted, 0.7, 1.3, np.empty(10**4))()
         assert np.all(np.diff(mono) > 0)
-
-    def test_rejects_nonpositive_slope(self):
-        with pytest.raises(ParameterError):
-            sigmoid_gamma(0.0, 0.0, 0.0)
-
-
-class TestWindow:
-    def test_quadratic_at_zero(self):
-        assert window_eval("quadratic", 0.0, 3.7) == 1.0
-
-    def test_strukov_williams_root(self):
-        assert window_eval("strukov-williams", 2.0, 2.0) == 0.0
-
-    def test_quadratic_hand_value(self):
-        assert window_eval("quadratic", 2.0, 0.5) == -1.0
-
-    @given(st.floats(-50, 50), st.floats(0.01, 10))
-    def test_strukov_williams_identity(self, rho, eta):
-        assert window_eval("strukov-williams", rho, eta) == pytest.approx(
-            rho * eta - rho * rho, rel=1e-12, abs=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            window_eval("jogelkar", 0.5, 1.0)
 
 
 class TestActivations:
+    """Each kind through the kernel that the fields bind, times its beta."""
+
     @pytest.mark.parametrize("kind", ["tanh-scaled", "logistic-centered", "sine-clamped"])
     def test_bounded_everywhere(self, kind):
         rng = np.random.default_rng(3)
-        s = rng.uniform(-1e6, 1e6, 10**5)
-        beta = 1.7
-        vals = activation_eval(kind, beta, s)
-        assert np.all(np.abs(vals) <= beta + 1e-12)
+        s = rng.uniform(-1e6, 1e6, (1, 10**5))
+        beta, g = 1.7, np.empty(s.shape)
+        _activation_kernel((ActivationSpec(kind, beta),), s.size)(s, g)()
+        assert np.all(np.abs(beta * g) <= beta + 1e-12)
 
     def test_logistic_centering(self):
         # beta*(2/(1+e^-s) - 1) evaluated against the raw expression
-        s = np.linspace(-20, 20, 401)
+        s = np.linspace(-20, 20, 401)[None]
         raw = 0.9 * (2.0 / (1.0 + np.exp(-s)) - 1.0)
-        assert activation_eval("logistic-centered", 0.9, s) == pytest.approx(raw, abs=1e-14)
+        g = np.empty(s.shape)
+        _activation_kernel((ActivationSpec("logistic-centered", 0.9),), s.size)(s, g)()
+        assert 0.9 * g == pytest.approx(raw, abs=1e-14)
 
     @pytest.mark.parametrize("kind, shape", [("tanh-scaled", np.tanh),
                                              ("logistic-centered", lambda s: np.tanh(0.5 * s)),
                                              ("sine-clamped", np.sin)])
     def test_closed_form(self, kind, shape):
-        s = np.linspace(-20, 20, 401)
-        assert np.array_equal(activation_eval(kind, 0.8, s), 0.8 * shape(s))
-        assert activation_eval(kind, 0.8, 1.3) == 0.8 * shape(1.3)
+        s = np.append(np.linspace(-20, 20, 401), 1.3)[None]
+        g = np.empty(s.shape)
+        _activation_kernel((ActivationSpec(kind, 0.8),), s.size)(s, g)()
+        assert np.array_equal(0.8 * g, 0.8 * shape(s))
 
     def test_odd_at_origin(self):
-        for kind in ("tanh-scaled", "logistic-centered", "sine-clamped"):
-            assert activation_eval(kind, 2.0, 0.0) == 0.0
+        kinds = ("tanh-scaled", "logistic-centered", "sine-clamped")
+        s, g = np.zeros((3, 1)), np.empty((3, 1))
+        _activation_kernel(tuple(ActivationSpec(kind, 2.0) for kind in kinds), 1)(s, g)()
+        assert np.array_equal(2.0 * g, np.zeros((3, 1)))
 
     def test_activation_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -144,16 +125,16 @@ class TestActivations:
 class TestMhnnRhs:
     def test_origin_reduces_to_input_currents(self):
         p = mk_mhnn(J=[0.3, -0.8], w=np.full((2, 2), 0.5), P=2.0)
-        d = mhnn_rhs(p, NetworkState(u=[0.0, 0.0], rho=0.0))
-        assert d.u == pytest.approx([0.3, -0.8])
-        assert d.rho == 0.0
+        d = make_mhnn_rhs(p)(np.zeros(3))
+        assert d[:2] == pytest.approx([0.3, -0.8])
+        assert d[2] == 0.0
 
     def test_hand_substitution(self):
         # du_1 = -2*1 + 1*(1-0)*1 = -1, du_2 = -2*(-1) + 1*(-1) = 1
         p = mk_mhnn()
-        d = mhnn_rhs(p, NetworkState(u=[1.0, -1.0], rho=0.0))
-        assert d.u == pytest.approx([-1.0, 1.0])
-        assert d.rho == pytest.approx(0.0)
+        d = make_mhnn_rhs(p)(np.array([1.0, -1.0, 0.0]))
+        assert d[:2] == pytest.approx([-1.0, 1.0])
+        assert d[2] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("m, P", [
         *(pytest.param(m, 4.0, id=str(m)) for m in (2, 3)),
@@ -170,17 +151,18 @@ class TestMhnnRhs:
         y[..., :m] = np.random.default_rng(140 + m).normal(size=(2, 3, 1))
         y[..., m] = 0.1
         if np.ndim(P) == 0:
-            base = mhnn_rhs(dataclasses.replace(p, P=0.0), NetworkState(u=y[0, 0, :m], rho=0.1))
-            coupled = mhnn_rhs(p, NetworkState(u=y[0, 0, :m], rho=0.1))
-            assert np.array_equal(coupled.u, base.u)
+            base = make_mhnn_rhs(dataclasses.replace(p, P=0.0))(y[0, 0])
+            coupled = make_mhnn_rhs(p)(y[0, 0])
+            assert np.array_equal(coupled[:m], base[:m])
         assert np.array_equal(make_mhnn_rhs(p)(y), make_mhnn_rhs(dataclasses.replace(p, P=0.0))(y))
 
     def test_dimension_mismatch(self):
-        p = mk_mhnn()
+        # three potentials, or (u, rho) with a weight matrix appended
+        rhs = make_mhnn_rhs(mk_mhnn())
         with pytest.raises(ParameterError):
-            mhnn_rhs(p, NetworkState(u=[1.0, 2.0, 3.0], rho=0.0))
+            rhs(np.array([1.0, 2.0, 3.0, 0.0]))
         with pytest.raises(ParameterError):
-            mhnn_rhs(p, NetworkState(u=[1.0, 2.0], rho=0.0, weights=np.zeros((2, 2))))
+            rhs(np.concatenate([[1.0, 2.0, 0.0], np.zeros(4)]))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -188,16 +170,16 @@ class TestMhnnRhs:
         u = rng.normal(size=5)
         rho = 0.4
         perm = rng.permutation(5)
-        d = mhnn_rhs(p, NetworkState(u=u, rho=rho))
+        d = make_mhnn_rhs(p)(np.append(u, rho))
         p_perm = MhnnParams(
             m=5, a=p.a[perm], b=p.b, k=p.k, eta=p.eta[perm],
             w=p.w[np.ix_(perm, perm)], J=p.J[perm], gamma=p.gamma[perm],
             P=p.P, r=p.r, V=p.V,
             activations=tuple(p.activations[i] for i in perm),
             coupling_kind=p.coupling_kind)
-        out = mhnn_rhs(p_perm, NetworkState(u=u[perm], rho=rho))
-        assert out.u == pytest.approx(d.u[perm], rel=1e-12)
-        assert out.rho == pytest.approx(d.rho, rel=1e-12)
+        out = make_mhnn_rhs(p_perm)(np.append(u[perm], rho))
+        assert out[:5] == pytest.approx(d[:5][perm], rel=1e-12)
+        assert out[5] == pytest.approx(d[5], rel=1e-12)
 
     @pytest.mark.parametrize("coupling", ["weak-sigmoidal", "linear"])
     def test_mixed_kinds_match_node_by_node(self, coupling):
@@ -216,31 +198,30 @@ class TestMhnnRhs:
 
 
 class TestHebbianRhs:
+    """The field on (u, rho, w row-major) vectors, at m = 2."""
+
     def test_origin(self):
         p = mk_hebbian(J=[0.4, -0.1])
-        s = NetworkState(u=[0.0, 0.0], rho=0.0, weights=np.zeros((2, 2)))
-        d = hebbian_rhs(p, s)
-        assert d.u == pytest.approx([0.4, -0.1])
-        assert d.rho == 0.0
-        assert d.weights == pytest.approx(np.zeros((2, 2)))
+        d = make_hebbian_rhs(p)(np.zeros(7))
+        assert d[:2] == pytest.approx([0.4, -0.1])
+        assert d[2] == 0.0
+        assert d[3:].reshape(2, 2) == pytest.approx(np.zeros((2, 2)))
 
     def test_memristive_term_vanishes_at_eta(self):
         p = mk_hebbian(eta=[0.8, 0.8], lam=np.zeros((2, 2)), c=np.ones((2, 2)))
         u = np.array([1.3, -0.5])
-        s = NetworkState(u=u, rho=0.8, weights=np.zeros((2, 2)))
-        d = hebbian_rhs(p, s)
+        d = make_hebbian_rhs(p)(np.concatenate([u, [0.8], np.zeros(4)]))
         # rho*(eta - rho) = 0, so du reduces to -a u + J
-        assert d.u == pytest.approx(-p.a * u + p.J)
+        assert d[:2] == pytest.approx(-p.a * u + p.J)
 
     def test_pure_weight_decay(self):
         p = mk_hebbian(lam=np.zeros((2, 2)))
-        s = NetworkState(u=[0.0, 0.0], rho=0.0, weights=np.ones((2, 2)))
-        d = hebbian_rhs(p, s)
-        assert d.weights == pytest.approx(-np.ones((2, 2)))
+        d = make_hebbian_rhs(p)(np.concatenate([np.zeros(3), np.ones(4)]))
+        assert d[3:].reshape(2, 2) == pytest.approx(-np.ones((2, 2)))
 
     def test_missing_weights(self):
         with pytest.raises(ParameterError):
-            hebbian_rhs(mk_hebbian(), NetworkState(u=[0.0, 0.0], rho=0.0))
+            make_hebbian_rhs(mk_hebbian())(np.zeros(3))
 
 
 SHAPES = {"tanh-scaled": np.tanh, "logistic-centered": lambda s: np.tanh(0.5 * s),
@@ -563,11 +544,10 @@ class TestValidation:
         (lambda: mk_hebbian(coupling_kind="weak-sigmoidal").validate(), "coupling_kind"),
         (lambda: mk_mhnn(activations=(ActivationSpec("tanh-scaled"),)).validate(),
          "activations"),
-        (lambda: window_eval("quadratic", 0.5, 0.0), "eta"),
-        (lambda: hebbian_rhs(mk_hebbian(), NetworkState(u=np.zeros(3), rho=0.0,
-                                                        weights=np.zeros((2, 2)))), "state"),
+        # three potentials, rho and a 2x2 weight matrix
+        (lambda: make_hebbian_rhs(mk_hebbian())(np.zeros(3 + 1 + 4)), "state"),
     ], ids=["b", "eta", "r", "mhnn-k", "mhnn-coupling", "hebbian-k", "hebbian-c",
-            "hebbian-coupling", "activation-count", "window-eta", "hebbian-state"])
+            "hebbian-coupling", "activation-count", "hebbian-state"])
     def test_documented_error_names_its_field(self, call, field):
         with pytest.raises(ParameterError) as err:
             call()
@@ -736,15 +716,10 @@ class TestValidation:
             mk_hebbian(w0=np.full((2, 2), 0.5)).validate()
 
     def test_norm_excludes_weights(self):
-        s = NetworkState(u=[3.0, 4.0], rho=0.0, weights=np.full((2, 2), 100.0))
-        assert s.norm_sq() == 25.0
-
-    def test_state_vector_round_trip(self):
-        s = NetworkState(u=[1.0, 2.0], rho=-0.5, weights=np.arange(4.0).reshape(2, 2))
-        back = NetworkState.from_vector(s.to_vector(), 2, has_weights=True)
-        assert back.u == pytest.approx(s.u)
-        assert back.rho == s.rho
-        assert back.weights == pytest.approx(s.weights)
+        # a Hebbian state (u, rho, w row-major) whose weights are all 100
+        traj = Trajectory(times=np.zeros(1), states=np.array([[3.0, 4.0, 0.0] + [100.0] * 4]),
+                          m=2)
+        assert np.array_equal(traj.norm_sq_series(), [25.0])
 
 
 def perturbed(p, name: str):
@@ -1117,6 +1092,47 @@ class TestLoneMember:
                 got = lockstep(Y, np.empty(Y.shape))()
                 assert got.shape == (p.dim, 1)
                 assert np.array_equal(got[:, 0], want[i]), (draw, i)
+
+
+class TestStateWidth:
+    """A state of the wrong width raises ParameterError naming ``state`` when
+    the field binds it: before, an mHNN batch one component too wide came
+    back with a column never written, and other widths failed in a reshape
+    or broadcast that did not say why."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 5)],
+                             ids=["single", "one-member", "batch", "lockstep"])
+    @pytest.mark.parametrize("extra", [-1, 1, 4])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_rhs_names_the_state(self, model, extra, lead):
+        rng, p, make = drawn_field(model, 2, 700)
+        width = p.dim + extra
+        with pytest.raises(ParameterError, match=f"expected {p.dim} components per state, "
+                                                 f"got {width}") as exc:
+            make(p)(rng.normal(size=lead + (width,)))
+        assert exc.value.field == "state"
+
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["lone", "members"])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_binding_checks_before_any_call(self, model, lead):
+        rng, p, make = drawn_field(model, 3, 701)
+        bind = make(p).block(lead)
+        for width in (p.dim - 1, p.dim + 1):
+            Y = model_module.node_major(rng.normal(size=lead + (width,)))
+            with pytest.raises(ParameterError) as exc:
+                bind(Y, np.empty(Y.shape))
+            assert exc.value.field == "state"
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    @pytest.mark.parametrize("model", ["hebbian", *COUPLINGS])
+    def test_integrate_names_the_state(self, model, method):
+        # an mHNN run from (5, 4) starts at m = 2 stepped a column never written
+        rng, p, make = drawn_field(model, 2, 702)
+        cfg = IntegratorConfig(method=method, dt=1e-2, t_end=0.1)
+        for width in (p.dim - 1, p.dim + 1):
+            with pytest.raises(ParameterError) as exc:
+                integrate(make(p), rng.normal(size=(5, width)), cfg)
+            assert exc.value.field == "state"
 
 
 class TestEinsumBinding:
