@@ -339,24 +339,6 @@ def _hebbian_record(p: HebbianParams, d: cst._Derivation, shape: tuple):
     return record
 
 
-def _check_ensemble(p: Params, batch: Trajectory, ens: EnsembleSpec, epsilon: float,
-                    p_star: float, d: cst._Derivation) -> SyncReport:
-    """The checks of verify_guarantees on the full recorded ensemble ``batch`` of p, derived as ``d``.
-
-    A Hebbian ``batch``'s weights go through the record hook one record at a
-    time, as verify feeds them, each as the block of a column of one P.
-    verify does not reach this; the tests use it as the full-record reference.
-    """
-    weights = {}
-    if isinstance(p, HebbianParams):
-        record = _hebbian_record(p, d, (1,) + batch.states.shape[1:])
-        for y in batch.states:
-            record(y[None])
-        weights = record.violations(batch.times, 0)
-    return _check_series(p.P, batch.times, batch.norm_sq_series(), pairwise_gap_series(batch),
-                         ens, epsilon, p_star, d, weights)
-
-
 def _check_series(P: float, times: np.ndarray, norm_sq: np.ndarray, gaps: np.ndarray,
                   ens: EnsembleSpec, epsilon: float, p_star: float, d: cst._Derivation,
                   weight_bad: dict) -> SyncReport:

@@ -68,40 +68,43 @@ def _block(cfg: dict, key: str) -> dict:
     return block
 
 
+def _given(cls, block: dict) -> dict:
+    """The defaulted fields of dataclass ``cls`` that ``block`` gives; the rest keep their default."""
+    return {f.name: block[f.name] for f in dataclasses.fields(cls)
+            if f.name in block and f.default is not dataclasses.MISSING}
+
+
 def _activation(spec, path: str) -> ActivationSpec:
     if not isinstance(spec, dict):
         raise ParameterError(path, f"expected a JSON object with 'kind' and 'beta', got {spec!r}")
-    return ActivationSpec(kind=spec.get("kind", "tanh-scaled"),
-                          beta=spec.get("beta", 1.0))
+    return ActivationSpec(**_given(ActivationSpec, spec))
 
 
 def _build_params(cfg: dict, model: str):
-    m = _required(cfg, "m")
+    _required(cfg, "m")
     if model not in _COUPLINGS:
         raise ParameterError("model", f"expected 'mhnn' or 'hebbian', got {model!r}")
     couplings = _COUPLINGS[model]
     coupling = cfg.get("coupling", next(iter(couplings)))
     if not isinstance(coupling, str) or coupling not in couplings:
         raise ParameterError("coupling", f"expected one of {tuple(couplings)}, got {coupling!r}")
-    acts = cfg.get("activations")
-    if acts is None:
-        activations = ()
-    elif isinstance(acts, list):
-        activations = tuple(_activation(a, f"activations[{i}]") for i, a in enumerate(acts))
-    else:
+    # P, the activations and, for the mHNN, r and V, where the config gives them
+    given = _given(MhnnParams if model == "mhnn" else HebbianParams, cfg)
+    acts = given.get("activations")
+    if not isinstance(acts, (list, type(None))):
         raise ParameterError("activations", f"expected a list of activation specs, got {acts!r}")
-    common = dict(
-        m=m, a=_required(cfg, "a"), b=_required(cfg, "b"),
-        eta=_required(cfg, "eta"), J=_required(cfg, "J"), gamma=_required(cfg, "gamma"),
-        P=as_real(cfg.get("P", 0.0), "P"), activations=activations, coupling_kind=couplings[coupling],
-    )
+    given["activations"] = tuple(_activation(a, f"activations[{i}]")
+                                 for i, a in enumerate(acts or ()))
+    common = {key: _required(cfg, key) for key in ("m", "a", "b", "eta", "J", "gamma")}
+    if "P" in given:
+        given["P"] = as_real(given["P"], "P")
+    given["coupling_kind"] = couplings[coupling]
     if model == "mhnn":
         if isinstance(cfg.get("k"), (list, dict)):
             raise ParameterError("k", "mhnn model takes a scalar memristive strength")
-        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"), r=cfg.get("r", 1.0),
-                          V=cfg.get("V", 0.0), **common)
+        return MhnnParams(k=_required(cfg, "k"), w=_required(cfg, "w"), **common, **given)
     return HebbianParams(k=_required(cfg, "k"), c=_required(cfg, "c"),
-                         lam=_required(cfg, "lambda"), w0=cfg.get("w0", 1.0), **common)
+                         lam=_required(cfg, "lambda"), w0=cfg.get("w0", 1.0), **common, **given)
 
 
 def load_config(path: str, *, model_override: Optional[str] = None,
@@ -129,18 +132,13 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     if not (0 < epsilon < math.inf):
         raise ParameterError("epsilon", "prescribed gap epsilon must be positive and finite")
 
-    ens_cfg = _block(cfg, "ensemble")
-    ensemble = analysis.EnsembleSpec(
-        count=ens_cfg.get("count", 10),
-        radius=ens_cfg.get("radius", 5.0),
-        seed=(int(seed_override) if seed_override is not None
-              else ens_cfg.get("seed", 0)),
-        tail_fraction=ens_cfg.get("tail_fraction", 0.2),
-    )
+    ensemble = analysis.EnsembleSpec(**_given(analysis.EnsembleSpec, _block(cfg, "ensemble")))
+    if seed_override is not None:
+        ensemble.seed = int(seed_override)
     ensemble.validate()
 
-    int_cfg = _block(cfg, "integrator")
-    defaults = "dt" not in int_cfg or "t_end" not in int_cfg
+    given = _given(IntegratorConfig, _block(cfg, "integrator"))
+    defaults = "dt" not in given or "t_end" not in given
     # One derivation serves both defaults and is skipped when the config gives
     # both, except under weak coupling, where it also rejects an r whose
     # sigmoid term overflows.
@@ -151,15 +149,11 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     if defaults and p_values:
         sized = analysis._p_column(params, p_values)
         sized.validate()
-    integrator = IntegratorConfig(
-        method=int_cfg.get("method", "rk4-fixed"),
-        dt=int_cfg["dt"] if "dt" in int_cfg else default_dt(sized, d.dc),
-        t_end=(int_cfg["t_end"] if "t_end" in int_cfg
-               else analysis._horizon(d, sized.P, ensemble)),
-        record_stride=int_cfg.get("record_stride", 1),
-        abs_tol=int_cfg.get("abs_tol", 1e-9),
-        rel_tol=int_cfg.get("rel_tol", 1e-9),
-    )
+    if "dt" not in given:
+        given["dt"] = default_dt(sized, d.dc)
+    if "t_end" not in given:
+        given["t_end"] = analysis._horizon(d, sized.P, ensemble)
+    integrator = IntegratorConfig(**given)
     integrator.validate()
     return RunConfig(model=model, parameters=params, integrator=integrator,
                      ensemble=ensemble, epsilon=epsilon)
@@ -186,7 +180,22 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as JSON, else ParameterError naming the first output field that is not finite."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        field = _not_finite(obj, "")[1:]
+        raise ParameterError(field, f"{field} leaves the double range") from None
+
+
+def _not_finite(obj, path: str) -> Optional[str]:
+    """``path`` extended to obj's first float that is not finite, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    found = (_not_finite(v, f"{path}.{k}" if isinstance(k, str) else f"{path}[{k}]")
+             for k, v in items)
+    return next(filter(None, found), None)
 
 
 def _fmt(x) -> str:

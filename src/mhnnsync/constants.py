@@ -14,7 +14,7 @@ closed forms in P evaluated from that one derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -149,7 +149,9 @@ class _Derivation:
     with numerator = N*B. B is the weak-coupling sigmoid term, else 1.0; gain
     is 1 for linear mHNN coupling, else m. Multiplying or dividing by 1.0 is
     exact, so each form is bitwise the per-model formula. ``N_terms`` names
-    the terms of the heterogeneity term N, in the order they are added.
+    the terms of the heterogeneity term N, in the order they are added. Each
+    term, N, N*B and the rate at P must be finite, else ParameterError names
+    the first that is not, the rate by P.
     """
 
     dc: DerivedConstants
@@ -158,12 +160,23 @@ class _Derivation:
     decay: float
     gain: int
     B: float
-    N: float
     N_terms: dict
-    numerator: float
+    N: float = field(init=False)
+    numerator: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "N", sum(self.N_terms.values()))
+        object.__setattr__(self, "numerator", self.N * self.B)
+        # a float sum or product overflows to inf without raising
+        for name, value in [*self.N_terms.items(), ("N", self.N), ("N*B", self.numerator)]:
+            if not math.isfinite(value):
+                raise ParameterError(name, f"{name} leaves the double range")
 
     def rate(self, P: float) -> float:
-        return self.decay + self.gain * P / self.B
+        rate = self.decay + self.gain * P / self.B
+        if not math.isfinite(rate):
+            raise ParameterError("P", f"the sync rate at P = {P:g} leaves the double range")
+        return rate
 
     def residual(self, P: float) -> float:
         return self.numerator / (self.decay * self.B + self.m * P)
@@ -193,17 +206,13 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
                  "k_max*eta_star*G^1.5": p.k_max * ex.eta_star * bound15,
                  "2*m*beta_max*sqrt(1+weight_margin)": 2.0 * m * beta * math.sqrt(1.0 + margin),
                  "J_star": ex.J_star}
-        N = sum(terms.values())
-        return _Derivation(dc, margin, m, decay=decay, gain=m, B=1.0, N=N, N_terms=terms,
-                           numerator=N)
+        return _Derivation(dc, margin, m, decay=decay, gain=m, B=1.0, N_terms=terms)
     terms = {"m*W_star*beta_max": m * ex.W_star * beta,
              "a_star*sqrt(Q)": ex.a_star * math.sqrt(bound),
              "k*eta_star*Q^1.5": p.k * ex.eta_star * bound15,
              "J_star": ex.J_star}
-    N = sum(terms.values())
     if p.coupling_kind == "linear":
-        return _Derivation(dc, 0.0, m, decay=decay, gain=1, B=1.0, N=N, N_terms=terms,
-                           numerator=N)
+        return _Derivation(dc, 0.0, m, decay=decay, gain=1, B=1.0, N_terms=terms)
     # 1 + exp(r(sqrt(Q) + |V|)): worst-case reciprocal of the sigmoid sum / m
     exponent = p.r * (math.sqrt(bound) + abs(p.V))
     try:
@@ -212,8 +221,7 @@ def _derive(p: Params, dc: Optional[DerivedConstants] = None) -> _Derivation:
         raise ParameterError(
             "r", f"r(sqrt(Q) + |V|) = {exponent:.6g} exceeds the exp range, so the "
                  "weak-coupling threshold overflows; reduce r or |V|") from None
-    return _Derivation(dc, 0.0, m, decay=decay, gain=m, B=B, N=N, N_terms=terms,
-                       numerator=N * B)
+    return _Derivation(dc, 0.0, m, decay=decay, gain=m, B=B, N_terms=terms)
 
 
 def sync_rate(p: Params, dc: DerivedConstants, P: float) -> float:

@@ -127,9 +127,9 @@ def in_range(name: str, form, what: str = "") -> float:
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """A bounded activation: |f(s)| <= beta for all real s."""
+    """A bounded activation: |f(s)| <= beta for all real s; by default tanh with beta 1."""
 
-    kind: str
+    kind: str = "tanh-scaled"
     beta: float = 1.0
 
     def validate(self, path: str = "activation") -> None:
@@ -298,7 +298,7 @@ class _NetworkParams:
         P = _as_floats(self.P, "P")
         self.P = P if P.ndim else float(P)
         if not self.activations:
-            self.activations = tuple(ActivationSpec("tanh-scaled", 1.0) for _ in range(self.m))
+            self.activations = (ActivationSpec(),) * self.m
         # a list, not a generator: with a generator here, the resident set of
         # 900 in-process linear-sweep ops grew by 0.25-0.4 MiB, with a list it
         # stayed flat (CPython 3.11)

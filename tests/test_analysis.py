@@ -256,8 +256,10 @@ class TestVerify:
 
 
 def _check_ensemble_per_member(p, batch, ens, epsilon, p_star, d):
-    """The checks of verify_guarantees as one loop over the members, kept as the
-    reference for the member-vectorized analysis._check_ensemble."""
+    """The checks of verify_guarantees as one loop over the members, on the full
+    record ``batch`` of p derived as ``d``: the one full-record reference for
+    the member-vectorized checks of verify and sweep. It reads the weights from
+    the record itself and never goes through verify's record hook."""
     cst = analysis.cst
     dc = d.dc
     rate_theory = d.rate(p.P)
@@ -322,7 +324,19 @@ def _check_ensemble_per_member(p, batch, ens, epsilon, p_star, d):
 
 
 class TestVectorizedChecks:
-    """analysis._check_ensemble against the per-member loop above."""
+    """The package's member-vectorized checks against the per-member loop above."""
+
+    @staticmethod
+    def checked_series(p, d, batch):
+        """The series that verify checks on the recorded ``batch`` of p, and the
+        weight violations: an mHNN record reduced by ``norm_sq_series`` and
+        ``pairwise_gap_series``, a Hebbian one fed through the record hook one
+        recorded state at a time, as the block of a column of one P."""
+        if not isinstance(p, analysis.HebbianParams):
+            return batch.norm_sq_series(), pairwise_gap_series(batch), {}
+        record = analysis._hebbian_record(p, d, (1,) + batch.states.shape[1:])
+        kept = np.stack([record(np.asfortranarray(y[None])).copy() for y in batch.states])
+        return kept[:, 0, :, 0], kept[:, 0, :, 1], record.violations(batch.times, 0)
 
     def perturbed_batch(self, p, ens, d):
         """A recorded ensemble in which members 1 and 4 break every check, member 2
@@ -355,7 +369,9 @@ class TestVectorizedChecks:
         d = analysis.cst._derive(p)
         p_star = d.p_star(0.2)
         batch = self.perturbed_batch(p, ens, d)
-        got = analysis._check_ensemble(p, batch, ens, 0.2, p_star, d)
+        norm_sq, gaps, weights = self.checked_series(p, d, batch)
+        got = analysis._check_series(p.P, batch.times, norm_sq, gaps, ens, 0.2, p_star, d,
+                                     weights)
         want = _check_ensemble_per_member(p, batch, ens, 0.2, p_star, d)
         assert got.violations == want.violations
         assert got.to_dict() == want.to_dict()
@@ -406,7 +422,7 @@ class TestVectorizedChecks:
         d = analysis.cst._derive(p)
         cfg = IntegratorConfig(method="rk45-adaptive", dt=0.1, t_end=4.0, record_stride=2)
         batch = integrate_ensemble(p, cfg, ens)
-        got = analysis._check_ensemble(p, batch, ens, 0.3, d.p_star(0.3), d)
+        got = verify_guarantees(p, cfg, ens, 0.3)
         want = _check_ensemble_per_member(p, batch, ens, 0.3, d.p_star(0.3), d)
         assert got.to_dict() == want.to_dict()
 
@@ -450,7 +466,7 @@ class TestCompactRecord:
         self.assert_series_kept(runs[0].states[:, 0], full)
         assert np.array_equal(runs[0].times, full.times)
         d = analysis.cst._derive(p)
-        want = analysis._check_ensemble(p, full, ens, 0.3, d.p_star(0.3), d)
+        want = _check_ensemble_per_member(p, full, ens, 0.3, d.p_star(0.3), d)
         assert rep.to_dict() == want.to_dict()
         assert any(v.check == "weight" for v in rep.violations)
 
@@ -510,7 +526,7 @@ class TestNodeMajorEnsemble:
         np.testing.assert_allclose(got.times, want.times, rtol=0, atol=1e-9)
         np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-9)
         d = analysis.cst._derive(p)
-        ref = analysis._check_ensemble(p, want, ens, self.EPS, d.p_star(self.EPS), d)
+        ref = _check_ensemble_per_member(p, want, ens, self.EPS, d.p_star(self.EPS), d)
         rep = verify_guarantees(p, cfg, ens, self.EPS)
         assert (rep.verdict, len(rep.violations)) == (ref.verdict, len(ref.violations))
         assert [t is None for t in rep.entry_times] == [t is None for t in ref.entry_times]
@@ -528,7 +544,7 @@ class TestNodeMajorEnsemble:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.states, want.states)
         d = analysis.cst._derive(p)
-        ref = analysis._check_ensemble(p, want, ens, self.EPS, d.p_star(self.EPS), d)
+        ref = _check_ensemble_per_member(p, want, ens, self.EPS, d.p_star(self.EPS), d)
         assert verify_guarantees(p, cfg, ens, self.EPS).to_dict() == ref.to_dict()
 
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
@@ -592,7 +608,7 @@ class TestNodeMajorMhnnEnsemble:
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.norm_sq_series(), want.norm_sq_series())
         d = analysis.cst._derive(p)
-        ref = analysis._check_ensemble(p, want, ens, 0.3, d.p_star(0.3), d)
+        ref = _check_ensemble_per_member(p, want, ens, 0.3, d.p_star(0.3), d)
         assert verify_guarantees(p, cfg, ens, 0.3).to_dict() == ref.to_dict()
 
     def test_lockstep_start_is_node_major(self, monkeypatch):
@@ -815,8 +831,8 @@ class TestVerifyRuns:
         for q, run, rep in zip(swept, full, reps):
             assert rep.to_dict() == verify_guarantees(q, cfg, ens, 0.3).to_dict()
             # and the reference that reads the weights from the full record
-            assert rep.to_dict() == analysis._check_ensemble(q, run, ens, 0.3, p_star,
-                                                             d).to_dict()
+            assert rep.to_dict() == _check_ensemble_per_member(q, run, ens, 0.3, p_star,
+                                                               d).to_dict()
             with_weights += any(v.check == "weight" for v in rep.violations)
         assert with_weights >= 2
 
@@ -849,8 +865,8 @@ class TestWideHebbianRecord:
                                          self.EPS, p_star, d)
         TestCompactRecord.assert_series_kept(runs[0].states[:, 1], full["rk4-fixed", 2 * p_star])
         for i, q in enumerate(swept):
-            want = analysis._check_ensemble(q, full["rk4-fixed", q.P], ens, self.EPS,
-                                            p_star, d).to_dict()
+            want = _check_ensemble_per_member(q, full["rk4-fixed", q.P], ens, self.EPS,
+                                              p_star, d).to_dict()
             assert any(v["check"] == "dissipative" for v in want["violations"])
             assert lockstep[i].to_dict() == want
         for cfg in (rk4, rk45):
@@ -858,8 +874,8 @@ class TestWideHebbianRecord:
                 runs.clear()
                 rep = verify_guarantees(q, cfg, ens, self.EPS)
                 TestCompactRecord.assert_series_kept(runs[0].states[:, 0], full[cfg.method, q.P])
-                want = analysis._check_ensemble(q, full[cfg.method, q.P], ens, self.EPS,
-                                                p_star, d)
+                want = _check_ensemble_per_member(q, full[cfg.method, q.P], ens, self.EPS,
+                                                  p_star, d)
                 assert rep.to_dict() == want.to_dict()
 
 
@@ -931,11 +947,13 @@ class TestCheckSeriesChunks:
         d = analysis.cst._derive(p)
         p_star = d.p_star(0.2)
         batch = TestVectorizedChecks().perturbed_batch(p, ens, d)
-        want = analysis._check_ensemble(p, batch, ens, 0.2, p_star, d)
+        norm_sq, gaps, weights = TestVectorizedChecks.checked_series(p, d, batch)
+        want = _check_ensemble_per_member(p, batch, ens, 0.2, p_star, d)
         assert {v.check for v in want.violations} >= {"dissipative", "gap"}
         for members in (1, 2, 4, 5):
             monkeypatch.setattr(analysis, "SERIES_CHUNK_BYTES", members * 8 * len(batch))
-            got = analysis._check_ensemble(p, batch, ens, 0.2, p_star, d)
+            got = analysis._check_series(p.P, batch.times, norm_sq, gaps, ens, 0.2, p_star, d,
+                                         weights)
             assert got.violations == want.violations, members
             assert got.to_dict() == want.to_dict(), members
 

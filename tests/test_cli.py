@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mhnnsync import analysis, cli
 
@@ -444,6 +448,11 @@ class TestValidationExits:
         "b": (mhnn_config, {"b": 1e-300}, "mu"),
         "hebbian-c": (hebbian_config, {"c": [[1e-200, 1.0], [1.0, 1.0]]}, "weight_margin"),
         "hebbian-eta": (hebbian_config, {"eta": [1e200, 1e200]}, "eta"),
+        # a term of the heterogeneity term N, which p_star blamed on epsilon
+        "N-a": (mhnn_config, {"coupling": "linear", "k": 0.5, "J": [1.0, 0.0],
+                              "a": [1e308, 2.0]}, "a_star*sqrt(Q)"),
+        "N-eta": (mhnn_config, {"coupling": "linear", "k": 0.5, "J": [1.0, 0.0],
+                                "eta": [1e308, 1.0]}, "k*eta_star*Q^1.5"),
         "radius": (mhnn_config, {"ensemble": {"count": 2, "radius": 1e200}}, "ensemble.radius"),
     }
 
@@ -476,6 +485,113 @@ class TestValidationExits:
         assert captured.out == ""
         assert captured.err == f"mhnnsync: validation error: {field}: {field} leaves the double range\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["threshold", "verify"])
+    @pytest.mark.parametrize("overrides, term", [
+        ({"a": [1e308, 2.0]}, "a_star*sqrt(Q)"),
+        ({"eta": [1e308, 1.0]}, "k*eta_star*Q^1.5"),
+    ], ids=["a", "eta"])
+    def test_heterogeneity_term_out_of_range_exit_3(self, tmp_path, capsys, command,
+                                                   overrides, term):
+        # a term of N overflowed to inf without raising, and p_star = N/(m*epsilon)
+        # then blamed epsilon, even at epsilon = 1e300
+        cfg = mhnn_config(coupling="linear", k=0.5, J=[1.0, 0.0], P=1.0, **overrides)
+        assert run([command, "--config", write(tmp_path, cfg), "--epsilon", "1e300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mhnnsync: validation error: {term}: {term} leaves the double range\n"
+
+    @pytest.mark.parametrize("config", [
+        hebbian_config(P=1e308),
+        mhnn_config(P=1e308),
+    ], ids=["hebbian", "weak"])
+    def test_rate_at_p_out_of_range_exit_3(self, tmp_path, capsys, config):
+        # m*P overflowed to inf and threshold printed "rate_theory": Infinity, which
+        # is not JSON, with exit 0
+        assert run(["threshold", "--config", write(tmp_path, config)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("mhnnsync: validation error: P: the sync rate at P = 1e+308 "
+                                "leaves the double range\n")
+
+    def test_non_finite_json_output_names_the_field(self):
+        report = {"model": "mhnn", "extremes": {"a_min": 1.0, "J_star": math.inf},
+                  "violations": [{"measured": 1.0}, {"measured": math.nan}]}
+        with pytest.raises(cli.ParameterError, match=r"^extremes\.J_star: extremes\.J_star "):
+            cli._json_text(report)
+        del report["extremes"]
+        with pytest.raises(cli.ParameterError, match=r"^violations\[1\]\.measured: "):
+            cli._json_text(report)
+        assert json.loads(cli._json_text({"x": [1.0, 2]})) == {"x": [1.0, 2]}
+
+
+def fuzz_base(kind: str, m: int) -> dict:
+    """A valid config of ``kind`` (weak, linear or hebbian) on m nodes, run for a few steps."""
+    vector = lambda x: [x] * m
+    matrix = lambda x: [[x] * m for _ in range(m)]
+    if kind == "hebbian":
+        cfg = hebbian_config(k=vector(1.0), c=matrix(1.0), w0=matrix(1.0),
+                             **{"lambda": matrix(1.0)})
+    else:
+        cfg = mhnn_config(coupling=kind, w=matrix(0.1))
+    cfg.update(m=m, a=vector(2.0), eta=vector(1.0), J=vector(0.5), gamma=vector(1.0),
+               activations=[{"kind": "tanh-scaled", "beta": 1.0} for _ in range(m)],
+               integrator={"dt": 0.01, "t_end": 0.04},
+               ensemble={"count": 2, "radius": 2.0, "seed": 1})
+    return cfg
+
+
+# the fields that the fuzz sets to +-10^u: P, the vectors, the matrices, b, k, r, V and beta
+FUZZED = {"mhnn": ("P", "b", "k", "r", "V", "a", "eta", "J", "gamma", "w", "beta"),
+          "hebbian": ("P", "b", "a", "k", "eta", "J", "gamma", "c", "lambda", "w0", "beta")}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    kind = draw(st.sampled_from(["weak", "linear", "hebbian"]))
+    m = draw(st.integers(2, 3))
+    cfg = fuzz_base(kind, m)
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(FUZZED["hebbian" if kind == "hebbian" else "mhnn"]))
+        value = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-300.0, 300.0))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if key == "beta":
+            cfg["activations"][i]["beta"] = value
+        elif isinstance(cfg[key], list) and isinstance(cfg[key][0], list):
+            cfg[key][i][j] = value
+        elif isinstance(cfg[key], list):
+            cfg[key][i] = value
+        else:
+            cfg[key] = value
+    return cfg
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestExitCodeContract:
+    """Every command on a config with one or two fields at +-10^u, u in [-300, 300],
+    exits with a documented code, writes JSON that a strict parser reads, and
+    prints no traceback."""
+
+    COMMANDS = (["constants"], ["threshold"], ["simulate"], ["verify"],
+                ["sweep", "--p-values", "0,1"])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cfg=fuzzed_configs())
+    @example(cfg=dict(fuzz_base("hebbian", 2), P=1e308))
+    def test_documented_exit_codes(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("fuzz") / "c.json"
+        path.write_text(json.dumps(cfg))
+        for command in self.COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command[0], "--config", str(path)] + command[1:])
+            assert code in (0, 1, 3, 4, 71), (command, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if command[0] in ("constants", "threshold", "verify") and code in (0, 1):
+                json.loads(out.getvalue(), parse_constant=reject_constant)
 
 
 class TestBlowUpExit:
@@ -765,7 +881,41 @@ class TestSweepCommand:
         assert run_cfg.integrator.dt < cli.load_config(write(tmp_path, cfg)).integrator.dt
 
 
+class TestModelOverride:
+    @pytest.mark.parametrize("command", ["constants", "threshold", "simulate", "verify"])
+    def test_override_as_the_config_model(self, tmp_path, capsys, command):
+        bare = mhnn_config(coupling="linear")
+        del bare["model"]
+        outputs = []
+        for cfg, extra in ((bare, ["--model", "mhnn"]), (mhnn_config(coupling="linear"), [])):
+            assert run([command, "--config", write(tmp_path, cfg)] + extra) in (0, 1)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out != ""
+
+    def test_hebbian_override_on_an_mhnn_config_exit_3(self, tmp_path, capsys):
+        bare = mhnn_config(coupling="linear")
+        del bare["model"]
+        assert run(["threshold", "--config", write(tmp_path, bare), "--model", "hebbian"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mhnnsync: config validation error: c: ")
+
+
 class TestDefaults:
+    def test_omitted_fields_take_the_declared_defaults(self, tmp_path):
+        cfg = mhnn_config(activations=[{}, {"beta": 0.5}], integrator={"dt": 0.01, "t_end": 1.0})
+        for key in ("ensemble", "P", "r", "V"):
+            cfg.pop(key)
+        run_cfg = cli.load_config(write(tmp_path, cfg))
+        p = run_cfg.parameters
+        assert run_cfg.ensemble == analysis.EnsembleSpec()
+        assert run_cfg.integrator == cli.IntegratorConfig(dt=0.01, t_end=1.0)
+        assert (p.P, p.r, p.V) == (0.0, 1.0, 0.0)
+        assert p.activations == (cli.ActivationSpec(), cli.ActivationSpec(beta=0.5))
+        del cfg["activations"]
+        assert cli.load_config(write(tmp_path, cfg)).parameters.activations == (
+            cli.ActivationSpec(),) * 2
+
     def test_minimal_config_loads_with_defaults(self, tmp_path):
         cfg = mhnn_config()
         for key in ("integrator", "ensemble", "epsilon", "coupling", "P", "r", "V"):
