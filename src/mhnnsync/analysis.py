@@ -66,7 +66,13 @@ class EnvelopeViolation:
 
 @dataclass
 class SyncReport:
-    deg_estimate: float
+    """What was checked on a seeded ensemble at coupling ``p_used``. ``verdict`` is
+    "pass" when ``deg_estimate`` < ``epsilon`` and no envelope was violated, else
+    "fail", or "error" for a sweep value whose run blew up: only that report has
+    ``deg_estimate`` None, and no entry times or violations. ``fitted_rate`` is
+    None also when no member's gap has enough points to fit."""
+
+    deg_estimate: float | None
     epsilon: float
     p_used: float
     p_star: float
@@ -74,7 +80,7 @@ class SyncReport:
     violations: list
     fitted_rate: float | None
     rate_theory: float
-    verdict: str     # "pass" | "fail"
+    verdict: str     # "pass" | "fail" | "error"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -177,19 +183,17 @@ def _initial_states(p: Params, ens: EnsembleSpec) -> np.ndarray:
     return ball
 
 
-def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec, *,
-                       record=None) -> Trajectory:
-    """Batched trajectory for a seeded ensemble of initial states.
+def integrate_ensemble(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec) -> Trajectory:
+    """Batched trajectory for a seeded ensemble of initial states, every state kept whole.
 
     For the Hebbian model the (u, rho) block is sampled in the ball and every
-    member starts from the same initial weight matrix p.w0. ``record`` is
-    passed on to ``integrate``; a run with a record hook keeps what the hook
-    returns. ``integrate`` holds the ensemble node-major for the run; the
-    hook and the record see the logical (count, dim) shape.
+    member starts from the same initial weight matrix p.w0. ``integrate``
+    holds the ensemble node-major for the run; the trajectory has the
+    logical (n_recorded, count, dim) shape.
     """
     _validate_one(p)
     ens.validate()
-    return integrate(_make_rhs(p), _initial_states(p, ens), cfg, m=p.m, record=record)
+    return integrate(_make_rhs(p), _initial_states(p, ens), cfg, m=p.m)
 
 
 def default_horizon(p: Params, ens: EnsembleSpec) -> float:
@@ -202,7 +206,14 @@ def default_horizon(p: Params, ens: EnsembleSpec) -> float:
 def _horizon(d: cst._Derivation, P, ens: EnsembleSpec) -> float:
     """default_horizon of the parameter set derived as ``d``, at the smallest entry of P."""
     L = in_range("ensemble.radius", lambda: ens.radius**2, "radius^2")
-    return max(5.0 * cst.absorb_time(d.dc, L), 20.0 / d.rate(float(np.min(P))), 1.0)
+    try:
+        T_B = cst.absorb_time(d.dc, L)
+    except ParameterError as exc:       # name the field that L comes from
+        if exc.field != "L":
+            raise
+        raise ParameterError("ensemble.radius",
+                             f"at L = radius^2 = {L:g}, {str(exc).removeprefix('L: ')}") from None
+    return max(5.0 * T_B, 20.0 / d.rate(float(np.min(P))), 1.0)
 
 
 def default_dt(p: Params, dc: cst.DerivedConstants) -> float:
@@ -412,26 +423,17 @@ def _check_series(P: float, times: np.ndarray, norm_sq: np.ndarray, gaps: np.nda
                       fitted_rate=fitted_rate, rate_theory=rate_theory, verdict=verdict)
 
 
-@dataclass
-class SweepRow:
-    P: float
-    deg_estimate: float | None
-    p_star: float
-    rate_theory: float
-    rate_fitted: float | None
-    verdict: str     # "pass" | "fail" | "error"
-
-
 def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
                    p_values: Sequence[float], epsilon: float) -> list:
-    """verify_guarantees per coupling value with a shared seed, rows ordered by P.
+    """verify_guarantees per coupling value with a shared seed: one SyncReport
+    per value, ordered by P.
 
     Every coupling value is validated, as one lockstep column, before
     anything is integrated. A fixed-step sweep integrates all of them in one
     lockstep run (see ``_verify_runs``). If that run blows up, and for the
     adaptive method, whose step sizes depend on the whole batch, each value
-    runs on its own, as a column of one P, and one that blows up gets an
-    "error" row.
+    runs on its own, as a column of one P, and one that blows up gets a
+    report with verdict "error" (see ``SyncReport``).
     """
     if len(p_values) == 0:
         raise ParameterError("p_values", "sweep requires at least one coupling value")
@@ -439,24 +441,17 @@ def sweep_coupling(p: Params, cfg: IntegratorConfig, ens: EnsembleSpec,
     swept.validate()
     d = cst._derive(swept)
     p_star = d.p_star(epsilon)
-    P = swept.P.ravel().tolist()
-    if cfg.method == "rk4-fixed" and len(P) > 1:
+    if cfg.method == "rk4-fixed":
         try:
-            return [_sweep_row(rep) for rep in _verify_runs(swept, cfg, ens, epsilon, p_star, d)]
+            return _verify_runs(swept, cfg, ens, epsilon, p_star, d)
         except BlowUpError:
             pass
-    rows = []
-    for P_i in P:
+    reports = []
+    for P in swept.P.ravel().tolist():
         try:
-            rows.append(_sweep_row(_verify_runs(_p_column(p, [P_i]), cfg, ens, epsilon,
-                                                p_star, d)[0]))
+            reports += _verify_runs(_p_column(p, [P]), cfg, ens, epsilon, p_star, d)
         except BlowUpError:
-            rows.append(SweepRow(P=P_i, deg_estimate=None, p_star=p_star,
-                                 rate_theory=d.rate(P_i), rate_fitted=None, verdict="error"))
-    return rows
-
-
-def _sweep_row(rep: SyncReport) -> SweepRow:
-    return SweepRow(P=rep.p_used, deg_estimate=rep.deg_estimate, p_star=rep.p_star,
-                    rate_theory=rep.rate_theory, rate_fitted=rep.fitted_rate,
-                    verdict=rep.verdict)
+            reports.append(SyncReport(deg_estimate=None, epsilon=epsilon, p_used=P,
+                                      p_star=p_star, entry_times=[], violations=[],
+                                      fitted_rate=None, rate_theory=d.rate(P), verdict="error"))
+    return reports

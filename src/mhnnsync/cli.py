@@ -24,8 +24,6 @@ from .analysis import default_dt
 from .integrate import BlowUpError, IntegratorConfig, integrate
 from .model import ActivationSpec, HebbianParams, MhnnParams, ParameterError, as_real
 
-COMMANDS = ("constants", "threshold", "simulate", "verify", "sweep")
-
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_PARSE = 2
@@ -256,22 +254,23 @@ def _parse_p_values(text: str) -> list:
 
 
 def _cmd_sweep(run: RunConfig, args) -> int:
-    rows = analysis.sweep_coupling(run.parameters, run.integrator, run.ensemble,
-                                   args.p_values, run.epsilon)
+    reports = analysis.sweep_coupling(run.parameters, run.integrator, run.ensemble,
+                                      args.p_values, run.epsilon)
     lines = ["P,deg_estimate,p_star,rate_theory,rate_fitted,verdict"]
-    for row in rows:
-        lines.append(",".join([_fmt(row.P), _fmt(row.deg_estimate), _fmt(row.p_star),
-                               _fmt(row.rate_theory), _fmt(row.rate_fitted), row.verdict]))
+    for rep in reports:
+        lines.append(",".join([_fmt(rep.p_used), _fmt(rep.deg_estimate), _fmt(rep.p_star),
+                               _fmt(rep.rate_theory), _fmt(rep.fitted_rate), rep.verdict]))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "threshold": _cmd_threshold,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
+# each subcommand's handler and help text, in the order that --help lists them
+COMMANDS = {
+    "constants": (_cmd_constants, "emit the derived dissipativity constants as JSON"),
+    "threshold": (_cmd_threshold, "emit the coupling threshold p_star(epsilon) as JSON"),
+    "simulate": (_cmd_simulate, "integrate one trajectory and emit it as CSV"),
+    "verify": (_cmd_verify, "run a seeded ensemble and check every guarantee"),
+    "sweep": (_cmd_sweep, "run verify over a list of coupling strengths, emit CSV"),
 }
 
 
@@ -283,13 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate memristive Hopfield networks and verify their "
                     "synchronization and dissipativity guarantees.")
     sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(COMMANDS) + "}")
-    for name, help_text in [
-        ("constants", "emit the derived dissipativity constants as JSON"),
-        ("threshold", "emit the coupling threshold p_star(epsilon) as JSON"),
-        ("simulate", "integrate one trajectory and emit it as CSV"),
-        ("verify", "run a seeded ensemble and check every guarantee"),
-        ("sweep", "run verify over a list of coupling strengths, emit CSV"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a JSON run config")
         sp.add_argument("--output", default=None, help="output path (default stdout)")
@@ -338,7 +331,7 @@ def main(argv=None) -> int:
         print(f"mhnnsync: cannot write output {args.output}: {problem}", file=sys.stderr)
         return EXIT_CANTCREAT
     try:
-        return _HANDLERS[args.command](run, args)
+        return COMMANDS[args.command][0](run, args)
     except ParameterError as exc:
         print(f"mhnnsync: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

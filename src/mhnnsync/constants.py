@@ -90,7 +90,10 @@ def derive_extremes(p: Params) -> Extremes:
 def _hebbian_weight_margin(p: HebbianParams) -> float:
     """lambda_max^2 beta^4 / c_min^2 — additive part of the weight ultimate bound."""
     lam_max, c_min, beta = float(np.max(np.abs(p.lam))), float(p.c.min()), p.beta_max
-    return in_range("weight_margin", lambda: lam_max**2 * beta**4 / c_min**2)
+    margin = in_range("weight_margin", lambda: lam_max**2 * beta**4 / c_min**2)
+    if not math.isfinite(margin):     # a float product overflows to inf without raising
+        raise ParameterError("weight_margin", "weight_margin leaves the double range")
+    return margin
 
 
 def derive_constants(p: Params) -> DerivedConstants:
@@ -132,6 +135,9 @@ def absorb_time(dc: DerivedConstants, L: float) -> float:
     if not (L > 0):
         raise ParameterError("L", "initial squared-norm bound L must be positive")
     ratio = L * max(dc.scale, 1.0) / min(dc.scale, 1.0)
+    if not math.isfinite(ratio):      # a float product overflows to inf without raising
+        raise ParameterError("L", "L*max({0}, 1)/min({0}, 1) leaves the double range"
+                                  .format(dc.names()[0]))
     return in_range(dc.names()[2], lambda: max(0.0, math.log(ratio)) / dc.diss_rate, "T_B")
 
 

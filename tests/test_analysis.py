@@ -554,11 +554,12 @@ class TestNodeMajorEnsemble:
         seen = []
 
         def keep_u(y):
-            seen.append(y.shape)
+            seen.append((y.shape, y.flags.f_contiguous))
             return y[..., :p.m].copy()
 
-        traj = integrate_ensemble(p, cfg, ens, record=keep_u)
-        assert set(seen) == {(ens.count, p.dim)}
+        traj = analysis.integrate(analysis.make_hebbian_rhs(p), analysis._initial_states(p, ens),
+                                  cfg, m=p.m, record=keep_u)
+        assert set(seen) == {((ens.count, p.dim), True)}
         assert traj.states.shape == (len(seen), ens.count, p.m)
 
 
@@ -679,7 +680,7 @@ class TestSweep:
         cfg = IntegratorConfig(dt=2e-3, t_end=10.0, record_stride=5)
         ens = EnsembleSpec(count=2, radius=2.0, seed=3)
         rows = sweep_coupling(p, cfg, ens, [2 * p_star, 0.0, 0.0], eps)
-        assert [row.P for row in rows] == sorted([0.0, 0.0, 2 * p_star])
+        assert [row.p_used for row in rows] == sorted([0.0, 0.0, 2 * p_star])
         assert rows[0] == rows[1]
         assert rows[-1].deg_estimate < eps
         assert rows[-1].verdict == "pass"
@@ -699,12 +700,10 @@ class TestSweep:
 
     @staticmethod
     def assert_rows_match_verifies(rows, p, cfg, ens, p_values, eps):
-        assert [row.P for row in rows] == sorted(p_values)
+        assert [row.p_used for row in rows] == sorted(p_values)
         for row in rows:
-            rep = verify_guarantees(dataclasses.replace(p, P=row.P), cfg, ens, eps).to_dict()
-            assert (row.deg_estimate, row.p_star, row.rate_theory, row.rate_fitted,
-                    row.verdict) == (rep["deg_estimate"], rep["p_star"], rep["rate_theory"],
-                                     rep["fitted_rate"], rep["verdict"])
+            rep = verify_guarantees(dataclasses.replace(p, P=row.p_used), cfg, ens, eps)
+            assert row.to_dict() == rep.to_dict()
 
     @pytest.mark.parametrize("count", [10, 1])
     @pytest.mark.parametrize("model, m", [("weak-sigmoidal", 8), ("linear", 2),
@@ -756,9 +755,9 @@ class TestSweep:
         with pytest.raises(BlowUpError):
             verify_guarantees(dataclasses.replace(p, P=unstable), cfg, ens, eps)
         rows = sweep_coupling(p, cfg, ens, [unstable, 1.0, 0.0], eps)
-        assert rows[-1].P == unstable
+        assert rows[-1].p_used == unstable
         assert rows[-1].verdict == "error"
-        assert rows[-1].deg_estimate is None and rows[-1].rate_fitted is None
+        assert rows[-1].deg_estimate is None and rows[-1].fitted_rate is None
         assert rows[-1].p_star == threshold(p, eps).p_star
         self.assert_rows_match_verifies(rows[:-1], p, cfg, ens, [1.0, 0.0], eps)
 

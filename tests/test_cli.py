@@ -454,6 +454,14 @@ class TestValidationExits:
         "N-eta": (mhnn_config, {"coupling": "linear", "k": 0.5, "J": [1.0, 0.0],
                                 "eta": [1e308, 1.0]}, "k*eta_star*Q^1.5"),
         "radius": (mhnn_config, {"ensemble": {"count": 2, "radius": 1e200}}, "ensemble.radius"),
+        # radius^2 is finite, but the absorb time's radius^2*max(C1, 1)/min(C1, 1) is not;
+        # the default t_end was inf and integrator.t_end was named
+        "radius-ratio": (mhnn_config, {"coupling": "linear", "k": 0.5, "J": [1.0, 0.0],
+                                       "P": 1.0, "ensemble": {"radius": 1e154}},
+                         "ensemble.radius"),
+        # radius^2 underflows to 0, and the absorb time's argument L was named
+        "radius-tiny": (mhnn_config, {"ensemble": {"count": 2, "radius": 1e-200}},
+                        "ensemble.radius"),
     }
 
     @pytest.mark.parametrize("command", ["constants", "threshold", "simulate", "verify"])
@@ -470,16 +478,21 @@ class TestValidationExits:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["constants", "threshold", "verify"])
-    @pytest.mark.parametrize("overrides, field", [
-        ({"gamma": [1e100, 1.0]}, "Q"),
-        ({"b": 1e-300}, "mu"),
-    ], ids=["gamma", "b"])
-    def test_constant_out_of_range_exit_3(self, tmp_path, capsys, command, overrides, field):
+    @pytest.mark.parametrize("config, field", [
+        (mhnn_config(coupling="linear", gamma=[1e100, 1.0]), "Q"),
+        (mhnn_config(coupling="linear", b=1e-300), "mu"),
+        # lambda^2 * beta^4 = 1e200 * 1e240 overflowed to inf, and C4 was named
+        (hebbian_config(k=[0.1, 0.1], eta=[0.9, 0.9], J=[0.1, 0.0], gamma=[0.1, 0.1], c=1.0,
+                        w0=1.0, **{"lambda": 1e100},
+                        activations=[{"beta": 1e60}, {"beta": 1.0}],
+                        integrator={"dt": 1e-3, "t_end": 0.01}), "weight_margin"),
+    ], ids=["gamma", "b", "weight_margin"])
+    def test_constant_out_of_range_exit_3(self, tmp_path, capsys, command, config, field):
         # a float product overflowed to inf, or the rate underflowed to 0,
         # without raising: constants printed "Q": Infinity and exited 0, and
-        # threshold and verify blamed epsilon. Linear coupling with dt and
-        # t_end given derives nothing on loading
-        cfg_path = write(tmp_path, mhnn_config(coupling="linear", **overrides))
+        # threshold and verify blamed epsilon. Linear coupling or a Hebbian
+        # network with dt and t_end given derives nothing on loading
+        cfg_path = write(tmp_path, config)
         assert run([command, "--config", cfg_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -869,6 +882,19 @@ class TestSweepCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(float(row[0]), row[-1] != "error") for row in rows] == [(0.0, True),
                                                                           (2000.0, True)]
+
+    def test_error_row_text(self, tmp_path):
+        # m*P*dt = 12 at P = 2000, past RK4's stability interval: that value
+        # blows up and gets an error row, with the sweep's p_star and its rate
+        cfg = self.linear_m3_config()
+        cfg["integrator"] = {"dt": 2e-3, "t_end": 0.2}
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", write(tmp_path, cfg), "--p-values", "0,2000",
+                    "--output", str(out)]) == 0
+        assert out.read_text() == (
+            "P,deg_estimate,p_star,rate_theory,rate_fitted,verdict\n"
+            "0.0,0.8973530315300877,1.0610208173215907,1.9,,fail\n"
+            "2000.0,,1.0610208173215907,2001.9,,error\n")
 
     def test_defaults_sized_at_extreme_p_values(self, tmp_path):
         cfg = self.linear_m3_config()

@@ -195,6 +195,11 @@ class TestAbsorbTime:
             absorb_time(derive_constants(mk_mhnn()), 0.0)
         assert err.value.field == "L"
 
+    def test_overflowing_ratio_rejected(self):
+        # L*max(C1, 1)/min(C1, 1) = 3e308 overflowed to inf, and so did the time
+        with pytest.raises(ParameterError, match=r"^L: L\*max\(C1, 1\)/min\(C1, 1\) leaves"):
+            absorb_time(derive_constants(mk_mhnn()), 1e308)
+
 
 class TestThreshold:
     def test_homogeneous_network_needs_no_coupling(self):
