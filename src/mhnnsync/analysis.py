@@ -222,11 +222,13 @@ def default_dt(p: Params, dc: cst.DerivedConstants) -> float:
     The base rates (decay, memristive term at the dissipative bound) are
     resolved at 1e-3/rate; the coupling rate m*P only needs accuracy-level
     resolution since it is strongly contracting, so it is resolved at
-    5e-2/rate, at the largest P of a lockstep column.
+    5e-2/rate, at the largest P of a lockstep column. A rate that overflows
+    raises ParameterError naming its term, or P for m*P.
     """
-    eta_max = float(np.max(p.eta))
-    base = max(float(np.max(p.a)), p.b, p.k_max * eta_max * dc.bound)
-    return min(1e-3 / base, 5e-2 / (base + p.m * float(np.max(p.P))))
+    eta_max, Q = float(np.max(p.eta)), dc.names()[3]
+    memristive = in_range(f"k_max*eta_max*{Q}", lambda: p.k_max * eta_max * dc.bound)
+    base = max(float(np.max(p.a)), p.b, memristive)
+    return min(1e-3 / base, 5e-2 / in_range("P", lambda: base + p.m * float(np.max(p.P)), "m*P"))
 
 
 def _tolerance(bound) -> np.ndarray:

@@ -117,7 +117,7 @@ def load_config(path: str, *, model_override: Optional[str] = None,
     then the default dt is sized at the largest and the default t_end at the
     smallest, so that every swept run is resolved and long enough.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:     # JSON is UTF-8 whatever the locale
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ParameterError("<root>", "config must be a JSON object")
@@ -196,12 +196,8 @@ def _not_finite(obj, path: str) -> Optional[str]:
     return next(filter(None, found), None)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _fmt(x: Optional[float]) -> str:
+    return "" if x is None else repr(x)
 
 
 def _cmd_constants(run: RunConfig, args) -> int:
@@ -231,7 +227,8 @@ def _cmd_simulate(run: RunConfig, args) -> int:
     traj = integrate(analysis._make_rhs(p), y0, run.integrator, m=p.m)
     header = ["t"] + [f"u{i + 1}" for i in range(p.m)] + ["rho"]
     if run.model == "hebbian":
-        header += [f"w{i + 1}{j + 1}" for i in range(p.m) for j in range(p.m)]
+        sep = "_" if p.m >= 10 else ""      # w1_11 and w11_1, not w111 twice
+        header += [f"w{i + 1}{sep}{j + 1}" for i in range(p.m) for j in range(p.m)]
     lines = [",".join(header)]
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join([_fmt(float(t))] + [_fmt(float(x)) for x in row]))
@@ -317,12 +314,12 @@ def main(argv=None) -> int:
                           seed_override=args.seed,
                           epsilon_override=getattr(args, "epsilon", None),
                           p_values=getattr(args, "p_values", None))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"mhnnsync: config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParameterError as exc:
+    except ParameterError as exc:       # a ValueError, so caught before the parse errors
         print(f"mhnnsync: config validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (OSError, ValueError, RecursionError) as exc:    # unreadable, not JSON, too deep
+        print(f"mhnnsync: config parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except MemoryError as exc:
         return _out_of_memory(exc)
     # checked before anything is integrated, so that a long run is not lost
@@ -340,6 +337,10 @@ def main(argv=None) -> int:
         return EXIT_BLOWUP
     except MemoryError as exc:
         return _out_of_memory(exc)
+    except OSError as exc:              # the write failed after the path was checked
+        print(f"mhnnsync: cannot write output {args.output or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 def _out_of_memory(exc: MemoryError) -> int:

@@ -90,10 +90,7 @@ def derive_extremes(p: Params) -> Extremes:
 def _hebbian_weight_margin(p: HebbianParams) -> float:
     """lambda_max^2 beta^4 / c_min^2 — additive part of the weight ultimate bound."""
     lam_max, c_min, beta = float(np.max(np.abs(p.lam))), float(p.c.min()), p.beta_max
-    margin = in_range("weight_margin", lambda: lam_max**2 * beta**4 / c_min**2)
-    if not math.isfinite(margin):     # a float product overflows to inf without raising
-        raise ParameterError("weight_margin", "weight_margin leaves the double range")
-    return margin
+    return in_range("weight_margin", lambda: lam_max**2 * beta**4 / c_min**2)
 
 
 def derive_constants(p: Params) -> DerivedConstants:
@@ -103,12 +100,13 @@ def derive_constants(p: Params) -> DerivedConstants:
 
 def _dissipation(p: Params, ex: Extremes) -> DerivedConstants:
     """The constants of p, each positive and finite (the forcing constant may be
-    0), else ParameterError naming the first that leaves the double range."""
+    0), else ParameterError naming the first that leaves the double range: each
+    goes through ``in_range`` but the rate, which cannot overflow but can underflow."""
     m, b, beta = p.m, p.b, p.beta_max
     gap, _ = p.assumption_margins()
     model = "mhnn" if isinstance(p, MhnnParams) else "hebbian"
     names = DerivedConstants._NAMES[model]
-    C1, C2, _, Q = names
+    C1, C2, mu, Q = names
     if model == "mhnn":
         weight = in_range(C1, lambda: m * ex.gamma_max**2 / b + b)
         forcing = in_range(C2, lambda: weight * m * (m * ex.W_max * beta + ex.J_max)**2 / gap**2)
@@ -116,16 +114,14 @@ def _dissipation(p: Params, ex: Extremes) -> DerivedConstants:
         weight = in_range(C1, lambda: m * ex.gamma_max**2 / b + 0.5 * b)
         S = math.sqrt(1.0 + _hebbian_weight_margin(p))
         forcing = in_range(C2, lambda: weight * (ex.J_max + m * beta * S)**2 / gap**2)
-    scale = weight / gap
+    scale = in_range(C1, lambda: weight / gap)
     # mu = b*min(1/scale, 1) written as b/max(scale, 1): same value, and the
     # Q = 1 + forcing*max(scale,1)/(b*min(scale,1)) form avoids a rounding
     # detour through 1/scale
     diss_rate = b / max(scale, 1.0)
+    if diss_rate == 0:      # underflowed without raising; checked first, as Q then overflows
+        raise ParameterError(mu, f"{mu} leaves the double range")
     bound = in_range(Q, lambda: 1.0 + forcing * max(scale, 1.0) / (b * min(scale, 1.0)))
-    # a float product or quotient overflows to inf, or underflows to 0, without raising
-    for name, value in zip(names, (scale, forcing, diss_rate, bound)):
-        if not (0 < value < math.inf or (name == C2 and value == 0)):
-            raise ParameterError(name, f"{name} leaves the double range")
     return DerivedConstants(model=model, scale=scale, forcing=forcing,
                             diss_rate=diss_rate, bound=bound)
 
@@ -134,10 +130,8 @@ def absorb_time(dc: DerivedConstants, L: float) -> float:
     """Time after which every trajectory started with ||g0||^2 <= L stays inside the ball."""
     if not (L > 0):
         raise ParameterError("L", "initial squared-norm bound L must be positive")
-    ratio = L * max(dc.scale, 1.0) / min(dc.scale, 1.0)
-    if not math.isfinite(ratio):      # a float product overflows to inf without raising
-        raise ParameterError("L", "L*max({0}, 1)/min({0}, 1) leaves the double range"
-                                  .format(dc.names()[0]))
+    ratio = in_range("L", lambda: L * max(dc.scale, 1.0) / min(dc.scale, 1.0),
+                     "L*max({0}, 1)/min({0}, 1)".format(dc.names()[0]))
     return in_range(dc.names()[2], lambda: max(0.0, math.log(ratio)) / dc.diss_rate, "T_B")
 
 
@@ -171,18 +165,14 @@ class _Derivation:
     numerator: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "N", sum(self.N_terms.values()))
-        object.__setattr__(self, "numerator", self.N * self.B)
-        # a float sum or product overflows to inf without raising
-        for name, value in [*self.N_terms.items(), ("N", self.N), ("N*B", self.numerator)]:
-            if not math.isfinite(value):
-                raise ParameterError(name, f"{name} leaves the double range")
+        for name, value in self.N_terms.items():
+            in_range(name, lambda: value)
+        object.__setattr__(self, "N", in_range("N", lambda: sum(self.N_terms.values())))
+        object.__setattr__(self, "numerator", in_range("N*B", lambda: self.N * self.B))
 
     def rate(self, P: float) -> float:
-        rate = self.decay + self.gain * P / self.B
-        if not math.isfinite(rate):
-            raise ParameterError("P", f"the sync rate at P = {P:g} leaves the double range")
-        return rate
+        return in_range("P", lambda: self.decay + self.gain * P / self.B,
+                        f"the sync rate at P = {P:g}")
 
     def residual(self, P: float) -> float:
         return self.numerator / (self.decay * self.B + self.m * P)

@@ -118,11 +118,15 @@ def as_real(value, path: str) -> float:
 
 def in_range(name: str, form, what: str = "") -> float:
     """form(), else ParameterError naming ``name`` when ``what`` (by default ``name``)
-    leaves the double range: it overflows, or divides by a value that underflowed to 0."""
+    leaves the double range: it overflows, whether it raises or gives inf as a float
+    product does, divides by a value that underflowed to 0, or is NaN."""
     try:
-        return form()
+        value = form()
     except (OverflowError, ZeroDivisionError):
-        raise ParameterError(name, f"{what or name} leaves the double range") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(name, f"{what or name} leaves the double range")
+    return value
 
 
 @dataclass(frozen=True)

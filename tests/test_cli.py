@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import importlib
 import io
 import json
@@ -141,6 +142,23 @@ class TestValidationExits:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["constants", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("text, code", [
+        (b"\xff\xfe{}", 2),
+        (b"[" * 100_000 + b"]" * 100_000, 2),
+        (json.dumps(mhnn_config(a="X")).replace('"X"', "[" * 500 + "2.0" + "]" * 500).encode(), 3),
+    ], ids=["not-utf-8", "too-deep", "deep-field"])
+    def test_undecodable_config_exit_code(self, tmp_path, capsys, text, code):
+        # json.load raised UnicodeDecodeError or RecursionError: a traceback and
+        # exit 1. A field nested within the decoder's limit is still named, exit 3
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert run(["constants", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mhnnsync: config parse error: " if code == 2 else
+                                       "mhnnsync: config validation error: a: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_negative_m_exit_3(self, tmp_path, capsys):
         # named before numpy is asked for a vector of negative length
@@ -462,6 +480,11 @@ class TestValidationExits:
         # radius^2 underflows to 0, and the absorb time's argument L was named
         "radius-tiny": (mhnn_config, {"ensemble": {"count": 2, "radius": 1e-200}},
                         "ensemble.radius"),
+        # the default dt's rates k_max*eta_max*Q and m*P overflow to inf, so dt
+        # was 1e-3/inf = 0 and integrator.dt was named
+        "dt-memristive": (mhnn_config, {"coupling": "linear", "k": 0.5, "J": [1.0, 0.0],
+                                        "eta": [1e308, 1e308], "P": 1.0}, "k_max*eta_max*Q"),
+        "dt-coupling": (mhnn_config, {"coupling": "linear", "P": 1e308}, "P"),
     }
 
     @pytest.mark.parametrize("command", ["constants", "threshold", "simulate", "verify"])
@@ -724,6 +747,17 @@ class TestOutputPath:
                     "--output", str(out)]) == 0
         assert out.read_text().startswith("P,deg_estimate,")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["constants", "simulate"])
+    def test_failed_write_exit_73(self, tmp_path, capsys, command):
+        # the path passes the check, but the write fails: a traceback and exit 1
+        cfg_path = write(tmp_path, mhnn_config())
+        assert run([command, "--config", cfg_path, "--output", "/dev/full"]) == 73
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("mhnnsync: cannot write output /dev/full: "
+                                f"{os.strerror(errno.ENOSPC)}\n")
+
 
 class TestStepLimit:
     def test_extreme_coupling_default_dt_exits_3(self, tmp_path):
@@ -787,6 +821,15 @@ class TestSimulateCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,u1,u2,rho,w11,w12,w21,w22"
         assert {len(line.split(",")) for line in lines} == {8}
+
+    def test_hebbian_csv_header_from_m_10(self, tmp_path):
+        # w{i}{j} named both w(1, 11) and w(11, 1) "w111"
+        cfg = dict(fuzz_base("hebbian", 11), integrator={"dt": 0.01, "t_end": 0.02})
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--config", write(tmp_path, cfg), "--output", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert len(header) == len(set(header)) == 1 + 11 + 1 + 11 * 11
+        assert header[13:15] == ["w1_1", "w1_2"] and {"w1_11", "w11_1"} <= set(header)
 
     def test_csv_values_round_trip(self, tmp_path):
         cfg_path = write(tmp_path, mhnn_config())

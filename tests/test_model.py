@@ -553,6 +553,15 @@ class TestValidation:
             call()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("form", [lambda: 1e200**2, lambda: 1.0 / (1e-200 * 1e-200),
+                                      lambda: 1e200 * 1e200, lambda: 1e200 * 1e200 * 0.0],
+                             ids=["raises", "divides-by-0", "inf", "nan"])
+    def test_in_range_rejects_each_way_out_of_range(self, form):
+        # the last two return inf and NaN without raising; in_range passed them on
+        with pytest.raises(ParameterError, match=r"^x: x\^2 leaves the double range$"):
+            model_module.in_range("x", form, "x^2")
+        assert model_module.in_range("x", lambda: 1e200 * 1e-200, "x^2") == 1e200 * 1e-200
+
     def test_assumption_boundary(self):
         with pytest.raises(ParameterError, match="a_i > k"):
             mk_mhnn(k=2.0).validate()
